@@ -12,7 +12,7 @@ SNAPSHOT_SCALE ?= 0.3
 # Where `make serve` listens.
 SERVE_ADDR ?= :8080
 
-.PHONY: build test test-short race-short bench bench-smoke bench-json bench-service chaos chaos-short chaos-fleet fmt fmt-check vet docs-check ci snapshot serve smoke-serve
+.PHONY: build test test-short race-short bench bench-smoke bench-json bench-service benchmark-check chaos chaos-short chaos-fleet fmt fmt-check vet docs-check loc ci snapshot serve smoke-serve
 
 # bench-service knobs: how long the mixed load runs, how many concurrent
 # workers fire it, which scale the replica fleet serves, and which worlds
@@ -274,7 +274,18 @@ docs-check:
 	$(GO) run ./cmd/docscheck ./internal/hashtab ./internal/service ./internal/engine \
 		./internal/parallel ./internal/router ./internal/loadgen ./internal/reopt \
 		./internal/workload ./internal/index ./internal/trace \
-		./internal/fault ./internal/deadline
+		./internal/fault ./internal/deadline ./internal/world
+
+# The perf ledger (benchmark/) is its own module, outside `go build ./...`
+# and tier-1 — so without this gate a root API change breaks it silently.
+# Vet plus its short tests (~5 s) compile it against the current root.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
+# Non-test Go lines outside benchmark/: the number every PR reports as
+# "net LOC" (ROADMAP aim 2).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 # Everything the CI checks job runs, in order.
-ci: fmt-check vet docs-check build test bench-smoke
+ci: fmt-check vet docs-check build benchmark-check test bench-smoke

@@ -79,14 +79,10 @@ func (s *System) OptimizeAdaptiveContext(ctx context.Context, queryID string, op
 	cached := s.feedback.Get(canon.FP)
 	pinned := canon.MapFromCanon(cached)
 	planProv := reopt.NewPropagator(prov, pinned)
-	idxCfg := opts.Indexes
-	if _, ok := s.idx[idxCfg]; !ok {
-		idxCfg = PKFK
-	}
 	o := &optimizer.Optimizer{
-		DB:         s.db,
+		DB:         s.w.DB,
 		Model:      model,
-		Indexes:    s.idx[idxCfg],
+		Indexes:    s.idx[s.indexConfig(opts.Indexes)],
 		DisableNLJ: opts.DisableNestedLoops,
 		Shape:      opts.Shape,
 		Algorithm:  opts.Algorithm,
@@ -131,17 +127,13 @@ func (s *System) ExecuteAdaptiveContext(ctx context.Context, queryID string, opt
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
-	idxCfg := opts.Indexes
-	if _, ok := s.idx[idxCfg]; !ok {
-		idxCfg = PKFK
-	}
 	canon := reopt.Canonical(g)
 	cached := s.feedback.Get(canon.FP)
 	pinned := canon.MapFromCanon(cached)
 	sp := trace.StartSpan(ctx, "execute.adaptive")
 	rres, err := reopt.Run(ctx, g, prov, pinned, reopt.Config{
-		DB:            s.db,
-		Indexes:       s.idx[idxCfg],
+		DB:            s.w.DB,
+		Indexes:       s.idx[s.indexConfig(opts.Indexes)],
 		Model:         model,
 		DisableNLJ:    opts.DisableNestedLoops,
 		Shape:         opts.Shape,

@@ -7,6 +7,7 @@
 package jobench_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -34,7 +35,7 @@ func lab(b *testing.B) *experiments.Lab {
 	benchOnce.Do(func() {
 		benchLab, benchErr = experiments.NewLab(experiments.QuickConfig())
 		if benchErr == nil {
-			benchErr = benchLab.Warmup()
+			benchErr = benchLab.Warmup(context.Background())
 		}
 	})
 	if benchErr != nil {
@@ -49,7 +50,7 @@ func BenchmarkTable1BaseTableQErrors(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Table1(); err != nil {
+		if _, err := l.Table1(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -59,7 +60,7 @@ func BenchmarkFigure3JoinEstimates(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Figure3(); err != nil {
+		if _, err := l.Figure3(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,7 +70,7 @@ func BenchmarkFigure4TPCH(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Figure4(); err != nil {
+		if _, err := l.Figure4(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +80,7 @@ func BenchmarkFigure5TrueDistinct(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Figure5(); err != nil {
+		if _, err := l.Figure5(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +90,7 @@ func BenchmarkSection41InjectedEstimates(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Section41(); err != nil {
+		if _, err := l.Section41(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,7 +100,7 @@ func BenchmarkFigure6RiskyPlans(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Figure6(); err != nil {
+		if _, err := l.Figure6(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,7 +110,7 @@ func BenchmarkFigure7Indexes(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Figure7(); err != nil {
+		if _, err := l.Figure7(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +120,7 @@ func BenchmarkFigure8CostModels(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Figure8(); err != nil {
+		if _, err := l.Figure8(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +130,7 @@ func BenchmarkFigure9PlanSpace(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Figure9(500); err != nil {
+		if _, err := l.Figure9(context.Background(), 500); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +140,7 @@ func BenchmarkTable2TreeShapes(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Table2(); err != nil {
+		if _, err := l.Table2(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,7 +150,7 @@ func BenchmarkTable3Heuristics(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Table3(); err != nil {
+		if _, err := l.Table3(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,7 +162,7 @@ func BenchmarkReoptJOB(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Reopt(); err != nil {
+		if _, err := l.Reopt(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -251,7 +252,7 @@ func BenchmarkGOO(b *testing.B) {
 func BenchmarkExecuteHashJoinPlan(b *testing.B) {
 	l := lab(b)
 	g := l.Graphs["13d"]
-	st, err := l.Truth("13d")
+	st, err := l.Truth(context.Background(), "13d")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -362,7 +362,7 @@ func cmdExperiment(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "computing true cardinalities for %d queries...\n", len(lab.Queries))
 	start := time.Now()
-	if err := lab.Warmup(); err != nil {
+	if err := lab.Warmup(context.Background()); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n\n", time.Since(start).Round(time.Millisecond))

@@ -1,23 +1,15 @@
 package jobench
 
-// These tests pin the System's concurrency contract: every method is safe
+// This test pins the System's concurrency contract: every method is safe
 // for concurrent use (the service layer serves one shared System to many
-// requests at once), and an uncached truth store is computed exactly once
-// no matter how many goroutines ask for it simultaneously. They live in the
-// jobench package to reach the computeTruth indirection point, and they are
-// deliberately small so the -race -short CI job runs them.
+// requests at once). It is deliberately small so the -race -short CI job
+// runs it; the compute-once half of the contract is pinned beside the
+// hooks, in internal/world.
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
-
-	"jobench/internal/query"
-	"jobench/internal/storage"
-	"jobench/internal/truecard"
 )
 
 // TestConcurrentMixedUse hammers one shared System with mixed
@@ -99,49 +91,5 @@ func TestConcurrentMixedUse(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
-	}
-}
-
-// TestTruthStoreSingleFlight proves that N concurrent requests for one
-// uncached truth store perform exactly one computation and share its
-// result.
-func TestTruthStoreSingleFlight(t *testing.T) {
-	sys, err := Open(Options{Scale: 0.05, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var computes atomic.Int64
-	origCompute := computeTruth
-	computeTruth = func(ctx context.Context, db *storage.Database, g *query.Graph, opts truecard.Options) (*truecard.Store, error) {
-		computes.Add(1)
-		// Hold the flight open long enough for every waiter to pile up
-		// behind it.
-		time.Sleep(50 * time.Millisecond)
-		return origCompute(ctx, db, g, opts)
-	}
-	t.Cleanup(func() { computeTruth = origCompute })
-
-	const callers = 8
-	var wg sync.WaitGroup
-	stores := make([]*truecard.Store, callers)
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			stores[i], errs[i] = sys.TruthStore("1a")
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if stores[i] != stores[0] {
-			t.Fatalf("caller %d received a different store instance", i)
-		}
-	}
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("%d truth computations for one query under concurrency, want 1", got)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"jobench/internal/stats"
 	"jobench/internal/tpch"
 	"jobench/internal/truecard"
+	"jobench/internal/world"
 )
 
 // maxFigure3Joins is the deepest subexpression size the estimation-quality
@@ -31,12 +32,7 @@ type Table1Row struct {
 
 // Table1 measures base-table selection q-errors for all five systems
 // (paper Table 1).
-func (l *Lab) Table1() (*Table1Result, error) {
-	return l.Table1Context(context.Background())
-}
-
-// Table1Context is Table1 under a caller-controlled context.
-func (l *Lab) Table1Context(ctx context.Context) (*Table1Result, error) {
+func (l *Lab) Table1(ctx context.Context) (*Table1Result, error) {
 	res := &Table1Result{}
 	for _, q := range l.Queries {
 		for _, r := range q.Rels {
@@ -48,7 +44,7 @@ func (l *Lab) Table1Context(ctx context.Context) (*Table1Result, error) {
 	for _, est := range l.Systems() {
 		// One cell per query: q-errors of every predicated base table.
 		perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) ([]float64, error) {
-			st, err := l.truthCtx(ctx, q.ID)
+			st, err := l.Truth(ctx, q.ID)
 			if err != nil {
 				return nil, err
 			}
@@ -111,17 +107,12 @@ type Figure3System struct {
 }
 
 // Figure3 computes the join estimation error distributions of Fig. 3.
-func (l *Lab) Figure3() (*Figure3Result, error) {
-	return l.Figure3Context(context.Background())
-}
-
-// Figure3Context is Figure3 under a caller-controlled context.
-func (l *Lab) Figure3Context(ctx context.Context) (*Figure3Result, error) {
+func (l *Lab) Figure3(ctx context.Context) (*Figure3Result, error) {
 	// One cell per query: the signed errors of every connected
 	// subexpression, per system and join count.
 	perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) ([][][]float64, error) {
 		g := l.Graphs[q.ID]
-		st, err := l.truthCtx(ctx, q.ID)
+		st, err := l.Truth(ctx, q.ID)
 		if err != nil {
 			return nil, err
 		}
@@ -219,44 +210,42 @@ type Figure4Panel struct {
 // Figure4 runs the PostgreSQL estimator over 4 JOB queries and the 3 mini
 // TPC-H queries (generated uniform and independent), reproducing the
 // contrast of Fig. 4: TPC-H is easy, JOB is not.
-func (l *Lab) Figure4() (*Figure4Result, error) {
-	return l.Figure4Context(context.Background())
-}
-
-// Figure4Context is Figure4 under a caller-controlled context.
-func (l *Lab) Figure4Context(ctx context.Context) (*Figure4Result, error) {
-	var jobIDs []string
+func (l *Lab) Figure4(ctx context.Context) (*Figure4Result, error) {
+	// One panel per query: PostgreSQL's estimates against a world's truth.
+	panels := func(w *world.World, pg cardest.Estimator, label string, qids []string) ([]Figure4Panel, error) {
+		return RunCells(ctx, l.W.Options.Parallel, qids,
+			func(ctx context.Context, qid string) (Figure4Panel, error) {
+				g := w.Graphs[qid]
+				st, err := w.Truth(ctx, g)
+				if err != nil {
+					return Figure4Panel{}, err
+				}
+				return figure4Panel(label+strings.TrimPrefix(qid, "tpch"), g, pg.ForQuery(g), st), nil
+			})
+	}
+	var jobIDs, tpchIDs []string
 	for _, qid := range []string{"6a", "16d", "17b", "25c"} {
 		if _, ok := l.Graphs[qid]; ok {
 			jobIDs = append(jobIDs, qid)
 		}
 	}
-	jobPanels, err := RunCells(ctx, l.Cfg.Parallel, jobIDs,
-		func(ctx context.Context, qid string) (Figure4Panel, error) {
-			g := l.Graphs[qid]
-			st, err := l.truthCtx(ctx, qid)
-			if err != nil {
-				return Figure4Panel{}, err
-			}
-			return figure4Panel("JOB "+qid, g, l.Postgres.ForQuery(g), st), nil
-		})
+	for _, q := range tpch.Fig4Queries() {
+		tpchIDs = append(tpchIDs, q.ID)
+	}
+	jobPanels, err := panels(l.W, l.Postgres, "JOB ", jobIDs)
 	if err != nil {
 		return nil, err
 	}
-
-	// The TPC-H side gets its own little lab.
-	tdb := tpch.Generate(tpch.Config{Scale: l.Cfg.Scale, Seed: l.Cfg.Seed})
-	tstats := stats.AnalyzeDatabase(tdb, stats.Options{SampleSize: 30000, Seed: l.Cfg.Seed})
-	tpg := cardest.NewPostgres(tdb, tstats)
-	tpchPanels, err := RunCells(ctx, l.Cfg.Parallel, tpch.Fig4Queries(),
-		func(ctx context.Context, q *query.Query) (Figure4Panel, error) {
-			g := query.MustBuildGraph(q)
-			st, err := truecard.ComputeContext(ctx, tdb, g, truecard.Options{Parallel: l.Cfg.Parallel})
-			if err != nil {
-				return Figure4Panel{}, err
-			}
-			return figure4Panel("TPC-H "+strings.TrimPrefix(q.ID, "tpch"), g, tpg.ForQuery(g), st), nil
-		})
+	// The TPC-H side is the registry's tpch world at the lab's seed, scale
+	// and cache dir, analyzed with PostgreSQL's default sample size.
+	topts := l.W.Options
+	topts.Workload = "tpch"
+	tw, err := world.Open(topts)
+	if err != nil {
+		return nil, err
+	}
+	tpg := cardest.NewPostgres(tw.DB, tw.Stats(stats.Options{SampleSize: 30000, Seed: topts.Seed}))
+	tpchPanels, err := panels(tw, tpg, "TPC-H ", tpchIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -329,18 +318,13 @@ type Figure5Result struct {
 // Figure5 reproduces the paper's §3.4 experiment: replacing the sampled
 // distinct counts with exact ones changes the estimates — and makes the
 // underestimation trend *worse*, the "two wrongs make a right" effect.
-func (l *Lab) Figure5() (*Figure5Result, error) {
-	return l.Figure5Context(context.Background())
-}
-
-// Figure5Context is Figure5 under a caller-controlled context.
-func (l *Lab) Figure5Context(ctx context.Context) (*Figure5Result, error) {
+func (l *Lab) Figure5(ctx context.Context) (*Figure5Result, error) {
 	type cellResult struct {
 		def, td [][]float64
 	}
 	perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (cellResult, error) {
 		g := l.Graphs[q.ID]
-		st, err := l.truthCtx(ctx, q.ID)
+		st, err := l.Truth(ctx, q.ID)
 		if err != nil {
 			return cellResult{}, err
 		}

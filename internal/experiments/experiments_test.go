@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ func sharedLab(t *testing.T) *Lab {
 	labOnce.Do(func() {
 		testLab, labErr = NewLab(QuickConfig())
 		if labErr == nil {
-			labErr = testLab.Warmup()
+			labErr = testLab.Warmup(context.Background())
 		}
 	})
 	if labErr != nil {
@@ -42,7 +43,7 @@ func sharedLab(t *testing.T) *Lab {
 
 func TestTable1ShapesLikePaper(t *testing.T) {
 	l := sharedLab(t)
-	res, err := l.Table1()
+	res, err := l.Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestTable1ShapesLikePaper(t *testing.T) {
 
 func TestFigure3UnderestimationGrows(t *testing.T) {
 	l := sharedLab(t)
-	res, err := l.Figure3()
+	res, err := l.Figure3(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestFigure3UnderestimationGrows(t *testing.T) {
 
 func TestFigure4TPCHIsEasy(t *testing.T) {
 	l := sharedLab(t)
-	res, err := l.Figure4()
+	res, err := l.Figure4(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestFigure4TPCHIsEasy(t *testing.T) {
 
 func TestFigure5TrueDistinctWorsensUnderestimation(t *testing.T) {
 	l := sharedLab(t)
-	res, err := l.Figure5()
+	res, err := l.Figure5(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestFigure5TrueDistinctWorsensUnderestimation(t *testing.T) {
 func TestSection41SlowdownTable(t *testing.T) {
 	skipSlowInShort(t)
 	l := sharedLab(t)
-	res, err := l.Section41()
+	res, err := l.Section41(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestSection41SlowdownTable(t *testing.T) {
 func TestFigure6EngineHardeningHelps(t *testing.T) {
 	skipSlowInShort(t)
 	l := sharedLab(t)
-	res, err := l.Figure6()
+	res, err := l.Figure6(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestFigure6EngineHardeningHelps(t *testing.T) {
 func TestFigure7MoreIndexesHarderProblem(t *testing.T) {
 	skipSlowInShort(t)
 	l := sharedLab(t)
-	res, err := l.Figure7()
+	res, err := l.Figure7(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestFigure7MoreIndexesHarderProblem(t *testing.T) {
 func TestFigure8CostModels(t *testing.T) {
 	skipSlowInShort(t)
 	l := sharedLab(t)
-	res, err := l.Figure8()
+	res, err := l.Figure8(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestFigure8CostModels(t *testing.T) {
 func TestFigure9AndSection61(t *testing.T) {
 	skipSlowInShort(t)
 	l := sharedLab(t)
-	res, err := l.Figure9(400)
+	res, err := l.Figure9(context.Background(), 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestFigure9AndSection61(t *testing.T) {
 func TestTable2TreeShapes(t *testing.T) {
 	skipSlowInShort(t)
 	l := sharedLab(t)
-	res, err := l.Table2()
+	res, err := l.Table2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +374,7 @@ func TestTable2TreeShapes(t *testing.T) {
 func TestTable3HeuristicsLeavePerformance(t *testing.T) {
 	skipSlowInShort(t)
 	l := sharedLab(t)
-	res, err := l.Table3()
+	res, err := l.Table3(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +429,7 @@ func TestLabBasics(t *testing.T) {
 	if len(l.QueryIDs()) != len(l.Queries) {
 		t.Fatal("QueryIDs mismatch")
 	}
-	if _, err := l.Truth("nonexistent"); err == nil {
+	if _, err := l.Truth(context.Background(), "nonexistent"); err == nil {
 		t.Fatal("Truth accepted unknown query")
 	}
 	if len(l.Systems()) != 5 {

@@ -36,13 +36,7 @@ type DampingAblationRow struct {
 // DampingAblation explains the DBMS A reverse-engineering: exponent 1.0 is
 // plain independence (systematic underestimation), small exponents
 // overshoot into overestimation, and the profile's default sits in between.
-func (l *Lab) DampingAblation(exponents []float64) (*DampingAblationResult, error) {
-	return l.DampingAblationContext(context.Background(), exponents)
-}
-
-// DampingAblationContext is DampingAblation under a caller-controlled
-// context.
-func (l *Lab) DampingAblationContext(ctx context.Context, exponents []float64) (*DampingAblationResult, error) {
+func (l *Lab) DampingAblation(ctx context.Context, exponents []float64) (*DampingAblationResult, error) {
 	if len(exponents) == 0 {
 		exponents = []float64{1.0, 0.9, 0.82, 0.7, 0.5}
 	}
@@ -55,7 +49,7 @@ func (l *Lab) DampingAblationContext(ctx context.Context, exponents []float64) (
 		}
 		perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (cellResult, error) {
 			g := l.Graphs[q.ID]
-			st, err := l.truthCtx(ctx, q.ID)
+			st, err := l.Truth(ctx, q.ID)
 			if err != nil {
 				return cellResult{}, err
 			}
@@ -130,13 +124,7 @@ type RehashAblationRow struct {
 
 // RehashAblation isolates the §4.1 hash-table mechanism on one query: the
 // plan is fixed; only the build-side estimates fed to the executor change.
-func (l *Lab) RehashAblation(qid string, factors []float64) (*RehashAblationResult, error) {
-	return l.RehashAblationContext(context.Background(), qid, factors)
-}
-
-// RehashAblationContext is RehashAblation under a caller-controlled
-// context.
-func (l *Lab) RehashAblationContext(ctx context.Context, qid string, factors []float64) (*RehashAblationResult, error) {
+func (l *Lab) RehashAblation(ctx context.Context, qid string, factors []float64) (*RehashAblationResult, error) {
 	if len(factors) == 0 {
 		factors = []float64{1, 10, 100, 1000}
 	}
@@ -144,7 +132,7 @@ func (l *Lab) RehashAblationContext(ctx context.Context, qid string, factors []f
 	if g == nil {
 		return nil, fmt.Errorf("experiments: unknown query %s", qid)
 	}
-	st, err := l.truthCtx(ctx, qid)
+	st, err := l.Truth(ctx, qid)
 	if err != nil {
 		return nil, err
 	}
@@ -235,12 +223,7 @@ type HedgingRow struct {
 // not trusting the cheapest expected plan. The sweep doubles as an
 // ablation: gentle hedging tends to remove disasters, while aggressive
 // inflation distorts join-order choices and can backfire.
-func (l *Lab) Hedging(factors ...float64) (*HedgingResult, error) {
-	return l.HedgingContext(context.Background(), factors...)
-}
-
-// HedgingContext is Hedging under a caller-controlled context.
-func (l *Lab) HedgingContext(ctx context.Context, factors ...float64) (*HedgingResult, error) {
+func (l *Lab) Hedging(ctx context.Context, factors ...float64) (*HedgingResult, error) {
 	if len(factors) == 0 {
 		factors = []float64{1.1, 1.5, 2.0}
 	}

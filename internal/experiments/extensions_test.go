@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestDampingAblation(t *testing.T) {
 	l := sharedLab(t)
-	res, err := l.DampingAblation([]float64{1.0, 0.82, 0.5})
+	res, err := l.DampingAblation(context.Background(), []float64{1.0, 0.82, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestDampingAblation(t *testing.T) {
 
 func TestRehashAblation(t *testing.T) {
 	l := sharedLab(t)
-	res, err := l.RehashAblation("17e", []float64{1, 100, 1000})
+	res, err := l.RehashAblation(context.Background(), "17e", []float64{1, 100, 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestRehashAblation(t *testing.T) {
 func TestHedgingSweep(t *testing.T) {
 	skipSlowInShort(t)
 	l := sharedLab(t)
-	res, err := l.Hedging(1.1, 1.5, 2.0)
+	res, err := l.Hedging(context.Background(), 1.1, 1.5, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,19 +8,15 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"log"
 	"sort"
-	"sync"
 
 	"jobench/internal/cardest"
 	"jobench/internal/index"
-	"jobench/internal/parallel"
 	"jobench/internal/query"
-	"jobench/internal/snapshot"
 	"jobench/internal/stats"
 	"jobench/internal/storage"
 	"jobench/internal/truecard"
-	"jobench/internal/workload"
+	"jobench/internal/world"
 )
 
 // Config controls the experimental setup.
@@ -50,90 +46,63 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// DefaultConfig is the scale the experiment CLI uses.
-func DefaultConfig() Config {
-	return Config{Scale: 1.0, Seed: 42}
-}
-
 // QuickConfig is small enough for tests and benchmarks.
 func QuickConfig() Config {
 	return Config{Scale: 0.08, Seed: 42}
 }
 
-// Lab bundles everything the experiments share.
+// Lab bundles everything the experiments share: a view over one
+// world.World (database, index sets, true cardinalities — shared with
+// every other view of that world) plus what is the Lab's own — the
+// MaxQueries truncation of the workload and the estimator profiles built
+// on the Lab's small-sample ANALYZE passes.
 type Lab struct {
-	Cfg Config
+	W *world.World
 
 	DB      *storage.Database
 	Stats   *stats.DB
-	StatsTD *stats.DB // ANALYZE with true distinct counts (Fig. 5)
 	Queries []*query.Query
 	Graphs  map[string]*query.Graph
 	IdxNone *index.Set
 	IdxPK   *index.Set
 	IdxPKFK *index.Set
 
-	// Estimators in the paper's presentation order.
+	// Estimators in the paper's presentation order. PostgresTD runs on
+	// ANALYZE with true distinct counts (Fig. 5).
 	Postgres   cardest.Estimator
 	PostgresTD cardest.Estimator
 	DBMSA      cardest.Estimator
 	DBMSB      cardest.Estimator
 	DBMSC      cardest.Estimator
 	HyPer      cardest.Estimator
-
-	snap *snapshot.Store // nil when Config.CacheDir was empty
-	logf func(format string, args ...any)
-
-	mu    sync.Mutex
-	truth map[string]*truecard.Store
 }
 
-// NewLab builds the shared setup, loading the database, statistics, and
-// (lazily, through Truth) true cardinalities from the snapshot store when
-// Config.CacheDir names one.
+// NewLab builds the shared setup, loading the database, statistics,
+// indexes and (lazily, through Truth) true cardinalities from the
+// snapshot store when Config.CacheDir names one.
 func NewLab(cfg Config) (*Lab, error) {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = log.Printf
-	}
-	wl, err := workload.Get(cfg.Workload)
+	w, err := world.Open(world.Options{
+		Workload: cfg.Workload, Scale: cfg.Scale, Seed: cfg.Seed,
+		Parallel: cfg.Parallel, CacheDir: cfg.CacheDir, Logf: cfg.Logf,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+		return nil, err
 	}
-	cfg.Workload = wl.Name()
-	world := workload.NewKey(wl.Name(), cfg.Seed, cfg.Scale)
-	qs := wl.Queries()
-	var snap *snapshot.Store
-	if cfg.CacheDir != "" {
-		// The cache key hashes the full workload even when MaxQueries
-		// truncates this run: truth files are per-query, so runs at
-		// different MaxQueries share one fingerprint directory.
-		snap = snapshot.New(cfg.CacheDir, snapshot.Key{
-			World:     world,
-			QueryHash: snapshot.WorkloadHash(qs),
-		}, cfg.Parallel)
-	}
-	if cfg.MaxQueries > 0 && cfg.MaxQueries < len(qs) {
-		qs = qs[:cfg.MaxQueries]
-	}
+	return NewLabOver(w, cfg.MaxQueries)
+}
 
-	var db *storage.Database
-	if snap != nil {
-		db, _ = snapshot.Load(logf, "experiments: snapshot database", snap.LoadDatabase)
+// NewLabOver builds the Lab view over an already-open world (the service
+// pool shares one world between a Lab and a facade System). maxQueries is
+// Config.MaxQueries.
+func NewLabOver(w *world.World, maxQueries int) (*Lab, error) {
+	o := w.Options
+	l := &Lab{W: w, DB: w.DB, Queries: w.Queries}
+	if maxQueries > 0 && maxQueries < len(l.Queries) {
+		l.Queries = l.Queries[:maxQueries]
 	}
-	if db == nil {
-		db = wl.Generate(world.Config())
-		if snap != nil {
-			snapshot.Save(logf, "experiments: snapshot save database", func() error {
-				return snap.SaveDatabase(db)
-			})
-		}
+	l.Graphs = make(map[string]*query.Graph, len(l.Queries))
+	for _, q := range l.Queries {
+		l.Graphs[q.ID] = w.Graphs[q.ID]
 	}
 
 	// The ANALYZE sample must be small relative to the big tables, like
@@ -141,86 +110,24 @@ func NewLab(cfg Config) (*Lab, error) {
 	// sample-based distinct counts (Duj1) must underestimate on skewed
 	// columns for the paper's §3.4/Fig. 5 effect to exist. We keep the
 	// ratio, not the absolute number.
-	sampleSize := 600 + int(4000*cfg.Scale)
-	sopts := stats.Options{SampleSize: sampleSize, MCVTarget: 100, HistBuckets: 100, Seed: cfg.Seed}
+	sopts := stats.Options{SampleSize: 600 + int(4000*o.Scale), MCVTarget: 100, HistBuckets: 100, Seed: o.Seed}
 	topts := sopts
 	topts.TrueDistinct = true
 
-	// The two ANALYZE passes and the three index builds only read the
-	// generated database, so they fan out across the worker pool; each task
-	// writes its own destination and is deterministic on its own seed.
-	var (
-		sdb, sdbTD              *stats.DB
-		idxNone, idxPK, idxPKFK *index.Set
-	)
-	if snap != nil {
-		for _, v := range []struct {
-			opts stats.Options
-			dst  **stats.DB
-		}{{sopts, &sdb}, {topts, &sdbTD}} {
-			*v.dst, _ = snapshot.Load(logf, "experiments: snapshot stats", func() (*stats.DB, error) {
-				return snap.LoadStats(v.opts)
-			})
-		}
-	}
-	sdbCached, sdbTDCached := sdb != nil, sdbTD != nil
-	loadOrBuild := func(dst **index.Set, icfg index.Config) func() error {
-		return func() (err error) {
-			*dst, err = snapshot.LoadOrBuildIndexes(snap, logf, "experiments", db, icfg, wl.BuildIndexes)
-			return err
-		}
-	}
-	tasks := []func() error{
-		loadOrBuild(&idxNone, index.NoIndexes),
-		loadOrBuild(&idxPK, index.PKOnly),
-		loadOrBuild(&idxPKFK, index.PKFK),
-	}
-	if !sdbCached {
-		tasks = append(tasks, func() error { sdb = stats.AnalyzeDatabase(db, sopts); return nil })
-	}
-	if !sdbTDCached {
-		tasks = append(tasks, func() error { sdbTD = stats.AnalyzeDatabase(db, topts); return nil })
-	}
-	if err := parallel.Do(context.Background(), cfg.Parallel, tasks...); err != nil {
+	if err := w.Prepare([]stats.Options{sopts, topts}, []index.Config{index.NoIndexes, index.PKOnly, index.PKFK}); err != nil {
 		return nil, err
 	}
-	if snap != nil {
-		if !sdbCached {
-			snapshot.Save(logf, "experiments: snapshot save stats", func() error {
-				return snap.SaveStats(sopts, sdb)
-			})
-		}
-		if !sdbTDCached {
-			snapshot.Save(logf, "experiments: snapshot save stats", func() error {
-				return snap.SaveStats(topts, sdbTD)
-			})
-		}
-	}
-
-	graphs := make(map[string]*query.Graph, len(qs))
-	for _, q := range qs {
-		graphs[q.ID] = query.MustBuildGraph(q)
-	}
-	return &Lab{
-		Cfg:        cfg,
-		DB:         db,
-		Stats:      sdb,
-		StatsTD:    sdbTD,
-		Queries:    qs,
-		Graphs:     graphs,
-		IdxNone:    idxNone,
-		IdxPK:      idxPK,
-		IdxPKFK:    idxPKFK,
-		Postgres:   cardest.NewPostgres(db, sdb),
-		PostgresTD: cardest.NewPostgres(db, sdbTD),
-		DBMSA:      cardest.NewDBMSA(db, sdb),
-		DBMSB:      cardest.NewDBMSB(db, sdb),
-		DBMSC:      cardest.NewDBMSC(db, sdb),
-		HyPer:      cardest.NewSample(db, sdb),
-		snap:       snap,
-		logf:       logf,
-		truth:      make(map[string]*truecard.Store),
-	}, nil
+	l.Stats = w.Stats(sopts)
+	l.IdxNone, _ = w.Indexes(index.NoIndexes) // resolved above, like the next two
+	l.IdxPK, _ = w.Indexes(index.PKOnly)
+	l.IdxPKFK, _ = w.Indexes(index.PKFK)
+	l.Postgres = cardest.NewPostgres(l.DB, l.Stats)
+	l.PostgresTD = cardest.NewPostgres(l.DB, w.Stats(topts))
+	l.DBMSA = cardest.NewDBMSA(l.DB, l.Stats)
+	l.DBMSB = cardest.NewDBMSB(l.DB, l.Stats)
+	l.DBMSC = cardest.NewDBMSC(l.DB, l.Stats)
+	l.HyPer = cardest.NewSample(l.DB, l.Stats)
+	return l, nil
 }
 
 // Systems returns the five estimators in the paper's order.
@@ -229,70 +136,26 @@ func (l *Lab) Systems() []cardest.Estimator {
 }
 
 // Truth returns (computing and caching on first use) the full true-
-// cardinality store of a query. With a snapshot store configured,
-// previously persisted stores load from disk and fresh computations are
-// persisted for the next lab.
-func (l *Lab) Truth(qid string) (*truecard.Store, error) {
-	return l.truthCtx(context.Background(), qid)
-}
-
-func (l *Lab) truthCtx(ctx context.Context, qid string) (*truecard.Store, error) {
-	l.mu.Lock()
-	st, ok := l.truth[qid]
-	l.mu.Unlock()
-	if ok {
-		return st, nil
-	}
+// cardinality store of a query of the Lab's workload; see world.Truth.
+func (l *Lab) Truth(ctx context.Context, qid string) (*truecard.Store, error) {
 	g := l.Graphs[qid]
 	if g == nil {
 		return nil, fmt.Errorf("experiments: unknown query %s", qid)
 	}
-	if l.snap != nil {
-		cached, ok := snapshot.Load(l.logf, "experiments: snapshot truth "+qid,
-			func() (*truecard.Store, error) { return l.snap.LoadTruth(g) })
-		if ok {
-			l.mu.Lock()
-			l.truth[qid] = cached
-			l.mu.Unlock()
-			return cached, nil
-		}
-	}
-	st, err := truecard.ComputeContext(ctx, l.DB, g, truecard.Options{Parallel: l.Cfg.Parallel})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: true cardinalities for %s (row limit %d): %w",
-			qid, truecard.DefaultMaxRows, err)
-	}
-	if l.snap != nil {
-		snapshot.Save(l.logf, "experiments: snapshot save truth "+qid, func() error {
-			return l.snap.SaveTruth(st)
-		})
-	}
-	l.mu.Lock()
-	l.truth[qid] = st
-	l.mu.Unlock()
-	return st, nil
+	return l.W.Truth(ctx, g)
 }
 
 // Warmup computes the true cardinalities of every workload query in
-// parallel. All experiments call Truth lazily; warming up front makes a
-// full experiment run dramatically faster on multi-core machines. Each
-// query's DP nests the same worker count (see System.Warmup for why the
-// deliberate Parallel^2 over-subscription is the right trade).
-func (l *Lab) Warmup() error {
-	return l.WarmupContext(context.Background())
-}
-
-// WarmupContext is Warmup with cancellation: a cancelled warmup (service
-// shutdown, client disconnect) aborts the in-flight DPs instead of
-// finishing them orphaned.
-func (l *Lab) WarmupContext(ctx context.Context) error {
-	_, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (struct{}, error) {
-		if _, err := l.truthCtx(ctx, q.ID); err != nil {
-			return struct{}{}, fmt.Errorf("%s: %w", q.ID, err)
-		}
-		return struct{}{}, nil
-	})
-	return err
+// parallel (see world.Warm). All experiments call Truth lazily; warming
+// up front makes a full experiment run dramatically faster on multi-core
+// machines. A cancelled warmup (service shutdown, client disconnect)
+// aborts the in-flight DPs instead of finishing them orphaned.
+func (l *Lab) Warmup(ctx context.Context) error {
+	graphs := make([]*query.Graph, len(l.Queries))
+	for i, q := range l.Queries {
+		graphs[i] = l.Graphs[q.ID]
+	}
+	return l.W.Warm(ctx, graphs)
 }
 
 // QueryIDs returns the workload's query ids in order.

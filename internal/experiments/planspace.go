@@ -73,12 +73,7 @@ type Figure9Panel struct {
 // Figure9 samples QuickPick plans for the five representative queries under
 // all three index configurations, and computes the §6.1 workload aggregates
 // from a smaller per-query sample.
-func (l *Lab) Figure9(samples int) (*Figure9Result, error) {
-	return l.Figure9Context(context.Background(), samples)
-}
-
-// Figure9Context is Figure9 under a caller-controlled context.
-func (l *Lab) Figure9Context(ctx context.Context, samples int) (*Figure9Result, error) {
+func (l *Lab) Figure9(ctx context.Context, samples int) (*Figure9Result, error) {
 	if samples <= 0 {
 		samples = 10000
 	}
@@ -95,9 +90,9 @@ func (l *Lab) Figure9Context(ctx context.Context, samples int) (*Figure9Result, 
 	}
 	// The normaliser of every panel is the query's optimal plan with FK
 	// indexes; compute it once per query, not once per (query, config).
-	fkOpts, err := RunCells(ctx, l.Cfg.Parallel, qids,
+	fkOpts, err := RunCells(ctx, l.W.Options.Parallel, qids,
 		func(ctx context.Context, qid string) (*plan.Node, error) {
-			st, err := l.truthCtx(ctx, qid)
+			st, err := l.Truth(ctx, qid)
 			if err != nil {
 				return nil, err
 			}
@@ -121,9 +116,9 @@ func (l *Lab) Figure9Context(ctx context.Context, samples int) (*Figure9Result, 
 			cells = append(cells, panelCell{qid: qid, qIdx: qi, cfgIdx: ci})
 		}
 	}
-	panels, err := RunCells(ctx, l.Cfg.Parallel, cells,
+	panels, err := RunCells(ctx, l.W.Options.Parallel, cells,
 		func(ctx context.Context, c panelCell) (Figure9Panel, error) {
-			st, err := l.truthCtx(ctx, c.qid)
+			st, err := l.Truth(ctx, c.qid)
 			if err != nil {
 				return Figure9Panel{}, err
 			}
@@ -135,7 +130,7 @@ func (l *Lab) Figure9Context(ctx context.Context, samples int) (*Figure9Result, 
 			if err != nil {
 				return Figure9Panel{}, err
 			}
-			rng := rand.New(rand.NewSource(l.Cfg.Seed + int64(c.qIdx*len(l.indexConfigs())+c.cfgIdx)))
+			rng := rand.New(rand.NewSource(l.W.Options.Seed + int64(c.qIdx*len(l.indexConfigs())+c.cfgIdx)))
 			costs := make([]float64, 0, samples)
 			for i := 0; i < samples; i++ {
 				p, err := enum.QuickPick(sp, rng)
@@ -166,7 +161,7 @@ func (l *Lab) Figure9Context(ctx context.Context, samples int) (*Figure9Result, 
 			ratio         float64
 		}
 		perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (aggCell, error) {
-			st, err := l.truthCtx(ctx, q.ID)
+			st, err := l.Truth(ctx, q.ID)
 			if err != nil {
 				return aggCell{}, err
 			}
@@ -176,7 +171,7 @@ func (l *Lab) Figure9Context(ctx context.Context, samples int) (*Figure9Result, 
 			if err != nil {
 				return aggCell{}, err
 			}
-			rng := rand.New(rand.NewSource(l.Cfg.Seed ^ int64(qi+1)))
+			rng := rand.New(rand.NewSource(l.W.Options.Seed ^ int64(qi+1)))
 			var out aggCell
 			best, worst := math.Inf(1), 0.0
 			for i := 0; i < wlSamples; i++ {
@@ -247,18 +242,13 @@ type Table2Row struct {
 
 // Table2 measures how much performance the tree-shape restrictions cost
 // (true cardinalities, both index configurations), like the paper's Table 2.
-func (l *Lab) Table2() (*Table2Result, error) {
-	return l.Table2Context(context.Background())
-}
-
-// Table2Context is Table2 under a caller-controlled context.
-func (l *Lab) Table2Context(ctx context.Context) (*Table2Result, error) {
+func (l *Lab) Table2(ctx context.Context) (*Table2Result, error) {
 	res := &Table2Result{}
 	configs := l.indexConfigs()[1:] // PK, PK+FK
 	for _, shape := range []plan.Shape{plan.ZigZag, plan.LeftDeep, plan.RightDeep} {
 		for _, cfg := range configs {
 			slowdowns, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (float64, error) {
-				st, err := l.truthCtx(ctx, q.ID)
+				st, err := l.Truth(ctx, q.ID)
 				if err != nil {
 					return 0, err
 				}
@@ -317,12 +307,7 @@ type Table3Row struct {
 // Table3 reproduces the enumeration comparison: exhaustive DP vs
 // QuickPick-1000 vs GOO, planning under PostgreSQL estimates and under true
 // cardinalities, evaluated by re-costing every plan with the truth.
-func (l *Lab) Table3() (*Table3Result, error) {
-	return l.Table3Context(context.Background())
-}
-
-// Table3Context is Table3 under a caller-controlled context.
-func (l *Lab) Table3Context(ctx context.Context) (*Table3Result, error) {
+func (l *Lab) Table3(ctx context.Context) (*Table3Result, error) {
 	res := &Table3Result{}
 	algos := []optimizer.Algorithm{optimizer.DP, optimizer.QuickPick1000, optimizer.GOO}
 	for _, cfg := range l.indexConfigs()[1:] { // PK, PK+FK
@@ -334,7 +319,7 @@ func (l *Lab) Table3Context(ctx context.Context) (*Table3Result, error) {
 			for _, alg := range algos {
 				factors, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (float64, error) {
 					g := l.Graphs[q.ID]
-					st, err := l.truthCtx(ctx, q.ID)
+					st, err := l.Truth(ctx, q.ID)
 					if err != nil {
 						return 0, err
 					}
@@ -345,7 +330,7 @@ func (l *Lab) Table3Context(ctx context.Context) (*Table3Result, error) {
 					}
 					opt := &optimizer.Optimizer{
 						DB: l.DB, Model: costmodel.NewSimple(), Indexes: cfg.Idx,
-						DisableNLJ: true, Algorithm: alg, Seed: l.Cfg.Seed,
+						DisableNLJ: true, Algorithm: alg, Seed: l.W.Options.Seed,
 					}
 					p, err := opt.Optimize(g, prov)
 					if err != nil {

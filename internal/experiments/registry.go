@@ -33,32 +33,32 @@ type Experiment struct {
 // Registry returns every experiment in the CLI's presentation order.
 func Registry() []Experiment {
 	return []Experiment{
-		{"table1", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Table1Context(ctx) }},
-		{"fig3", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Figure3Context(ctx) }},
-		{"fig4", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Figure4Context(ctx) }},
-		{"fig5", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Figure5Context(ctx) }},
-		{"sec41", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Section41Context(ctx) }},
-		{"fig6", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Figure6Context(ctx) }},
+		{"table1", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Table1(ctx) }},
+		{"fig3", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Figure3(ctx) }},
+		{"fig4", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Figure4(ctx) }},
+		{"fig5", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Figure5(ctx) }},
+		{"sec41", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Section41(ctx) }},
+		{"fig6", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Figure6(ctx) }},
 		{"fig7", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) {
-			r, err := l.Figure7Context(ctx)
+			r, err := l.Figure7(ctx)
 			if err != nil {
 				return nil, err
 			}
 			// Figure 7 reuses Figure 6's result type; swap the heading.
 			return retitled{"Figure 7: PK vs PK+FK indexes (PostgreSQL estimates)\n", r}, nil
 		}},
-		{"fig8", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Figure8Context(ctx) }},
-		{"fig9", func(ctx context.Context, l *Lab, p Params) (Renderer, error) { return l.Figure9Context(ctx, p.Samples) }},
-		{"table2", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Table2Context(ctx) }},
-		{"table3", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Table3Context(ctx) }},
+		{"fig8", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Figure8(ctx) }},
+		{"fig9", func(ctx context.Context, l *Lab, p Params) (Renderer, error) { return l.Figure9(ctx, p.Samples) }},
+		{"table2", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Table2(ctx) }},
+		{"table3", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Table3(ctx) }},
 		{"ablation-damping", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) {
-			return l.DampingAblationContext(ctx, nil)
+			return l.DampingAblation(ctx, nil)
 		}},
 		{"ablation-rehash", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) {
-			return l.RehashAblationContext(ctx, "17e", nil)
+			return l.RehashAblation(ctx, "17e", nil)
 		}},
-		{"hedging", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.HedgingContext(ctx) }},
-		{"reopt", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.ReoptContext(ctx) }},
+		{"hedging", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Hedging(ctx) }},
+		{"reopt", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Reopt(ctx) }},
 	}
 }
 

@@ -67,12 +67,7 @@ type reoptCell struct {
 }
 
 // Reopt runs the adaptive re-optimization experiment; see ReoptResult.
-func (l *Lab) Reopt() (*ReoptResult, error) {
-	return l.ReoptContext(context.Background())
-}
-
-// ReoptContext is Reopt under a caller-controlled context.
-func (l *Lab) ReoptContext(ctx context.Context) (*ReoptResult, error) {
+func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 	// The robust runtime configuration of §4.1: main-memory-tuned cost
 	// model, PK indexes, no non-indexed nested loops, runtime rehashing.
 	model := costmodel.NewTuned()
@@ -80,7 +75,7 @@ func (l *Lab) ReoptContext(ctx context.Context) (*ReoptResult, error) {
 	idx := l.IdxPK
 	perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (reoptCell, error) {
 		g := l.Graphs[q.ID]
-		st, err := l.truthCtx(ctx, q.ID)
+		st, err := l.Truth(ctx, q.ID)
 		if err != nil {
 			return reoptCell{}, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestReoptExperiment(t *testing.T) {
 	skipSlowInShort(t)
 	l := sharedLab(t)
-	res, err := l.Reopt()
+	res, err := l.Reopt(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,14 +34,14 @@ func RunCells[C, R any](ctx context.Context, workers int, cells []C, fn func(ctx
 // its result exactly as the old serial loop did. The caller's ctx bounds
 // the whole sweep (the service cancels it on shutdown or client
 // disconnect), and the pool's derived cancellable ctx is forwarded so fn
-// can hand it to truthCtx (one query's failure then aborts the sibling
+// can hand it to Truth (one query's failure then aborts the sibling
 // computations still in flight).
 func runQueries[R any](ctx context.Context, l *Lab, fn func(ctx context.Context, qi int, q *query.Query) (R, error)) ([]R, error) {
 	cells := make([]int, len(l.Queries))
 	for i := range cells {
 		cells[i] = i
 	}
-	return RunCells(ctx, l.Cfg.Parallel, cells, func(ctx context.Context, qi int) (R, error) {
+	return RunCells(ctx, l.W.Options.Parallel, cells, func(ctx context.Context, qi int) (R, error) {
 		return fn(ctx, qi, l.Queries[qi])
 	})
 }

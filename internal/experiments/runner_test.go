@@ -10,12 +10,12 @@ import (
 
 // withParallel runs f with the shared lab's worker-pool size forced to n,
 // restoring the previous setting afterwards. The experiments tests run
-// sequentially within the package, so mutating the shared lab's config here
+// sequentially within the package, so mutating the shared world's options here
 // is safe.
 func withParallel(l *Lab, n int, f func()) {
-	old := l.Cfg.Parallel
-	l.Cfg.Parallel = n
-	defer func() { l.Cfg.Parallel = old }()
+	old := l.W.Options.Parallel
+	l.W.Options.Parallel = n
+	defer func() { l.W.Options.Parallel = old }()
 	f()
 }
 
@@ -27,42 +27,42 @@ func TestParallelReportsAreByteIdentical(t *testing.T) {
 	l := sharedLab(t)
 	drivers := map[string]func() (string, error){
 		"table1": func() (string, error) {
-			r, err := l.Table1()
+			r, err := l.Table1(context.Background())
 			if err != nil {
 				return "", err
 			}
 			return r.Render(), nil
 		},
 		"fig3": func() (string, error) {
-			r, err := l.Figure3()
+			r, err := l.Figure3(context.Background())
 			if err != nil {
 				return "", err
 			}
 			return r.Render(), nil
 		},
 		"fig5": func() (string, error) {
-			r, err := l.Figure5()
+			r, err := l.Figure5(context.Background())
 			if err != nil {
 				return "", err
 			}
 			return r.Render(), nil
 		},
 		"fig9": func() (string, error) {
-			r, err := l.Figure9(150)
+			r, err := l.Figure9(context.Background(), 150)
 			if err != nil {
 				return "", err
 			}
 			return r.Render(), nil
 		},
 		"ablation-damping": func() (string, error) {
-			r, err := l.DampingAblation([]float64{1.0, 0.82})
+			r, err := l.DampingAblation(context.Background(), []float64{1.0, 0.82})
 			if err != nil {
 				return "", err
 			}
 			return r.Render(), nil
 		},
 		"reopt": func() (string, error) {
-			r, err := l.Reopt()
+			r, err := l.Reopt(context.Background())
 			if err != nil {
 				return "", err
 			}

@@ -40,7 +40,7 @@ const timeoutFactor = 500
 // returning the slowdown relative to the true-cardinality plan's work.
 func (l *Lab) runOne(ctx context.Context, qid string, prov cardest.Provider, idx *index.Set, rules engineRules, model costmodel.Model) (slowdown float64, timedOut bool, err error) {
 	g := l.Graphs[qid]
-	st, err := l.truthCtx(ctx, qid)
+	st, err := l.Truth(ctx, qid)
 	if err != nil {
 		return 0, false, err
 	}
@@ -98,12 +98,7 @@ type Section41Row struct {
 // Section41 injects each system's estimates into the optimizer and executes
 // the resulting plans (PK indexes, nested-loop joins disabled, rehashing
 // on — the paper's robust configuration for this table).
-func (l *Lab) Section41() (*Section41Result, error) {
-	return l.Section41Context(context.Background())
-}
-
-// Section41Context is Section41 under a caller-controlled context.
-func (l *Lab) Section41Context(ctx context.Context) (*Section41Result, error) {
+func (l *Lab) Section41(ctx context.Context) (*Section41Result, error) {
 	rules := engineRules{DisableNLJ: true, Rehash: true}
 	// The engine is a main-memory executor, so the faithful optimizer for
 	// the runtime experiments is the main-memory-tuned model (§5.3); the
@@ -189,12 +184,7 @@ type Figure6Variant struct {
 // Figure6 reproduces the risky-plan experiment: PostgreSQL estimates with
 // PK indexes under (a) the default engine, (b) nested-loop joins disabled,
 // (c) additionally runtime-resized hash tables.
-func (l *Lab) Figure6() (*Figure6Result, error) {
-	return l.Figure6Context(context.Background())
-}
-
-// Figure6Context is Figure6 under a caller-controlled context.
-func (l *Lab) Figure6Context(ctx context.Context) (*Figure6Result, error) {
+func (l *Lab) Figure6(ctx context.Context) (*Figure6Result, error) {
 	model := costmodel.NewTuned()
 	variants := []struct {
 		label string
@@ -247,12 +237,7 @@ func renderBucketRows(b *strings.Builder, vs []Figure6Variant) {
 
 // Figure7 compares PK-only against PK+FK indexes (robust engine settings):
 // richer physical designs make the optimizer's job harder.
-func (l *Lab) Figure7() (*Figure6Result, error) {
-	return l.Figure7Context(context.Background())
-}
-
-// Figure7Context is Figure7 under a caller-controlled context.
-func (l *Lab) Figure7Context(ctx context.Context) (*Figure6Result, error) {
+func (l *Lab) Figure7(ctx context.Context) (*Figure6Result, error) {
 	model := costmodel.NewTuned()
 	rules := engineRules{DisableNLJ: true, Rehash: true}
 	res := &Figure6Result{}
@@ -298,12 +283,7 @@ type Figure8Panel struct {
 // Figure8 optimizes and executes every query under {3 cost models} x
 // {PostgreSQL estimates, true cardinalities} with PK+FK indexes, recording
 // predicted cost vs measured runtime (work units).
-func (l *Lab) Figure8() (*Figure8Result, error) {
-	return l.Figure8Context(context.Background())
-}
-
-// Figure8Context is Figure8 under a caller-controlled context.
-func (l *Lab) Figure8Context(ctx context.Context) (*Figure8Result, error) {
+func (l *Lab) Figure8(ctx context.Context) (*Figure8Result, error) {
 	models := []costmodel.Model{costmodel.NewPostgres(), costmodel.NewTuned(), costmodel.NewSimple()}
 	res := &Figure8Result{GeoMeanRuntime: make(map[string]float64)}
 	rules := engineRules{DisableNLJ: true, Rehash: true}
@@ -314,7 +294,7 @@ func (l *Lab) Figure8Context(ctx context.Context) (*Figure8Result, error) {
 			}
 			perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (cellResult, error) {
 				g := l.Graphs[q.ID]
-				st, err := l.truthCtx(ctx, q.ID)
+				st, err := l.Truth(ctx, q.ID)
 				if err != nil {
 					return cellResult{}, err
 				}

@@ -243,7 +243,7 @@ func New(cfg Config) (*Server, error) {
 	// More specific than the forward catch-all: the router answers
 	// /v1/traces itself (its view of recent forwards); each replica still
 	// serves its own ring directly.
-	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
+	s.mux.HandleFunc("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) { s.traces.Serve(w, r) })
 	s.mux.HandleFunc("/v1/", s.handleForward)
 	return s, nil
 }
@@ -574,23 +574,8 @@ func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 	// The router is the usual origin of a request's trace: mint an ID
 	// (or continue a caller-supplied one), stamp it on the response and
 	// on every forward attempt, and keep the trace in the router's ring.
-	id, ok := trace.ParseID(r.Header.Get(trace.Header))
-	if !ok {
-		id = trace.NewID()
-	}
-	tr := trace.New(id, r.URL.Path)
-	r = r.WithContext(trace.NewContext(r.Context(), tr))
-	w.Header().Set(trace.Header, id.String())
-	defer func() {
-		d := tr.Finish()
-		s.traces.Add(tr)
-		if s.cfg.SlowQuery > 0 && d >= s.cfg.SlowQuery {
-			s.cfg.logger().Warn("slow request",
-				"trace_id", id.String(),
-				"route", r.URL.Path,
-				"duration_ms", float64(d)/float64(time.Millisecond))
-		}
-	}()
+	tr, r := trace.Begin(w, r, r.URL.Path)
+	defer s.traces.Finish(tr, s.cfg.SlowQuery, s.cfg.logger())
 
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
@@ -822,28 +807,6 @@ func httpError(w http.ResponseWriter, status int, err error) {
 }
 
 // --- ops surface ------------------------------------------------------------
-
-// handleTraces serves the router's ring of recently forwarded request
-// traces, newest first; ?min_ms=N and ?route=/v1/execute filter like the
-// replica endpoint.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var minDur time.Duration
-	if v := q.Get("min_ms"); v != "" {
-		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("invalid min_ms %q", v))
-			return
-		}
-		minDur = time.Duration(ms * float64(time.Millisecond))
-	}
-	recs := s.traces.Snapshot(minDur, q.Get("route"))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(map[string]any{"count": len(recs), "traces": recs})
-}
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	live := 0

@@ -1,7 +1,5 @@
 package service
 
-import "jobench/internal/trace"
-
 // The JSON bodies of the /v1 endpoints. Field vocabulary deliberately
 // mirrors jobench.Options and the CLI's plan flags — the same strings the
 // flags accept ("postgres", "pkfk", "bushy", "dp", ...) are valid here, and
@@ -136,13 +134,6 @@ type ExplainResponse struct {
 	Rows     int64         `json:"rows"`
 	Work     int64         `json:"work"`
 	TimedOut bool          `json:"timed_out"`
-}
-
-// TracesResponse lists recently finished request traces, newest first
-// (GET /v1/traces?min_ms=N&route=/v1/execute).
-type TracesResponse struct {
-	Count  int            `json:"count"`
-	Traces []trace.Record `json:"traces"`
 }
 
 // EstimateRequest asks one estimator for a query's result size.

@@ -8,9 +8,9 @@ import (
 
 // lruMap is the pool's resident-instance store: a mutex-guarded map plus a
 // recency list, evicting the least-recently-used entry once the map grows
-// past its capacity. An evicted instance is simply dropped — systems are
-// immutable and requests that already hold a reference keep it alive until
-// they finish.
+// past its capacity. An evicted world is simply dropped — worlds and their
+// views are immutable and requests that already hold a reference keep it
+// alive until they finish.
 type lruMap struct {
 	mu      sync.Mutex
 	cap     int
@@ -23,9 +23,9 @@ func newLRUMap(capacity int, metrics *Metrics) *lruMap {
 	return &lruMap{cap: capacity, m: make(map[Key]*entry), metrics: metrics}
 }
 
-// get returns a copy of the entry for key (nil if absent) and marks it
-// most-recently-used. Returning a copy keeps callers from reading the
-// entry's fields while a concurrent setSys/setLab writes them.
+// get returns the entry for key (nil if absent) and marks it
+// most-recently-used. Stored entries are never mutated, so the pointer is
+// safe to read without the lock.
 func (l *lruMap) get(key Key) *entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -34,22 +34,15 @@ func (l *lruMap) get(key Key) *entry {
 		return nil
 	}
 	l.touch(key)
-	cp := *e
-	return &cp
+	return e
 }
 
-// set updates one field of key's entry (creating it if needed), marks it
-// most-recently-used, and evicts the LRU entry if the map outgrew its
-// capacity.
-func (l *lruMap) set(key Key, update func(*entry)) {
+// set stores key's entry, marks it most-recently-used, and evicts the LRU
+// entry if the map outgrew its capacity.
+func (l *lruMap) set(key Key, e *entry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.m[key]
-	if !ok {
-		e = &entry{}
-		l.m[key] = e
-	}
-	update(e)
+	l.m[key] = e
 	l.touch(key)
 	// The order-list bound keeps a map/order mismatch (impossible while
 	// keys stay comparable-sane) from turning into an index panic.

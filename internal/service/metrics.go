@@ -203,10 +203,10 @@ func (m *Metrics) Render() string {
 			fmt.Fprintf(&b, "jobench_report_cache_requests_total{workload=%q,outcome=\"miss\"} %d\n", r.name, r.st.reportMisses)
 		}
 	}
-	gauge("pool_hits_total", "System pool lookups served by a resident instance.", m.PoolHits.Load())
-	gauge("pool_misses_total", "System pool lookups that required construction.", m.PoolMisses.Load())
-	gauge("pool_evictions_total", "Instances evicted from the system pool.", m.PoolEvictions.Load())
-	gauge("pool_warmups_inflight", "System or lab constructions currently running.", m.WarmupsInFlight.Load())
+	gauge("pool_hits_total", "Pool lookups that found the world resident.", m.PoolHits.Load())
+	gauge("pool_misses_total", "Pool lookups that opened a world (one per world, not per view).", m.PoolMisses.Load())
+	gauge("pool_evictions_total", "Worlds evicted from the pool.", m.PoolEvictions.Load())
+	gauge("pool_warmups_inflight", "World opens and view constructions currently running.", m.WarmupsInFlight.Load())
 	gauge("report_cache_hits_total", "Experiment reports served from the report cache.", m.ReportHits.Load())
 	gauge("report_cache_misses_total", "Experiment reports that had to be computed.", m.ReportMisses.Load())
 	gauge("peer_fill_hits_total", "Report misses satisfied by the owning replica's cache.", m.PeerFillHits.Load())

@@ -9,20 +9,20 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"jobench/internal/experiments"
 	"jobench/internal/router"
 	"jobench/internal/trace"
+	"jobench/internal/world"
 )
 
-// newPeerTestServer builds a service whose Lab construction is stubbed to
-// count invocations — peer-fill tests must prove a fill happened INSTEAD
-// of a computation, and the cheapest proof is "openLab was never called".
+// newPeerTestServer builds a service whose world construction is stubbed
+// to count invocations — peer-fill tests must prove a fill happened INSTEAD
+// of a computation, and the cheapest proof is "openWorld was never called".
 func newPeerTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *atomic.Int64) {
 	t.Helper()
 	cfg.Logger = discardLogger()
 	s := New(cfg)
 	var labBuilds atomic.Int64
-	s.pool.openLab = func(Key) (*experiments.Lab, error) {
+	s.pool.openWorld = func(Key) (*world.World, error) {
 		labBuilds.Add(1)
 		return nil, fmt.Errorf("test server must not compute reports locally")
 	}
@@ -162,7 +162,7 @@ func TestPeerFillColdOwner(t *testing.T) {
 		t.Fatalf("expected local-compute failure from the stub, got 200: %s", body)
 	}
 	if bLabs.Load() != 1 {
-		t.Fatalf("Lab constructions = %d, want 1 (local fallback)", bLabs.Load())
+		t.Fatalf("world constructions = %d, want 1 (local fallback)", bLabs.Load())
 	}
 	if b.metrics.PeerFillMisses.Load() != 1 {
 		t.Fatalf("PeerFillMisses = %d, want 1", b.metrics.PeerFillMisses.Load())

@@ -8,46 +8,44 @@ import (
 	"time"
 
 	"jobench"
-	"jobench/internal/experiments"
 	"jobench/internal/workload"
+	"jobench/internal/world"
 )
 
-// sharedSystem is one real (tiny) System reused by every fake opener: pool
-// tests exercise pooling, not Open.
+// sharedWorld is one real (tiny) world reused by every fake opener: pool
+// tests exercise pooling, not Open. The views the pool builds over it are
+// real, and cheap after the first (the world memoizes its statistics and
+// index sets).
 var (
-	sharedSysOnce sync.Once
-	sharedSys     *jobench.System
+	sharedWorldOnce sync.Once
+	sharedWorld     *world.World
 )
 
-func tinySystem(t *testing.T) *jobench.System {
+func tinyWorld(t *testing.T) *world.World {
 	t.Helper()
-	sharedSysOnce.Do(func() {
+	sharedWorldOnce.Do(func() {
 		var err error
-		sharedSys, err = jobench.Open(jobench.Options{Scale: 0.02, Seed: 7})
+		sharedWorld, err = world.Open(world.Options{Scale: 0.02, Seed: 7})
 		if err != nil {
-			t.Fatalf("open tiny system: %v", err)
+			t.Fatalf("open tiny world: %v", err)
 		}
 	})
-	if sharedSys == nil {
-		t.Skip("tiny system failed to open in an earlier test")
+	if sharedWorld == nil {
+		t.Skip("tiny world failed to open in an earlier test")
 	}
-	return sharedSys
+	return sharedWorld
 }
 
 func countingPool(t *testing.T, capacity int, delay time.Duration) (*Pool, *atomic.Int64) {
 	t.Helper()
-	sys := tinySystem(t)
+	w := tinyWorld(t)
 	m := NewMetrics()
 	p := NewPool(Config{PoolSize: capacity}, m)
 	opens := new(atomic.Int64)
-	p.openSystem = func(Key) (*jobench.System, error) {
+	p.openWorld = func(Key) (*world.World, error) {
 		opens.Add(1)
 		time.Sleep(delay)
-		return sys, nil
-	}
-	p.openLab = func(Key) (*experiments.Lab, error) {
-		t.Fatal("lab opener must not run in these tests")
-		return nil, nil
+		return w, nil
 	}
 	return p, opens
 }
@@ -141,8 +139,8 @@ func TestPoolErrorNotCached(t *testing.T) {
 	p, opens := countingPool(t, 2, 0)
 	key := Key{World: workload.Key{Workload: "imdb", Seed: 9, Scale: 0.02}}
 	failures := 0
-	realOpen := p.openSystem
-	p.openSystem = func(k Key) (*jobench.System, error) {
+	realOpen := p.openWorld
+	p.openWorld = func(k Key) (*world.World, error) {
 		if failures == 0 {
 			failures++
 			return nil, errBoom

@@ -184,7 +184,7 @@ func New(cfg Config) *Server {
 	s.route("GET /v1/queries", s.handleQueries)
 	s.route("GET /v1/experiment/{name}", s.handleExperiment)
 	s.route("GET /v1/report-cache/{name}", s.handleReportPeek)
-	s.route("GET /v1/traces", s.handleTraces)
+	s.route("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) (int, error) { return s.traces.Serve(w, r), nil })
 	return s
 }
 
@@ -230,13 +230,7 @@ func (s *Server) route(pattern string, h handlerFunc) {
 		start := time.Now()
 		var tr *trace.Trace
 		if traced {
-			id, ok := trace.ParseID(r.Header.Get(trace.Header))
-			if !ok {
-				id = trace.NewID()
-			}
-			tr = trace.New(id, label)
-			r = r.WithContext(trace.NewContext(r.Context(), tr))
-			w.Header().Set(trace.Header, id.String())
+			tr, r = trace.Begin(w, r, label)
 		}
 		// End-to-end deadline: an X-Jobench-Deadline header (minted by the
 		// router from -request-timeout, or sent by the client directly)
@@ -257,16 +251,7 @@ func (s *Server) route(pattern string, h handlerFunc) {
 		}
 		s.metrics.Observe(label, status, time.Since(start))
 		if tr != nil {
-			d := tr.Finish()
-			s.traces.Add(tr)
-			if s.cfg.SlowQuery > 0 && d >= s.cfg.SlowQuery {
-				s.cfg.logger().Warn("slow request",
-					"trace_id", tr.ID().String(),
-					"route", label,
-					"duration_ms", float64(d)/float64(time.Millisecond),
-					"status", status,
-					"spans", spanSummary(tr))
-			}
+			s.traces.Finish(tr, s.cfg.SlowQuery, s.cfg.logger(), "status", status)
 		}
 	})
 }
@@ -325,23 +310,6 @@ func (s *Server) recovered(w *statusWriter, r *http.Request, h handlerFunc, labe
 	return h(w, r)
 }
 
-// spanSummary renders a trace's spans as "name=dur name=dur ..." for the
-// slow-query log line.
-func spanSummary(tr *trace.Trace) string {
-	spans := tr.Spans()
-	if len(spans) == 0 {
-		return "(none)"
-	}
-	var b strings.Builder
-	for i, sp := range spans {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%s", sp.Name, sp.Dur.Round(time.Microsecond))
-	}
-	return b.String()
-}
-
 // ListenAndServe binds cfg.Addr and serves until ctx is cancelled, then
 // shuts down gracefully: the listener closes, every in-flight request sees
 // its context cancelled (requests inherit ctx), and the server waits up to
@@ -352,7 +320,7 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 		return err
 	}
 	s.cfg.logf()("jobench serve: listening on %s (pool %d, cache-dir %q)",
-		ln.Addr(), s.pool.cap, s.cfg.CacheDir)
+		ln.Addr(), s.pool.entries.cap, s.cfg.CacheDir)
 	return s.Serve(ctx, ln)
 }
 
@@ -646,24 +614,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) (int, err
 		Text: res.Text, Nodes: explainNodes(res.Nodes),
 		Rows: res.Rows, Work: res.Work, TimedOut: res.TimedOut,
 	})
-	return http.StatusOK, nil
-}
-
-// handleTraces serves the ring of recently finished request traces,
-// newest first; ?min_ms=N keeps only slower traces and ?route=/v1/execute
-// filters by route label.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) (int, error) {
-	q := r.URL.Query()
-	var minDur time.Duration
-	if v := q.Get("min_ms"); v != "" {
-		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 || math.IsNaN(ms) || math.IsInf(ms, 0) {
-			return http.StatusBadRequest, fmt.Errorf("invalid min_ms %q", v)
-		}
-		minDur = time.Duration(ms * float64(time.Millisecond))
-	}
-	recs := s.traces.Snapshot(minDur, q.Get("route"))
-	writeJSON(w, http.StatusOK, TracesResponse{Count: len(recs), Traces: recs})
 	return http.StatusOK, nil
 }
 

@@ -631,7 +631,7 @@ func TestTraceMiddleware(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/traces status %d", resp.StatusCode)
 	}
-	var tr TracesResponse
+	var tr trace.Listing
 	if err := json.Unmarshal(body, &tr); err != nil {
 		t.Fatal(err)
 	}

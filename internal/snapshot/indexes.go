@@ -17,35 +17,6 @@ import (
 // row ids, flattened so decoding performs one allocation per index rather
 // than one per row.
 
-// LoadOrBuildIndexes resolves one physical design under the shared
-// regenerate-or-warn policy: from the snapshot store when cached (s may be
-// nil for no caching), otherwise via build, persisting the fresh set
-// best-effort for the next open. Both the facade and the experiments lab
-// route their three index sets through here; build is a parameter so the
-// facade's test indirection (counting constructions) keeps working.
-func LoadOrBuildIndexes(s *Store, logf func(format string, args ...any), what string,
-	db *storage.Database, cfg index.Config,
-	build func(*storage.Database, index.Config) (*index.Set, error)) (*index.Set, error) {
-	label := cfg.Label()
-	if s != nil {
-		set, ok := Load(logf, what+": snapshot indexes "+label,
-			func() (*index.Set, error) { return s.LoadIndexes(label, db) })
-		if ok {
-			return set, nil
-		}
-	}
-	set, err := build(db, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if s != nil {
-		Save(logf, what+": snapshot save indexes "+label, func() error {
-			return s.SaveIndexes(label, set)
-		})
-	}
-	return set, nil
-}
-
 // EncodeIndexes serializes an index set. Only hash indexes are supported
 // (the only kind the physical designs build); any other Index
 // implementation is an error so the caller's Save degrades to a logged

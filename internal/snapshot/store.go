@@ -60,39 +60,13 @@ func (k Key) Fingerprint() string {
 }
 
 // ErrMiss reports that the requested artifact simply is not in the cache
-// (as opposed to being present but unreadable). Callers regenerate
-// silently on a miss and log a warning on anything else.
+// (as opposed to being present but unreadable). internal/world, the one
+// consumer, regenerates silently on a miss and logs a warning on anything
+// else.
 var ErrMiss = errors.New("snapshot: not in cache")
 
 // IsMiss reports whether err is a plain cache miss.
 func IsMiss(err error) bool { return errors.Is(err, ErrMiss) }
-
-// Load runs one cache load under the regenerate-or-warn policy every
-// snapshot consumer shares: a hit returns (value, true); a plain miss
-// returns (zero, false) silently; anything else — corruption, truncation,
-// a version or fingerprint mismatch — returns (zero, false) after logging
-// one warning through logf, so the caller falls back to regeneration and
-// the next Save heals the cache.
-func Load[T any](logf func(format string, args ...any), what string, load func() (T, error)) (T, bool) {
-	v, err := load()
-	if err == nil {
-		return v, true
-	}
-	if !IsMiss(err) {
-		logf("%s: %v (regenerating)", what, err)
-	}
-	var zero T
-	return zero, false
-}
-
-// Save persists one artifact best-effort: a failed write degrades to a
-// warning through logf, never to an error — the caller holds the computed
-// value either way.
-func Save(logf func(format string, args ...any), what string, save func() error) {
-	if err := save(); err != nil {
-		logf("%s: %v", what, err)
-	}
-}
 
 // Store is one cache directory bound to one Key. All methods are safe for
 // concurrent use: reads are plain file reads, and writes go through a

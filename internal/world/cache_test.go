@@ -1,11 +1,13 @@
-package jobench
+package world_test
 
-// These tests pin the snapshot store's acceptance contract: a second Open
-// with the same Options and a warm cache performs zero database generation
-// and zero true-cardinality computation, and a corrupted or version-bumped
-// snapshot falls back to regeneration with a logged warning — never an
-// error or panic. They live in the jobench package (not jobench_test) to
-// reach the generateDB/computeTruth indirection points.
+// These tests pin the snapshot store's acceptance contract on the one
+// open-a-world path, through every view of it: a second open with the
+// same options and a warm cache performs zero database generation, zero
+// ANALYZE, zero index construction and zero true-cardinality computation,
+// and a corrupted or version-bumped snapshot falls back to regeneration
+// with a logged warning — never an error or panic. They live beside the
+// package's hooks (export_test.go) and drive them through the facade, the
+// experiments Lab and a bare tpch world.
 
 import (
 	"context"
@@ -14,42 +16,13 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	"jobench/internal/index"
+	"jobench"
+	"jobench/internal/experiments"
 	"jobench/internal/query"
-	"jobench/internal/storage"
-	"jobench/internal/truecard"
-	"jobench/internal/workload"
+	"jobench/internal/world"
 )
-
-// countHooks wraps generation, truth computation, and index construction in
-// counters for the duration of the test.
-func countHooks(t *testing.T) (gens, computes *atomic.Int64) {
-	gens, computes, _ = countAllHooks(t)
-	return gens, computes
-}
-
-func countAllHooks(t *testing.T) (gens, computes, idxBuilds *atomic.Int64) {
-	t.Helper()
-	gens, computes, idxBuilds = new(atomic.Int64), new(atomic.Int64), new(atomic.Int64)
-	origGen, origCompute, origBuild := generateDB, computeTruth, buildIndexes
-	generateDB = func(w workload.Workload, cfg workload.Config) *storage.Database {
-		gens.Add(1)
-		return origGen(w, cfg)
-	}
-	computeTruth = func(ctx context.Context, db *storage.Database, g *query.Graph, opts truecard.Options) (*truecard.Store, error) {
-		computes.Add(1)
-		return origCompute(ctx, db, g, opts)
-	}
-	buildIndexes = func(w workload.Workload, db *storage.Database, cfg IndexConfig) (*index.Set, error) {
-		idxBuilds.Add(1)
-		return origBuild(w, db, cfg)
-	}
-	t.Cleanup(func() { generateDB, computeTruth, buildIndexes = origGen, origCompute, origBuild })
-	return gens, computes, idxBuilds
-}
 
 // logCapture collects Options.Logf output (truth saves run across the
 // warmup worker pool, so it must be concurrency-safe).
@@ -83,11 +56,12 @@ var cacheTestQueries = []string{"1a", "6a", "17e"}
 
 func TestWarmOpenSkipsGenerationAndTruth(t *testing.T) {
 	dir := t.TempDir()
-	gens, computes, idxBuilds := countAllHooks(t)
+	hooks := world.CountHooks(t)
+	gens, computes, idxBuilds := &hooks.Generations, &hooks.Computes, &hooks.IndexBuilds
 	var lc logCapture
-	opts := Options{Scale: 0.05, Seed: 7, CacheDir: dir, Logf: lc.logf}
+	opts := jobench.Options{Scale: 0.05, Seed: 7, CacheDir: dir, Logf: lc.logf}
 
-	cold, err := Open(opts)
+	cold, err := jobench.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +82,15 @@ func TestWarmOpenSkipsGenerationAndTruth(t *testing.T) {
 	if got := idxBuilds.Load(); got != 3 {
 		t.Fatalf("cold open: %d index builds, want 3", got)
 	}
+	if got := hooks.Analyzes.Load(); got != 1 {
+		t.Fatalf("cold open: %d ANALYZE passes, want 1", got)
+	}
 	if lines := lc.all(); len(lines) != 0 {
 		t.Fatalf("cold open logged warnings: %q", lines)
 	}
 
-	gens.Store(0)
-	computes.Store(0)
-	idxBuilds.Store(0)
-	warm, err := Open(opts)
+	hooks.Reset()
+	warm, err := jobench.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,16 +112,19 @@ func TestWarmOpenSkipsGenerationAndTruth(t *testing.T) {
 	if got := idxBuilds.Load(); got != 0 {
 		t.Fatalf("warm open: %d index builds, want 0", got)
 	}
+	if got := hooks.Analyzes.Load(); got != 0 {
+		t.Fatalf("warm open: %d ANALYZE passes, want 0", got)
+	}
 	if lines := lc.all(); len(lines) != 0 {
 		t.Fatalf("warm open logged warnings: %q", lines)
 	}
 
 	// The warm system must behave identically on a full pipeline pass.
-	res, err := warm.Execute("1a", RunOptions{})
+	res, err := warm.Execute("1a", jobench.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resCold, err := cold.Execute("1a", RunOptions{})
+	resCold, err := cold.Execute("1a", jobench.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +146,12 @@ func snapFile(t *testing.T, dir, name string) string {
 
 func TestCorruptedSnapshotRegenerates(t *testing.T) {
 	dir := t.TempDir()
-	gens, computes := countHooks(t)
+	hooks := world.CountHooks(t)
+	gens, computes := &hooks.Generations, &hooks.Computes
 	var lc logCapture
-	opts := Options{Scale: 0.05, Seed: 7, CacheDir: dir, Logf: lc.logf}
+	opts := jobench.Options{Scale: 0.05, Seed: 7, CacheDir: dir, Logf: lc.logf}
 
-	cold, err := Open(opts)
+	cold, err := jobench.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +182,7 @@ func TestCorruptedSnapshotRegenerates(t *testing.T) {
 
 	gens.Store(0)
 	computes.Store(0)
-	sys, err := Open(opts)
+	sys, err := jobench.Open(opts)
 	if err != nil {
 		t.Fatalf("open over corrupted snapshot must fall back, got error: %v", err)
 	}
@@ -227,7 +206,7 @@ func TestCorruptedSnapshotRegenerates(t *testing.T) {
 	opts.Logf = lc2.logf
 	gens.Store(0)
 	computes.Store(0)
-	healed, err := Open(opts)
+	healed, err := jobench.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +223,11 @@ func TestCorruptedSnapshotRegenerates(t *testing.T) {
 
 func TestVersionBumpedSnapshotRegenerates(t *testing.T) {
 	dir := t.TempDir()
-	gens, _ := countHooks(t)
+	gens := &world.CountHooks(t).Generations
 	var lc logCapture
-	opts := Options{Scale: 0.05, Seed: 7, CacheDir: dir, Logf: lc.logf}
+	opts := jobench.Options{Scale: 0.05, Seed: 7, CacheDir: dir, Logf: lc.logf}
 
-	if _, err := Open(opts); err != nil {
+	if _, err := jobench.Open(opts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -264,7 +243,7 @@ func TestVersionBumpedSnapshotRegenerates(t *testing.T) {
 	}
 
 	gens.Store(0)
-	sys, err := Open(opts)
+	sys, err := jobench.Open(opts)
 	if err != nil {
 		t.Fatalf("open over version-bumped snapshot must fall back, got error: %v", err)
 	}
@@ -276,5 +255,109 @@ func TestVersionBumpedSnapshotRegenerates(t *testing.T) {
 	}
 	if _, err := sys.TrueCardinality("1a"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmOpenEveryView extends the warm-open contract past the facade: an
+// experiments Lab (two ANALYZE passes, three index sets) and a bare tpch
+// world do all their work cold and none of it warm.
+func TestWarmOpenEveryView(t *testing.T) {
+	type counts struct{ gens, analyzes, idxBuilds, computes int64 }
+	cases := []struct {
+		name string
+		open func(t *testing.T, dir string, logf func(string, ...any))
+		cold counts
+	}{
+		{"lab", func(t *testing.T, dir string, logf func(string, ...any)) {
+			l, err := experiments.NewLab(experiments.Config{
+				Scale: 0.05, Seed: 7, MaxQueries: 3, CacheDir: dir, Logf: logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Warmup(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}, counts{1, 2, 3, 3}},
+		{"tpch", func(t *testing.T, dir string, logf func(string, ...any)) {
+			w, err := world.Open(world.Options{Workload: "tpch", Scale: 0.05, Seed: 7, CacheDir: dir, Logf: logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range w.IndexConfigs() {
+				if _, err := w.Indexes(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Warm(context.Background(), []*query.Graph{w.Graphs["tpch5"], w.Graphs["tpch10"]}); err != nil {
+				t.Fatal(err)
+			}
+		}, counts{1, 0, 3, 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			hooks := world.CountHooks(t)
+			var lc logCapture
+			got := func() counts {
+				return counts{hooks.Generations.Load(), hooks.Analyzes.Load(), hooks.IndexBuilds.Load(), hooks.Computes.Load()}
+			}
+			tc.open(t, dir, lc.logf)
+			if got() != tc.cold {
+				t.Fatalf("cold: %+v, want %+v", got(), tc.cold)
+			}
+			hooks.Reset()
+			tc.open(t, dir, lc.logf)
+			if got() != (counts{}) {
+				t.Fatalf("warm: %+v, want all zero", got())
+			}
+			if lines := lc.all(); len(lines) != 0 {
+				t.Fatalf("logged warnings: %q", lines)
+			}
+		})
+	}
+}
+
+// TestFigure4UsesSnapshotCache pins the fix for Figure 4's TPC-H side,
+// which used to regenerate, re-ANALYZE and recompute on every run: against
+// a primed cache dir a second fig4 does none of that, and the cached
+// report equals an uncached lab's byte for byte.
+func TestFigure4UsesSnapshotCache(t *testing.T) {
+	dir := t.TempDir()
+	hooks := world.CountHooks(t)
+	var lc logCapture
+	fig4 := func(cacheDir string) string {
+		t.Helper()
+		l, err := experiments.NewLab(experiments.Config{
+			Scale: 0.05, Seed: 7, MaxQueries: 30, CacheDir: cacheDir, Logf: lc.logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := experiments.RunExperiment(context.Background(), l, "fig4", experiments.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return text
+	}
+	uncached := fig4("")
+	hooks.Reset()
+	cold := fig4(dir)
+	// The imdb and tpch worlds, the lab's two ANALYZE passes plus Figure
+	// 4's own, JOB 6a (the figure's only query in the first 30) plus three
+	// TPC-H families.
+	if g, a, c := hooks.Generations.Load(), hooks.Analyzes.Load(), hooks.Computes.Load(); g != 2 || a != 3 || c != 4 {
+		t.Fatalf("cold fig4: %d generations, %d ANALYZE passes, %d DPs; want 2, 3, 4", g, a, c)
+	}
+	hooks.Reset()
+	warm := fig4(dir)
+	if g, a, c := hooks.Generations.Load(), hooks.Analyzes.Load(), hooks.Computes.Load(); g != 0 || a != 0 || c != 0 {
+		t.Fatalf("warm fig4: %d generations, %d ANALYZE passes, %d DPs; want none", g, a, c)
+	}
+	if cold != uncached || warm != uncached {
+		t.Fatalf("fig4 report changed with the cache:\nuncached:\n%s\ncold:\n%s\nwarm:\n%s", uncached, cold, warm)
+	}
+	if lines := lc.all(); len(lines) != 0 {
+		t.Fatalf("logged warnings: %q", lines)
 	}
 }

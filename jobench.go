@@ -16,7 +16,6 @@ package jobench
 import (
 	"context"
 	"fmt"
-	"log"
 	"sync"
 
 	"jobench/internal/cardest"
@@ -25,16 +24,14 @@ import (
 	"jobench/internal/imdb"
 	"jobench/internal/index"
 	"jobench/internal/optimizer"
-	"jobench/internal/parallel"
 	"jobench/internal/plan"
 	"jobench/internal/query"
 	"jobench/internal/reopt"
-	"jobench/internal/snapshot"
 	"jobench/internal/stats"
-	"jobench/internal/storage"
 	"jobench/internal/trace"
 	"jobench/internal/truecard"
 	"jobench/internal/workload"
+	"jobench/internal/world"
 )
 
 // Options configure Open.
@@ -74,21 +71,6 @@ type Options struct {
 	// reopt.DefaultBudgetBytes.
 	FeedbackBytes int64
 }
-
-// generateDB, computeTruth and buildIndexes are indirection points so the
-// cache tests can prove a warm Open performs zero database generation, zero
-// true-cardinality computation, and zero index construction. They
-// dispatch through the workload so every registered world shares the
-// cache-or-regenerate machinery.
-var (
-	generateDB = func(w workload.Workload, cfg workload.Config) *storage.Database {
-		return w.Generate(cfg)
-	}
-	computeTruth = truecard.ComputeContext
-	buildIndexes = func(w workload.Workload, db *storage.Database, cfg IndexConfig) (*index.Set, error) {
-		return w.BuildIndexes(db, cfg)
-	}
-)
 
 // IndexConfig selects a physical design (§4 of the paper).
 type IndexConfig = imdb.IndexConfig
@@ -197,38 +179,31 @@ type Result struct {
 	Plan     string // EXPLAIN rendering of the executed plan
 }
 
-// System is an opened benchmark instance.
+// System is an opened benchmark instance: a view over one world.World
+// (the database, statistics, index sets and true cardinalities, shared
+// with every other view of that world) plus what is the facade's own —
+// the query registry AddQuery extends, the estimator profiles, and the
+// adaptive plan-feedback cache.
 //
 // Every method is safe for concurrent use by multiple goroutines — the
 // service layer hammers one shared System from many requests at once. The
 // pieces that make that true:
 //
-//   - The database, statistics, index sets, and estimators are immutable
-//     after Open. Optimize/Execute/Estimate* build all per-call state fresh
-//     (providers, optimizer, executor) and only read the shared structures.
-//   - The query registry (queries, order, graphs) is guarded by an RWMutex
+//   - The world, the index-set map, and the estimators are immutable after
+//     construction. Optimize/Execute/Estimate* build all per-call state
+//     fresh (providers, optimizer, executor) and only read the shared
+//     structures.
+//   - The query registry (order, graphs) is guarded by an RWMutex
 //     so AddQuery can run concurrently with the read paths.
-//   - The lazily computed true-cardinality stores are guarded by a mutex,
-//     and each store is computed through a single-flight group: concurrent
-//     requests for one uncached query run exactly one DP and share it.
+//   - True-cardinality stores are resolved by the world, which runs one DP
+//     per query however many goroutines (or views) ask at once.
 type System struct {
-	world    workload.Key
-	db       *storage.Database
-	stats    *stats.DB
-	idx      map[IndexConfig]*index.Set
-	parallel int
+	w   *world.World
+	idx map[IndexConfig]*index.Set
 
-	snap *snapshot.Store // nil when Options.CacheDir was empty
-	logf func(format string, args ...any)
-
-	qmu     sync.RWMutex
-	queries map[string]*query.Query
-	order   []string
-	graphs  map[string]*query.Graph
-
-	truthMu     sync.Mutex
-	truth       map[string]*truecard.Store
-	truthFlight parallel.Flight[string, *truecard.Store]
+	qmu    sync.RWMutex
+	order  []string
+	graphs map[string]*query.Graph // each graph carries its query (Graph.Q)
 
 	estimators map[string]cardest.Estimator
 
@@ -240,126 +215,55 @@ type System struct {
 // statistics, index sets, and all previously computed true cardinalities
 // load from the snapshot store instead of being regenerated.
 func Open(opts Options) (*System, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 1
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 42
-	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = log.Printf
-	}
-	wl, err := workload.Get(opts.Workload)
+	w, err := world.Open(world.Options{
+		Workload: opts.Workload, Scale: opts.Scale, Seed: opts.Seed,
+		Parallel: opts.Parallel, CacheDir: opts.CacheDir, Logf: opts.Logf,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("jobench: %w", err)
-	}
-	world := workload.NewKey(wl.Name(), opts.Seed, opts.Scale)
-	queries := wl.Queries()
-
-	var snap *snapshot.Store
-	if opts.CacheDir != "" {
-		snap = snapshot.New(opts.CacheDir, snapshot.Key{
-			World:     world,
-			QueryHash: snapshot.WorkloadHash(queries),
-		}, opts.Parallel)
-	}
-
-	// The database: load the snapshot when one exists, otherwise generate
-	// and (best-effort) persist. Generation is deterministic in (Scale,
-	// Seed), so a regenerated database is bit-identical to a cached one
-	// and downstream snapshots (stats, truth) stay valid either way.
-	var db *storage.Database
-	if snap != nil {
-		db, _ = snapshot.Load(logf, "jobench: snapshot database", snap.LoadDatabase)
-	}
-	if db == nil {
-		db = generateDB(wl, world.Config())
-		if snap != nil {
-			snapshot.Save(logf, "jobench: snapshot save database", func() error {
-				return snap.SaveDatabase(db)
-			})
-		}
-	}
-
-	// Statistics and the index sets only read the generated data, so
-	// they build concurrently; each task writes its own destination.
-	sopts := stats.Options{SampleSize: 30000, MCVTarget: 100, HistBuckets: 100, Seed: opts.Seed}
-	configs := wl.IndexConfigs()
-	var (
-		sdb  *stats.DB
-		sets = make([]*index.Set, len(configs))
-	)
-	if snap != nil {
-		sdb, _ = snapshot.Load(logf, "jobench: snapshot stats", func() (*stats.DB, error) {
-			return snap.LoadStats(sopts)
-		})
-	}
-	statsCached := sdb != nil
-	var tasks []func() error
-	if !statsCached {
-		tasks = append(tasks, func() error {
-			sdb = stats.AnalyzeDatabase(db, sopts)
-			return nil
-		})
-	}
-	for i, cfg := range configs {
-		tasks = append(tasks, func() (err error) {
-			sets[i], err = snapshot.LoadOrBuildIndexes(snap, logf, "jobench", db, cfg,
-				func(db *storage.Database, cfg index.Config) (*index.Set, error) {
-					return buildIndexes(wl, db, cfg)
-				})
-			return err
-		})
-	}
-	if err := parallel.Do(context.Background(), opts.Parallel, tasks...); err != nil {
 		return nil, err
 	}
-	if !statsCached && snap != nil {
-		snapshot.Save(logf, "jobench: snapshot save stats", func() error {
-			return snap.SaveStats(sopts, sdb)
-		})
+	return NewSystem(w, opts.FeedbackBytes)
+}
+
+// NewSystem builds the facade view over an already-open world (the
+// service pool shares one world between a System and an experiments Lab).
+// feedbackBytes is Options.FeedbackBytes.
+func NewSystem(w *world.World, feedbackBytes int64) (*System, error) {
+	sopts := stats.Options{SampleSize: 30000, MCVTarget: 100, HistBuckets: 100, Seed: w.Key.Seed}
+	configs := w.IndexConfigs()
+	if err := w.Prepare([]stats.Options{sopts}, configs); err != nil {
+		return nil, err
 	}
+	sdb := w.Stats(sopts)
 
 	s := &System{
-		world:    world,
-		db:       db,
-		stats:    sdb,
+		w:        w,
 		idx:      make(map[IndexConfig]*index.Set, len(configs)),
-		parallel: opts.Parallel,
-		snap:     snap,
-		logf:     logf,
-		queries:  make(map[string]*query.Query),
-		graphs:   make(map[string]*query.Graph),
-		truth:    make(map[string]*truecard.Store),
-		feedback: reopt.NewFeedbackCache(opts.FeedbackBytes),
+		graphs:   make(map[string]*query.Graph, len(w.Queries)),
+		feedback: reopt.NewFeedbackCache(feedbackBytes),
 		estimators: map[string]cardest.Estimator{
-			EstPostgres: cardest.NewPostgres(db, sdb),
-			EstDBMSA:    cardest.NewDBMSA(db, sdb),
-			EstDBMSB:    cardest.NewDBMSB(db, sdb),
-			EstDBMSC:    cardest.NewDBMSC(db, sdb),
-			EstHyPer:    cardest.NewSample(db, sdb),
+			EstPostgres: cardest.NewPostgres(w.DB, sdb),
+			EstDBMSA:    cardest.NewDBMSA(w.DB, sdb),
+			EstDBMSB:    cardest.NewDBMSB(w.DB, sdb),
+			EstDBMSC:    cardest.NewDBMSC(w.DB, sdb),
+			EstHyPer:    cardest.NewSample(w.DB, sdb),
 		},
 	}
-	for i, cfg := range configs {
-		s.idx[cfg] = sets[i]
+	for _, cfg := range configs {
+		s.idx[cfg], _ = w.Indexes(cfg) // resolved above
 	}
-	for _, q := range queries {
-		if err := q.Validate(db); err != nil {
-			return nil, fmt.Errorf("jobench: workload query %s: %w", q.ID, err)
-		}
-		s.queries[q.ID] = q
+	for _, q := range w.Queries {
 		s.order = append(s.order, q.ID)
-		s.graphs[q.ID] = query.MustBuildGraph(q)
+		s.graphs[q.ID] = w.Graphs[q.ID]
 	}
 	return s, nil
 }
 
 // Workload returns the name of the workload this system was opened with.
-func (s *System) Workload() string { return s.world.Workload }
+func (s *System) Workload() string { return s.w.Key.Workload }
 
 // World returns the (workload, seed, scale) key of this system.
-func (s *System) World() workload.Key { return s.world }
+func (s *System) World() workload.Key { return s.w.Key }
 
 // AddQuery registers a user-defined query from SQL text (the JOB dialect:
 // SELECT ... FROM tbl alias, ... WHERE <conjunction of predicates and
@@ -371,7 +275,7 @@ func (s *System) AddQuery(id, sql string) error {
 	if err != nil {
 		return err
 	}
-	if err := q.Validate(s.db); err != nil {
+	if err := q.Validate(s.w.DB); err != nil {
 		return err
 	}
 	g, err := query.BuildGraph(q)
@@ -380,10 +284,9 @@ func (s *System) AddQuery(id, sql string) error {
 	}
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	if _, exists := s.queries[id]; exists {
+	if _, exists := s.graphs[id]; exists {
 		return fmt.Errorf("jobench: query %q already exists", id)
 	}
-	s.queries[id] = q
 	s.order = append(s.order, id)
 	s.graphs[id] = g
 	return nil
@@ -426,7 +329,7 @@ func (s *System) ExplainAnalyzeContext(ctx context.Context, queryID string, opts
 	}
 	stats := make([]plan.NodeStats, plan.NumNodes(root))
 	sp := trace.StartSpan(ctx, "engine.execute")
-	res, err := engine.Run(s.db, s.idx[s.indexConfig(opts.Indexes)], g, root, engine.Config{
+	res, err := engine.Run(s.w.DB, s.idx[s.indexConfig(opts.Indexes)], g, root, engine.Config{
 		Rehash: opts.Rehash, WorkLimit: opts.WorkLimit, Stats: stats, Ctx: ctx,
 	})
 	sp.End(trace.String("query", queryID), trace.Int64("work", res.Work),
@@ -466,11 +369,11 @@ func (s *System) QueryIDs() []string {
 
 // SQL renders a workload query as SQL text.
 func (s *System) SQL(queryID string) (string, error) {
-	q, err := s.query(queryID)
+	g, err := s.graph(queryID)
 	if err != nil {
 		return "", err
 	}
-	return q.SQL(), nil
+	return g.Q.SQL(), nil
 }
 
 // JoinGraphDot renders a query's join graph in Graphviz dot syntax (the
@@ -486,20 +389,10 @@ func (s *System) JoinGraphDot(queryID string) (string, error) {
 // TableRows reports the generated table sizes.
 func (s *System) TableRows() map[string]int {
 	out := make(map[string]int)
-	for _, name := range s.db.TableNames() {
-		out[name] = s.db.Table(name).NumRows()
+	for _, name := range s.w.DB.TableNames() {
+		out[name] = s.w.DB.Table(name).NumRows()
 	}
 	return out
-}
-
-func (s *System) query(id string) (*query.Query, error) {
-	s.qmu.RLock()
-	defer s.qmu.RUnlock()
-	q, ok := s.queries[id]
-	if !ok {
-		return nil, fmt.Errorf("jobench: unknown query %q (ids run 1a..33c)", id)
-	}
-	return q, nil
 }
 
 func (s *System) graph(id string) (*query.Graph, error) {
@@ -556,69 +449,17 @@ func (s *System) TruthStore(queryID string) (*truecard.Store, error) {
 }
 
 func (s *System) truthStore(ctx context.Context, queryID string) (*truecard.Store, error) {
-	s.truthMu.Lock()
-	st, ok := s.truth[queryID]
-	s.truthMu.Unlock()
-	if ok {
-		return st, nil
-	}
 	g, err := s.graph(queryID)
 	if err != nil {
 		return nil, err
 	}
-	// Single-flight per query: a burst of concurrent requests for one
-	// uncached truth store runs the (expensive) DP exactly once and shares
-	// the result. Errors are not latched — a cancelled or failed
-	// computation leaves the next caller free to retry. The span covers
-	// the flight wait, so joiners record how long they blocked on the
-	// shared computation too.
-	sp := trace.StartSpan(ctx, "truecard")
-	defer func() { sp.End(trace.String("query", queryID)) }()
-	st, err, _ = s.truthFlight.Do(queryID, func() (*truecard.Store, error) {
-		s.truthMu.Lock()
-		st, ok := s.truth[queryID]
-		s.truthMu.Unlock()
-		if ok {
-			return st, nil
-		}
-		if s.snap != nil {
-			cached, ok := snapshot.Load(s.logf, "jobench: snapshot truth "+queryID,
-				func() (*truecard.Store, error) { return s.snap.LoadTruth(g) })
-			if ok {
-				s.truthMu.Lock()
-				s.truth[queryID] = cached
-				s.truthMu.Unlock()
-				return cached, nil
-			}
-		}
-		st, err := computeTruth(ctx, s.db, g, truecard.Options{Parallel: s.parallel})
-		if err != nil {
-			return nil, fmt.Errorf("jobench: true cardinalities for %s (row limit %d): %w",
-				queryID, truecard.DefaultMaxRows, err)
-		}
-		if s.snap != nil {
-			snapshot.Save(s.logf, "jobench: snapshot save truth "+queryID, func() error {
-				return s.snap.SaveTruth(st)
-			})
-		}
-		s.truthMu.Lock()
-		s.truth[queryID] = st
-		s.truthMu.Unlock()
-		return st, nil
-	})
-	return st, err
+	return s.w.Truth(ctx, g)
 }
 
 // Warmup precomputes the true-cardinality store of every registered query
-// across the system's worker pool (Options.Parallel). Everything that
-// consults the truth afterwards — ExplainAnalyze, TrueCardinality, the
-// EstTrue provider — hits the cache.
-//
-// Each query's DP fans out across the same pool, nesting up to
-// Parallel^2 goroutines. That is deliberate: query costs vary by orders
-// of magnitude, so late in the sweep a handful of giant queries would
-// otherwise hold one core each while the rest idle; the inner fan-out
-// soaks up that straggler tail, and idle inner workers cost nothing.
+// across the world's worker pool (Options.Parallel; see world.Warm).
+// Everything that consults the truth afterwards — ExplainAnalyze,
+// TrueCardinality, the EstTrue provider — hits the cache.
 func (s *System) Warmup() error {
 	return s.WarmupContext(context.Background())
 }
@@ -628,14 +469,13 @@ func (s *System) Warmup() error {
 // disconnect) aborts the in-flight computations instead of finishing them
 // orphaned.
 func (s *System) WarmupContext(ctx context.Context) error {
-	_, err := parallel.RunCells(ctx, s.parallel, s.QueryIDs(),
-		func(ctx context.Context, qid string) (struct{}, error) {
-			// The pool ctx flows into each DP so one query's failure also
-			// cancels the sibling computations already in flight.
-			_, err := s.truthStore(ctx, qid)
-			return struct{}{}, err
-		})
-	return err
+	s.qmu.RLock()
+	graphs := make([]*query.Graph, len(s.order))
+	for i, id := range s.order {
+		graphs[i] = s.graphs[id]
+	}
+	s.qmu.RUnlock()
+	return s.w.Warm(ctx, graphs)
 }
 
 // TrueCardinality returns the exact result size of a workload query.
@@ -703,7 +543,7 @@ func (s *System) optimizeCtx(ctx context.Context, queryID string, opts PlanOptio
 		return nil, nil, err
 	}
 	o := &optimizer.Optimizer{
-		DB:         s.db,
+		DB:         s.w.DB,
 		Model:      model,
 		Indexes:    s.idx[s.indexConfig(opts.Indexes)],
 		DisableNLJ: opts.DisableNestedLoops,
@@ -732,7 +572,7 @@ func (s *System) ExecuteContext(ctx context.Context, queryID string, opts RunOpt
 		return Result{}, err
 	}
 	sp := trace.StartSpan(ctx, "engine.execute")
-	res, err := engine.Run(s.db, s.idx[s.indexConfig(opts.Indexes)], g, root, engine.Config{
+	res, err := engine.Run(s.w.DB, s.idx[s.indexConfig(opts.Indexes)], g, root, engine.Config{
 		Rehash:    opts.Rehash,
 		WorkLimit: opts.WorkLimit,
 		Ctx:       ctx,

@@ -9,16 +9,30 @@ import (
 	"strings"
 	"testing"
 
+	"jobench/internal/cardest"
+	"jobench/internal/costmodel"
+	"jobench/internal/enum"
+	"jobench/internal/index"
 	"jobench/internal/job"
 	"jobench/internal/plan"
+	"jobench/internal/query"
+	"jobench/internal/stats"
+	"jobench/internal/storage"
+	"jobench/internal/tpch"
 )
 
-// -update regenerates the golden work-unit table from the current engine.
-// Only do this deliberately: the table is the metering contract that every
+// -update regenerates the golden work-unit tables from the current engine.
+// Only do this deliberately: the tables are the metering contract that every
 // engine change must preserve.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_work.tsv from the current engine")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_work*.tsv from the current engine")
 
-const goldenPath = "testdata/golden_work.tsv"
+// goldenPlan is one row of a golden table: a query and the plan executed
+// for it.
+type goldenPlan struct {
+	id   string
+	g    *query.Graph
+	root *plan.Node
+}
 
 // TestGoldenWorkUnits executes the optimizer's plan for every JOB query at
 // the test scale and asserts (rows, work) — with rehashing off and on —
@@ -29,48 +43,84 @@ const goldenPath = "testdata/golden_work.tsv"
 // the vectorized engine must reproduce it exactly.
 func TestGoldenWorkUnits(t *testing.T) {
 	l := lab(t)
+	var plans []goldenPlan
+	for _, q := range job.Workload() {
+		g, root := l.planFor(t, q.ID, plan.Bushy)
+		plans = append(plans, goldenPlan{q.ID, g, root})
+	}
+	checkGolden(t, "testdata/golden_work.tsv", l.db, l.pkfk, plans)
+}
+
+// TestGoldenWorkUnitsTPCH pins the same contract for the ten TPC-H families
+// under the no-index design: scans and hash joins only, the path the
+// benchmark's exec.tpch workload measures.
+func TestGoldenWorkUnitsTPCH(t *testing.T) {
+	db := tpch.Generate(tpch.Config{Scale: 1, Seed: 21})
+	sdb := stats.AnalyzeDatabase(db, stats.Options{SampleSize: 2000, Seed: 1})
+	none, err := tpch.BuildIndexes(db, index.NoIndexes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg := cardest.NewPostgres(db, sdb)
+	var plans []goldenPlan
+	for _, q := range tpch.Queries() {
+		g := query.MustBuildGraph(q)
+		root, err := enum.DP(&enum.Space{
+			G: g, DB: db, Cards: pg.ForQuery(g),
+			Model: costmodel.NewSimple(), Indexes: none, DisableNLJ: true, Shape: plan.Bushy,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		plans = append(plans, goldenPlan{q.ID, g, root})
+	}
+	checkGolden(t, "testdata/golden_work_tpch.tsv", db, none, plans)
+}
+
+// checkGolden runs every plan with rehashing off and on and compares
+// (rows, work_fixed, work_rehash) against the table at path, or rewrites
+// the table under -update.
+func checkGolden(t *testing.T, path string, db *storage.Database, idx *index.Set, plans []goldenPlan) {
+	t.Helper()
 	type cell struct {
 		rows       int64
 		workFixed  int64
 		workRehash int64
 	}
 	got := make(map[string]cell)
-	var order []string
-	for _, q := range job.Workload() {
-		g, root := l.planFor(t, q.ID, plan.Bushy)
-		fixed, err := Run(l.db, l.pkfk, g, root, Config{})
+	for _, p := range plans {
+		fixed, err := Run(db, idx, p.g, p.root, Config{})
 		if err != nil {
-			t.Fatalf("%s (rehash off): %v", q.ID, err)
+			t.Fatalf("%s (rehash off): %v", p.id, err)
 		}
-		rehash, err := Run(l.db, l.pkfk, g, root, Config{Rehash: true})
+		rehash, err := Run(db, idx, p.g, p.root, Config{Rehash: true})
 		if err != nil {
-			t.Fatalf("%s (rehash on): %v", q.ID, err)
+			t.Fatalf("%s (rehash on): %v", p.id, err)
 		}
 		if fixed.Rows != rehash.Rows {
-			t.Fatalf("%s: rehash changed the result: %d vs %d rows", q.ID, fixed.Rows, rehash.Rows)
+			t.Fatalf("%s: rehash changed the result: %d vs %d rows", p.id, fixed.Rows, rehash.Rows)
 		}
-		got[q.ID] = cell{rows: fixed.Rows, workFixed: fixed.Work, workRehash: rehash.Work}
-		order = append(order, q.ID)
+		got[p.id] = cell{rows: fixed.Rows, workFixed: fixed.Work, workRehash: rehash.Work}
 	}
 
 	if *updateGolden {
 		var b strings.Builder
 		b.WriteString("# query\trows\twork_fixed\twork_rehash\n")
-		for _, id := range order {
-			c := got[id]
-			fmt.Fprintf(&b, "%s\t%d\t%d\t%d\n", id, c.rows, c.workFixed, c.workRehash)
+		for _, p := range plans {
+			c := got[p.id]
+			fmt.Fprintf(&b, "%s\t%d\t%d\t%d\n", p.id, c.rows, c.workFixed, c.workRehash)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s with %d queries", goldenPath, len(order))
+		t.Logf("rewrote %s with %d queries", path, len(plans))
 		return
 	}
 
-	f, err := os.Open(goldenPath)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to generate)", err)
 	}
@@ -99,15 +149,15 @@ func TestGoldenWorkUnits(t *testing.T) {
 	if len(want) != len(got) {
 		t.Errorf("golden table has %d queries, workload has %d", len(want), len(got))
 	}
-	for _, id := range order {
-		w, ok := want[id]
+	for _, p := range plans {
+		w, ok := want[p.id]
 		if !ok {
-			t.Errorf("%s: missing from golden table (run with -update)", id)
+			t.Errorf("%s: missing from golden table (run with -update)", p.id)
 			continue
 		}
-		if g := got[id]; g != w {
+		if g := got[p.id]; g != w {
 			t.Errorf("%s: (rows, work_fixed, work_rehash) = (%d, %d, %d), golden (%d, %d, %d)",
-				id, g.rows, g.workFixed, g.workRehash, w.rows, w.workFixed, w.workRehash)
+				p.id, g.rows, g.workFixed, g.workRehash, w.rows, w.workFixed, w.workRehash)
 		}
 	}
 }

@@ -12,7 +12,7 @@ SNAPSHOT_SCALE ?= 0.3
 # Where `make serve` listens.
 SERVE_ADDR ?= :8080
 
-.PHONY: build test test-short race-short bench bench-smoke bench-json bench-service benchmark-check chaos chaos-short chaos-fleet fmt fmt-check vet docs-check loc ci snapshot serve smoke-serve
+.PHONY: build test test-short race-short fuzz-short bench bench-smoke bench-json bench-service benchmark-check chaos chaos-short chaos-fleet fmt fmt-check vet docs-check loc ci snapshot serve smoke-serve
 
 # bench-service knobs: how long the mixed load runs, how many concurrent
 # workers fire it, which scale the replica fleet serves, and which worlds
@@ -42,6 +42,13 @@ test-short:
 # surface); the full suite under -race would take tens of minutes.
 race-short:
 	$(GO) test -race -short ./...
+
+# Each fuzz target for 10 s (`go test -fuzz` takes one target per run):
+# the snapshot decoder, and the LIKE matcher every LIKE membership vector
+# of the predicate kernels is built from.
+fuzz-short:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/snapshot
+	$(GO) test -run='^$$' -fuzz='^FuzzLikeMatch$$' -fuzztime=10s ./internal/query
 
 # Full benchmark run with allocation stats.
 bench:
@@ -288,4 +295,4 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 # Everything the CI checks job runs, in order.
-ci: fmt-check vet docs-check build benchmark-check test bench-smoke
+ci: fmt-check vet docs-check build benchmark-check test fuzz-short bench-smoke

@@ -139,11 +139,14 @@ type sampleBase struct {
 	size int
 }
 
+// sampleChunk is how many sample rows one Select counts at a time.
+const sampleChunk = 1024
+
 func (s sampleBase) relSelectivity(rel query.Rel, t *storage.Table, ts *stats.TableStats) float64 {
 	if len(rel.Preds) == 0 {
 		return 1
 	}
-	f, err := query.CompileAll(rel.Preds, t)
+	f, err := query.NewFilter(rel.Preds, t)
 	if err != nil {
 		return 0.1
 	}
@@ -154,11 +157,13 @@ func (s sampleBase) relSelectivity(rel query.Rel, t *storage.Table, ts *stats.Ta
 	if len(sample) == 0 {
 		return 1
 	}
+	// Count in chunks through one small buffer: this runs for every
+	// filtered relation on every Optimize, so it should leave no garbage
+	// proportional to the sample.
 	hits := 0
-	for _, row := range sample {
-		if f(int(row)) {
-			hits++
-		}
+	buf := make([]int32, 0, sampleChunk)
+	for lo := 0; lo < len(sample); lo += sampleChunk {
+		hits += len(f.Select(buf[:0], sample[lo:min(lo+sampleChunk, len(sample))]))
 	}
 	if hits == 0 {
 		// Zero hits on the sample: fall back to "half a row".

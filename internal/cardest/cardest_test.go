@@ -39,17 +39,11 @@ func (l *lab) estimators() []Estimator {
 func trueSelCount(t *testing.T, db *storage.Database, rel query.Rel) int {
 	t.Helper()
 	tbl := db.MustTable(rel.Table)
-	f, err := query.CompileAll(rel.Preds, tbl)
+	f, err := query.NewFilter(rel.Preds, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for i := 0; i < tbl.NumRows(); i++ {
-		if f(i) {
-			n++
-		}
-	}
-	return n
+	return len(f.SelectRange(nil, 0, tbl.NumRows()))
 }
 
 func TestBaseEstimatesReasonable(t *testing.T) {

@@ -207,8 +207,9 @@ type scratch struct {
 	rIdx    []int32 // right ordinals (or base rows, for index joins)
 	keysL   []keyed // sort-merge key arenas
 	keysR   []keyed
-	innerV  []int64 // nested-loop: gathered inner key values
-	innerN  []bool  // nested-loop: gathered inner NULL flags
+	innerV  []int64    // nested-loop: gathered inner key values
+	innerN  []bool     // nested-loop: gathered inner NULL flags
+	fetch   fetchBatch // index join: fetched tuples awaiting the selection
 
 	// free is the row-id buffer pool. Batches are strictly tree-shaped:
 	// a join's input batches are dead the moment its output is emitted, so
@@ -220,7 +221,7 @@ type scratch struct {
 	// the column dictionary, which would otherwise recur on every scan and
 	// every index-join fetch filter of a sweep. Keyed by table identity as
 	// well as (graph, relation) because a Runner may serve many databases.
-	filters map[filterKey]func(int) bool
+	filters map[filterKey]*query.Filter
 }
 
 type filterKey struct {
@@ -235,17 +236,17 @@ type filterKey struct {
 const filterCacheMax = 4096
 
 // compileFilter returns the (cached) compiled selection of relation rel.
-func (ex *executor) compileFilter(rel int, t *storage.Table) (func(int) bool, error) {
+func (ex *executor) compileFilter(rel int, t *storage.Table) (*query.Filter, error) {
 	k := filterKey{g: ex.g, rel: rel, t: t}
 	if f, ok := ex.sc.filters[k]; ok {
 		return f, nil
 	}
-	f, err := query.CompileAll(ex.g.Q.Rels[rel].Preds, t)
+	f, err := query.NewFilter(ex.g.Q.Rels[rel].Preds, t)
 	if err != nil {
 		return nil, err
 	}
 	if ex.sc.filters == nil || len(ex.sc.filters) >= filterCacheMax {
-		ex.sc.filters = make(map[filterKey]func(int) bool)
+		ex.sc.filters = make(map[filterKey]*query.Filter)
 	}
 	ex.sc.filters[k] = f
 	return f, nil
@@ -407,12 +408,7 @@ func (ex *executor) scan(n *plan.Node, id int) (*batch, error) {
 		return nil, err
 	}
 	nr := t.NumRows()
-	rows := ex.sc.getBuf(nr)
-	for i := 0; i < nr; i++ {
-		if f(i) {
-			rows = append(rows, int32(i))
-		}
-	}
+	rows := f.SelectRange(ex.sc.getBuf(nr), 0, nr)
 	// One unit per tuple scanned plus one per emitted tuple.
 	if err := ex.charge(id, int64(nr)+int64(len(rows))); err != nil {
 		return nil, err

@@ -51,6 +51,15 @@ func TestGoldenWorkUnits(t *testing.T) {
 	checkGolden(t, "testdata/golden_work.tsv", l.db, l.pkfk, plans)
 }
 
+// TestGoldenWorkUnitsFetchFlush: filtering an index join's fetched tuples
+// after every outer tuple, instead of once per block, changes neither rows
+// nor work units.
+func TestGoldenWorkUnitsFetchFlush(t *testing.T) {
+	defer func(old int) { fetchBatchMax = old }(fetchBatchMax)
+	fetchBatchMax = 1
+	TestGoldenWorkUnits(t)
+}
+
 // TestGoldenWorkUnitsTPCH pins the same contract for the ten TPC-H families
 // under the no-index design: scans and hash joins only, the path the
 // benchmark's exec.tpch workload measures.

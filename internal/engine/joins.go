@@ -135,6 +135,10 @@ func (ex *executor) indexJoin(n *plan.Node, live query.BitSet, id int) (*batch, 
 	outerRows := left.colOf(jc.buildRel)
 	oCol := jc.buildCol
 	lIdx, rRows := ex.sc.lIdx[:0], ex.sc.rIdx[:0]
+	fb := &ex.sc.fetch
+	// Without predicates there is nothing to select, and the fetched tuples
+	// go straight to the residual check.
+	unfiltered := len(ex.g.Q.Rels[rRel].Preds) == 0
 	for base := 0; base < len(outerRows); base += ex.block {
 		end := min(base+ex.block, len(outerRows))
 		var w int64
@@ -145,22 +149,26 @@ func (ex *executor) indexJoin(n *plan.Node, live query.BitSet, id int) (*batch, 
 				w++
 				continue
 			}
-			// Random access into the index.
-			w += RandomAccessFactor
-			for _, rRow := range idx.Lookup(oCol.Ints[row]) {
-				// Fetch + selection check after the fetch.
-				w++
-				if !filter(int(rRow)) {
-					continue
+			// Random access into the index plus one unit per fetched tuple;
+			// the selection applies after the fetch.
+			postings := idx.Lookup(oCol.Ints[row])
+			w += RandomAccessFactor + int64(len(postings))
+			if unfiltered {
+				for _, r := range postings {
+					if checkResiduals(res, li, int(r)) {
+						lIdx = append(lIdx, int32(li))
+						rRows = append(rRows, r)
+					}
 				}
-				if !checkResiduals(res, li, int(rRow)) {
-					continue
-				}
-				lIdx = append(lIdx, int32(li))
-				rRows = append(rRows, rRow)
-				w++
+				continue
+			}
+			fb.add(int32(li), postings)
+			if len(fb.fetched) >= fetchBatchMax {
+				lIdx, rRows = fb.filter(filter, res, lIdx, rRows)
 			}
 		}
+		lIdx, rRows = fb.filter(filter, res, lIdx, rRows)
+		w += int64(len(lIdx)) // one unit per emitted pair
 		em.emitIndexBlock(left, lIdx, rRows)
 		if err := ex.charge(id, w); err != nil {
 			return nil, err
@@ -169,6 +177,53 @@ func (ex *executor) indexJoin(n *plan.Node, live query.BitSet, id int) (*batch, 
 	ex.sc.lIdx, ex.sc.rIdx = lIdx[:0], rRows[:0]
 	ex.release(left)
 	return em.batch(), nil
+}
+
+// fetchBatchMax bounds how many fetched tuples an index join buffers
+// before filtering them: a skewed key must not make one block's buffer
+// unbounded. A var so tests can force a flush after every outer tuple.
+var fetchBatchMax = 1 << 14
+
+// fetchBatch collects the tuples an index join fetches for a run of outer
+// tuples, so the inner relation's selection runs as one Select over all of
+// them rather than one call per outer tuple. Postings are copied, never
+// written: they belong to the index.
+type fetchBatch struct {
+	fetched []int32 // fetched inner rows, in outer-tuple order
+	outer   []int32 // outer ordinal of each fetched row
+	passed  []int32 // the fetched rows that pass the selection
+}
+
+func (fb *fetchBatch) add(li int32, postings []int32) {
+	fb.fetched = append(fb.fetched, postings...)
+	for range postings {
+		fb.outer = append(fb.outer, li)
+	}
+}
+
+// filter applies the selection to the batch, appends every fetched pair
+// that passes it and the residual predicates to (lIdx, rRows) in fetch
+// order, and empties the batch. passed is the subsequence of fetched whose
+// rows pass; since equal row ids pass or fail alike, matching it greedily
+// against fetched recovers each survivor's outer tuple exactly.
+func (fb *fetchBatch) filter(f *query.Filter, res []boundResidual, lIdx, rRows []int32) ([]int32, []int32) {
+	fb.passed = f.Select(fb.passed[:0], fb.fetched)
+	k := 0
+	for p, r := range fb.fetched {
+		if k == len(fb.passed) {
+			break
+		}
+		if fb.passed[k] != r {
+			continue
+		}
+		k++
+		if li := fb.outer[p]; checkResiduals(res, int(li), int(r)) {
+			lIdx = append(lIdx, li)
+			rRows = append(rRows, r)
+		}
+	}
+	fb.fetched, fb.outer = fb.fetched[:0], fb.outer[:0]
+	return lIdx, rRows
 }
 
 // nestedLoop is the classic O(n*m) join the optimizer can disable. The

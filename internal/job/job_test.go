@@ -133,16 +133,11 @@ func TestQueriesReturnResultsAtScale(t *testing.T) {
 				continue
 			}
 			tbl := db.MustTable(r.Table)
-			f, err := query.CompileAll(r.Preds, tbl)
+			f, err := query.NewFilter(r.Preds, tbl)
 			if err != nil {
 				t.Fatalf("%s: %v", q.ID, err)
 			}
-			n := 0
-			for i := 0; i < tbl.NumRows(); i++ {
-				if f(i) {
-					n++
-				}
-			}
+			n := len(f.SelectRange(nil, 0, tbl.NumRows()))
 			checked++
 			if n == 0 {
 				empties++

@@ -2,6 +2,7 @@ package query
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"jobench/internal/storage"
@@ -186,17 +187,17 @@ func TestParsedQueryExecutesLikeOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := CompileAll(orig.Rels[0].Preds, tbl)
+	f1, err := NewFilter(orig.Rels[0].Preds, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := CompileAll(parsed.Rels[0].Preds, tbl)
+	f2, err := NewFilter(parsed.Rels[0].Preds, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < tbl.NumRows(); i++ {
-		if f1(i) != f2(i) {
-			t.Fatalf("row %d: original %v, parsed %v", i, f1(i), f2(i))
-		}
+	r1 := f1.SelectRange(nil, 0, tbl.NumRows())
+	r2 := f2.SelectRange(nil, 0, tbl.NumRows())
+	if !slices.Equal(r1, r2) {
+		t.Fatalf("original selects %v, parsed selects %v", r1, r2)
 	}
 }

@@ -3,8 +3,6 @@ package query
 import (
 	"fmt"
 	"strings"
-
-	"jobench/internal/storage"
 )
 
 // PredKind enumerates the base-table predicate forms JOB uses: surrogate-key
@@ -162,183 +160,56 @@ func (p *Pred) String() string {
 	}
 }
 
-// LikeMatch reports whether s matches a SQL LIKE pattern restricted to '%'
-// wildcards (JOB uses no '_' wildcards).
-func LikeMatch(s, pattern string) bool {
+// likePattern is a SQL LIKE pattern restricted to '%' wildcards (JOB uses
+// no '_' wildcards), split at its wildcards once so that matching it
+// against every string of a dictionary allocates nothing per string.
+type likePattern struct {
+	exact  bool     // no wildcard: s must equal prefix
+	prefix string   // anchored at the start
+	middle []string // non-empty segments that must appear in order
+	suffix string   // anchored at the end
+}
+
+// compileLike splits pattern at its '%' wildcards.
+func compileLike(pattern string) likePattern {
 	parts := strings.Split(pattern, "%")
-	// No wildcard: exact match.
 	if len(parts) == 1 {
-		return s == pattern
+		return likePattern{exact: true, prefix: pattern}
 	}
-	// Anchored prefix.
-	if parts[0] != "" {
-		if !strings.HasPrefix(s, parts[0]) {
-			return false
+	m := likePattern{prefix: parts[0], suffix: parts[len(parts)-1]}
+	for _, seg := range parts[1 : len(parts)-1] {
+		if seg != "" {
+			m.middle = append(m.middle, seg)
 		}
-		s = s[len(parts[0]):]
 	}
-	// Anchored suffix; middle parts must appear in order.
-	last := parts[len(parts)-1]
-	middle := parts[1 : len(parts)-1]
-	for _, m := range middle {
-		if m == "" {
-			continue
-		}
-		i := strings.Index(s, m)
+	return m
+}
+
+// match reports whether s matches the pattern. The middle segments match
+// leftmost-first, which is exact: an earlier match of a segment leaves a
+// longer remainder for everything after it.
+func (m *likePattern) match(s string) bool {
+	if m.exact {
+		return s == m.prefix
+	}
+	if !strings.HasPrefix(s, m.prefix) {
+		return false
+	}
+	s = s[len(m.prefix):]
+	for _, seg := range m.middle {
+		i := strings.Index(s, seg)
 		if i < 0 {
 			return false
 		}
-		s = s[i+len(m):]
+		s = s[i+len(seg):]
 	}
-	if last == "" {
-		return true
-	}
-	return strings.HasSuffix(s, last)
+	return strings.HasSuffix(s, m.suffix)
 }
 
-// Compile resolves the predicate against a table and returns a fast row
-// filter. NULL rows never satisfy any predicate except IS NULL, matching
-// SQL three-valued logic for our predicate forms.
-func (p *Pred) Compile(t *storage.Table) (func(row int) bool, error) {
-	if p.Kind == PredOr {
-		subs := make([]func(int) bool, len(p.Disj))
-		for i, d := range p.Disj {
-			f, err := d.Compile(t)
-			if err != nil {
-				return nil, err
-			}
-			subs[i] = f
-		}
-		return func(row int) bool {
-			for _, f := range subs {
-				if f(row) {
-					return true
-				}
-			}
-			return false
-		}, nil
-	}
-	col := t.Column(p.Col)
-	if col == nil {
-		return nil, fmt.Errorf("query: table %q has no column %q", t.Name, p.Col)
-	}
-	notNull := func(row int) bool { return !col.IsNull(row) }
-	switch p.Kind {
-	case PredEqInt:
-		v := p.Val
-		return func(row int) bool { return notNull(row) && col.Ints[row] == v }, nil
-	case PredNeInt:
-		v := p.Val
-		return func(row int) bool { return notNull(row) && col.Ints[row] != v }, nil
-	case PredLtInt:
-		v := p.Val
-		return func(row int) bool { return notNull(row) && col.Ints[row] < v }, nil
-	case PredLeInt:
-		v := p.Val
-		return func(row int) bool { return notNull(row) && col.Ints[row] <= v }, nil
-	case PredGtInt:
-		v := p.Val
-		return func(row int) bool { return notNull(row) && col.Ints[row] > v }, nil
-	case PredGeInt:
-		v := p.Val
-		return func(row int) bool { return notNull(row) && col.Ints[row] >= v }, nil
-	case PredBetween:
-		lo, hi := p.Val, p.Val2
-		return func(row int) bool {
-			return notNull(row) && col.Ints[row] >= lo && col.Ints[row] <= hi
-		}, nil
-	case PredInInt:
-		set := make(map[int64]struct{}, len(p.Vals))
-		for _, v := range p.Vals {
-			set[v] = struct{}{}
-		}
-		return func(row int) bool {
-			if !notNull(row) {
-				return false
-			}
-			_, ok := set[col.Ints[row]]
-			return ok
-		}, nil
-	case PredEqStr:
-		if col.Kind != storage.KindString {
-			return nil, fmt.Errorf("query: string predicate on %s column %q", col.Kind, p.Col)
-		}
-		code, ok := col.Code(p.Str)
-		if !ok {
-			return func(int) bool { return false }, nil
-		}
-		return func(row int) bool { return notNull(row) && col.Ints[row] == code }, nil
-	case PredNeStr:
-		if col.Kind != storage.KindString {
-			return nil, fmt.Errorf("query: string predicate on %s column %q", col.Kind, p.Col)
-		}
-		code, ok := col.Code(p.Str)
-		if !ok {
-			return notNull, nil
-		}
-		return func(row int) bool { return notNull(row) && col.Ints[row] != code }, nil
-	case PredInStr:
-		if col.Kind != storage.KindString {
-			return nil, fmt.Errorf("query: string predicate on %s column %q", col.Kind, p.Col)
-		}
-		// Dictionary codes are dense [0, DictSize), so the match set is a
-		// flat bool vector: one bounds-checked load per row instead of a
-		// hash probe — this filter runs once per fetched tuple on the
-		// engine's index-join path.
-		member := make([]bool, col.DictSize())
-		for _, s := range p.Strs {
-			if code, ok := col.Code(s); ok {
-				member[code] = true
-			}
-		}
-		return func(row int) bool {
-			return notNull(row) && member[col.Ints[row]]
-		}, nil
-	case PredLike, PredNotLike:
-		if col.Kind != storage.KindString {
-			return nil, fmt.Errorf("query: LIKE on %s column %q", col.Kind, p.Col)
-		}
-		pattern := p.Str
-		member := make([]bool, col.DictSize())
-		for _, code := range col.SortedDictCodes(func(s string) bool { return LikeMatch(s, pattern) }) {
-			member[code] = true
-		}
-		neg := p.Kind == PredNotLike
-		return func(row int) bool {
-			if !notNull(row) {
-				return false
-			}
-			return member[col.Ints[row]] != neg
-		}, nil
-	case PredIsNull:
-		return func(row int) bool { return col.IsNull(row) }, nil
-	case PredNotNull:
-		return notNull, nil
-	default:
-		return nil, fmt.Errorf("query: unknown predicate kind %d", p.Kind)
-	}
-}
-
-// CompileAll compiles a conjunction of predicates against a table into a
-// single filter. An empty slice compiles to an always-true filter.
-func CompileAll(preds []*Pred, t *storage.Table) (func(row int) bool, error) {
-	if len(preds) == 0 {
-		return func(int) bool { return true }, nil
-	}
-	fs := make([]func(int) bool, len(preds))
-	for i, p := range preds {
-		f, err := p.Compile(t)
-		if err != nil {
-			return nil, err
-		}
-		fs[i] = f
-	}
-	return func(row int) bool {
-		for _, f := range fs {
-			if !f(row) {
-				return false
-			}
-		}
-		return true
-	}, nil
+// LikeMatch reports whether s matches a SQL LIKE pattern restricted to '%'
+// wildcards. A Filter compiles each LIKE pattern once for its whole
+// dictionary instead.
+func LikeMatch(s, pattern string) bool {
+	m := compileLike(pattern)
+	return m.match(s)
 }

@@ -118,10 +118,8 @@ func (q *Query) Validate(db *storage.Database) error {
 		if t == nil {
 			return fmt.Errorf("query %s: unknown table %q", q.ID, r.Table)
 		}
-		for _, p := range r.Preds {
-			if _, err := p.Compile(t); err != nil {
-				return fmt.Errorf("query %s: %v", q.ID, err)
-			}
+		if _, err := NewFilter(r.Preds, t); err != nil {
+			return fmt.Errorf("query %s: %v", q.ID, err)
 		}
 	}
 	for _, j := range q.Joins {

@@ -3,6 +3,7 @@ package query
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -128,17 +129,11 @@ func testTable() *storage.Table {
 func TestPredicateCompileAndEval(t *testing.T) {
 	tbl := testTable()
 	count := func(p *Pred) int {
-		f, err := p.Compile(tbl)
+		f, err := NewFilter([]*Pred{p}, tbl)
 		if err != nil {
 			t.Fatalf("compile %s: %v", p, err)
 		}
-		n := 0
-		for i := 0; i < tbl.NumRows(); i++ {
-			if f(i) {
-				n++
-			}
-		}
-		return n
+		return len(f.SelectRange(nil, 0, tbl.NumRows()))
 	}
 	if got := count(EqStr("kind", "movie")); got != 10 {
 		t.Fatalf("EqStr = %d, want 10", got)
@@ -185,42 +180,39 @@ func TestPredicateCompileAndEval(t *testing.T) {
 
 func TestPredicateErrors(t *testing.T) {
 	tbl := testTable()
-	if _, err := EqInt("missing", 1).Compile(tbl); err == nil {
-		t.Fatal("missing column accepted")
-	}
-	if _, err := Like("year", "%x%").Compile(tbl); err == nil {
-		t.Fatal("LIKE on int column accepted")
-	}
-	if _, err := EqStr("year", "x").Compile(tbl); err == nil {
-		t.Fatal("string eq on int column accepted")
-	}
-	if _, err := Or(EqInt("id", 1), EqInt("missing", 2)).Compile(tbl); err == nil {
-		t.Fatal("OR with bad sub-predicate accepted")
+	for _, p := range []*Pred{
+		EqInt("missing", 1),                     // missing column
+		Like("year", "%x%"),                     // LIKE on an int column
+		EqStr("year", "x"),                      // string equality on an int column
+		Or(EqInt("id", 1), EqInt("missing", 2)), // OR with a bad sub-predicate
+	} {
+		// Behind a conjunct that selects nothing, the error must still show.
+		if _, err := NewFilter([]*Pred{EqStr("kind", "absent"), p}, tbl); err == nil {
+			t.Errorf("%s accepted", p)
+		}
 	}
 }
 
-func TestCompileAllConjunction(t *testing.T) {
+func TestFilterConjunction(t *testing.T) {
 	tbl := testTable()
-	f, err := CompileAll([]*Pred{EqStr("kind", "movie"), LtInt("id", 20)}, tbl)
+	f, err := NewFilter([]*Pred{EqStr("kind", "movie"), LtInt("id", 20)}, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for i := 0; i < tbl.NumRows(); i++ {
-		if f(i) {
-			n++
-		}
+	if got := f.SelectRange(nil, 0, tbl.NumRows()); !slices.Equal(got, []int32{0, 4, 8, 12, 16}) {
+		t.Fatalf("conjunction = %v, want [0 4 8 12 16]", got)
 	}
-	if n != 5 {
-		t.Fatalf("conjunction = %d, want 5", n)
+	// Appends after what dst holds, and a candidate list keeps its order.
+	if got := f.Select([]int32{-1}, []int32{16, 3, 4, 30, 0}); !slices.Equal(got, []int32{-1, 16, 4, 0}) {
+		t.Fatalf("Select = %v, want [-1 16 4 0]", got)
 	}
 	// Empty conjunction accepts everything.
-	all, err := CompileAll(nil, tbl)
+	all, err := NewFilter(nil, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !all(0) {
-		t.Fatal("empty conjunction rejected row")
+	if got := all.SelectRange(nil, 3, 6); !slices.Equal(got, []int32{3, 4, 5}) {
+		t.Fatalf("empty conjunction selected %v over [3,6)", got)
 	}
 }
 

@@ -7,10 +7,7 @@
 // and joins operate on integer (surrogate key) columns.
 package storage
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Kind identifies the logical type of a column.
 type Kind uint8
@@ -224,18 +221,4 @@ func RestoreColumn(name string, kind Kind, ints []int64, dict []string, nulls []
 		}
 	}
 	return c, nil
-}
-
-// SortedDictCodes returns the codes of all dictionary entries whose string
-// satisfies match, in ascending code order. It is the building block for
-// LIKE evaluation on dictionary-encoded columns.
-func (c *Column) SortedDictCodes(match func(string) bool) []int64 {
-	var codes []int64
-	for code, s := range c.Dict {
-		if match(s) {
-			codes = append(codes, int64(code))
-		}
-	}
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-	return codes
 }

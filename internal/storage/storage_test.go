@@ -189,19 +189,3 @@ func TestStringRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSortedDictCodes(t *testing.T) {
-	c := NewStringColumn("s")
-	for _, w := range []string{"movie", "tv", "movietone", "short"} {
-		c.AppendString(w)
-	}
-	codes := c.SortedDictCodes(func(s string) bool { return len(s) >= 5 })
-	if len(codes) != 3 {
-		t.Fatalf("got %d codes, want 3 (movie, movietone, short)", len(codes))
-	}
-	for i := 1; i < len(codes); i++ {
-		if codes[i] <= codes[i-1] {
-			t.Fatal("codes not sorted ascending")
-		}
-	}
-}

@@ -211,7 +211,7 @@ type computer struct {
 	opts Options
 
 	tables   []*storage.Table // per relation
-	filters  []func(int) bool // compiled selections per relation
+	filters  []*query.Filter  // compiled selections per relation
 	filtered [][]int32        // selected row ids per relation
 
 	// Join hashes per (relation, column, filtered?) — flat grouped
@@ -315,7 +315,7 @@ func ComputeContext(ctx context.Context, db *storage.Database, g *query.Graph, o
 	// predicates is cheap and stays serial; the per-relation filter scans
 	// fan out.
 	c.tables = make([]*storage.Table, g.N)
-	c.filters = make([]func(int) bool, g.N)
+	c.filters = make([]*query.Filter, g.N)
 	c.filtered = make([][]int32, g.N)
 	rels := make([]int, g.N)
 	for i, rel := range g.Q.Rels {
@@ -324,7 +324,7 @@ func ComputeContext(ctx context.Context, db *storage.Database, g *query.Graph, o
 			return nil, fmt.Errorf("truecard: no table %q", rel.Table)
 		}
 		c.tables[i] = t
-		f, err := query.CompileAll(rel.Preds, t)
+		f, err := query.NewFilter(rel.Preds, t)
 		if err != nil {
 			return nil, fmt.Errorf("truecard: %s: %v", g.Q.ID, err)
 		}
@@ -333,17 +333,17 @@ func ComputeContext(ctx context.Context, db *storage.Database, g *query.Graph, o
 	}
 	scans, err := parallel.RunCells(ctx, opts.Parallel, rels,
 		func(ctx context.Context, i int) ([]int32, error) {
-			f := c.filters[i]
-			var rows []int32
-			for r := 0; r < c.tables[i].NumRows(); r++ {
-				if r&ctxCheckMask == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
+			// Chunks of ctxCheckMask+1 rows, polling the context between
+			// chunks. Each chunk selects into one scratch vector that is
+			// appended to rows, so rows grows with what the selection keeps,
+			// not with the rows scanned.
+			var rows, chunk []int32
+			for lo, n := 0, c.tables[i].NumRows(); lo < n; lo += ctxCheckMask + 1 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
 				}
-				if f(r) {
-					rows = append(rows, int32(r))
-				}
+				chunk = c.filters[i].SelectRange(chunk[:0], lo, min(lo+ctxCheckMask+1, n))
+				rows = append(rows, chunk...)
 			}
 			return rows, nil
 		})

@@ -19,14 +19,14 @@ import (
 func bruteForce(db *storage.Database, g *query.Graph, s query.BitSet) int64 {
 	rels := s.Elems()
 	tables := make([]*storage.Table, len(rels))
-	filters := make([]func(int) bool, len(rels))
+	selected := make([][]int32, len(rels))
 	for i, r := range rels {
 		tables[i] = db.MustTable(g.Q.Rels[r].Table)
-		f, err := query.CompileAll(g.Q.Rels[r].Preds, tables[i])
+		f, err := query.NewFilter(g.Q.Rels[r].Preds, tables[i])
 		if err != nil {
 			panic(err)
 		}
-		filters[i] = f
+		selected[i] = f.SelectRange(nil, 0, tables[i].NumRows())
 	}
 	pos := make(map[int]int, len(rels))
 	for i, r := range rels {
@@ -55,11 +55,8 @@ func bruteForce(db *storage.Database, g *query.Graph, s query.BitSet) int64 {
 			count++
 			return
 		}
-		for r := 0; r < tables[depth].NumRows(); r++ {
-			if !filters[depth](r) {
-				continue
-			}
-			rows[depth] = r
+		for _, r := range selected[depth] {
+			rows[depth] = int(r)
 			rec(depth + 1)
 		}
 	}
@@ -424,15 +421,9 @@ func TestJOBQueryOnSmallData(t *testing.T) {
 func bruteForceSmart(t *testing.T, db *storage.Database, g *query.Graph, s query.BitSet) int64 {
 	prod := 1.0
 	s.ForEach(func(r int) {
-		n := 0
 		tbl := db.MustTable(g.Q.Rels[r].Table)
-		f, _ := query.CompileAll(g.Q.Rels[r].Preds, tbl)
-		for i := 0; i < tbl.NumRows(); i++ {
-			if f(i) {
-				n++
-			}
-		}
-		prod *= float64(n + 1)
+		f, _ := query.NewFilter(g.Q.Rels[r].Preds, tbl)
+		prod *= float64(len(f.SelectRange(nil, 0, tbl.NumRows())) + 1)
 	})
 	if prod > 5e7 {
 		t.Skip("reference cross product too large")

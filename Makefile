@@ -44,11 +44,13 @@ race-short:
 	$(GO) test -race -short ./...
 
 # Each fuzz target for 10 s (`go test -fuzz` takes one target per run):
-# the snapshot decoder, and the LIKE matcher every LIKE membership vector
-# of the predicate kernels is built from.
+# the snapshot decoder, the LIKE matcher every LIKE membership vector of
+# the predicate kernels is built from, and the SQL parser with BuildGraph
+# behind it.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz='^FuzzLikeMatch$$' -fuzztime=10s ./internal/query
+	$(GO) test -run='^$$' -fuzz='^FuzzParseSQL$$' -fuzztime=10s ./internal/query
 
 # Full benchmark run with allocation stats.
 bench:

@@ -216,17 +216,6 @@ func BenchmarkDPExhaustive17Relations(b *testing.B) {
 	}
 }
 
-func BenchmarkDPccp17Relations(b *testing.B) {
-	l := lab(b)
-	sp := benchSpace(l, "29a")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := enum.DPccp(sp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkQuickPick1000(b *testing.B) {
 	l := lab(b)
 	sp := benchSpace(l, "13d")

@@ -175,7 +175,7 @@ func planFlags(fs *flag.FlagSet) (est, model, idx *string, noNLJ *bool, shape, a
 	idx = fs.String("idx", "pkfk", "index config: none|pk|pkfk")
 	noNLJ = fs.Bool("no-nlj", true, "disable non-indexed nested-loop joins")
 	shape = fs.String("shape", "bushy", "tree shape: bushy|leftdeep|rightdeep|zigzag")
-	algo = fs.String("algo", "dp", "enumeration: dp|dpccp|quickpick|goo")
+	algo = fs.String("algo", "dp", "enumeration: dp|quickpick|goo")
 	return
 }
 

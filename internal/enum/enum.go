@@ -1,9 +1,10 @@
-// Package enum implements the plan-space enumeration algorithms of §6:
-// exhaustive dynamic programming over connected subgraphs without cross
-// products (DPccp, Moerkotte & Neumann), an O(3^n) DPsub used as a test
-// oracle, shape-restricted DP (left-deep / right-deep / zig-zag), the
-// randomized QuickPick algorithm (and its best-of-1000 variant), and Greedy
-// Operator Ordering (GOO).
+// Package enum implements the plan-space enumeration algorithms of §6: one
+// exhaustive dynamic program over connected subgraphs without cross products
+// (csg-cmp pairs after Moerkotte & Neumann's DPccp), which also serves the
+// shape-restricted spaces (left-deep / right-deep / zig-zag), the randomized
+// QuickPick algorithm (and its best-of-1000 variant), and Greedy Operator
+// Ordering (GOO). The tests keep an O(3^n) DPsub as the reference DP must
+// match plan for plan.
 package enum
 
 import (
@@ -101,66 +102,80 @@ func (sp *Space) joinOf(left, right *plan.Node) *plan.Node {
 	}
 }
 
-// emit offers a (S1, S2) pair to the DP table in both orientations.
+// emit offers the csg-cmp pair (s1, s2) to the DP table in both
+// orientations.
 func (sp *Space) emit(table map[query.BitSet]*plan.Node, s1, s2 query.BitSet) {
 	l, r := table[s1], table[s2]
 	if l == nil || r == nil {
 		return
 	}
 	s := s1.Union(s2)
-	cur := table[s]
-	if n := sp.joinOf(l, r); n != nil && (cur == nil || n.ECost < cur.ECost) {
+	if n := sp.joinOf(l, r); n != nil && beats(n, table[s]) {
 		table[s] = n
-		cur = n
 	}
-	if n := sp.joinOf(r, l); n != nil && (cur == nil || n.ECost < cur.ECost) {
+	if n := sp.joinOf(r, l); n != nil && beats(n, table[s]) {
 		table[s] = n
 	}
 }
 
-// DPccp enumerates all connected-subgraph/complement pairs of the join
-// graph and returns the optimal plan for the full query under the space's
-// provider, model and restrictions.
-func DPccp(sp *Space) (*plan.Node, error) {
+// beats reports whether the join n should replace cur, the best plan so far
+// for the same relation set. A strictly cheaper plan wins. Exactly equal
+// costs are broken by the split, so the winner does not depend on the
+// order pairs are emitted in: the plan whose numerically smaller half lo is
+// larger wins, and at equal lo the plan with lo on the left. That is the
+// first plan in DPsub's visit order (descending subsets, lower half joined
+// on the left first), which the tests keep as the reference.
+func beats(n, cur *plan.Node) bool {
+	if cur == nil {
+		return true
+	}
+	if n.ECost != cur.ECost {
+		return n.ECost < cur.ECost
+	}
+	nlo, clo := min(n.Left.S, n.Right.S), min(cur.Left.S, cur.Right.S)
+	if nlo != clo {
+		return nlo > clo
+	}
+	return n.Left.S == nlo && cur.Left.S != clo
+}
+
+// DP is the exhaustive dynamic program over connected subgraphs without
+// cross products. It enumerates every csg-cmp pair (a connected set and a
+// connected, edge-linked set of its complement) once, after Moerkotte and
+// Neumann's DPccp, fills the table in ascending order of the pair's union
+// size so both halves are final when they are joined, and returns the
+// optimal plan for the full query under the space's provider, model and
+// shape restriction.
+func DP(sp *Space) (*plan.Node, error) {
 	g := sp.G
 	table := make(map[query.BitSet]*plan.Node, 1<<uint(g.N))
 	for r := 0; r < g.N; r++ {
 		table[query.Bit(r)] = sp.leafFor(r)
 	}
 
-	// Process csg-cmp pairs in an order where smaller unions come first:
-	// enumerate connected subsets ascending by size is not sufficient for
-	// DPccp's pairing, so we follow the classic emit order: for each csg S1
-	// (enumerated so that all its subsets were seen), for each cmp S2.
-	// Collect pairs and sort by union size to fill the table bottom-up.
+	// Bucket the pairs by union size: the enumeration order can join a set
+	// before all of its subsets have their final plans. Within a bucket the
+	// order does not matter, since beats picks the same winner in any order.
 	type pair struct{ s1, s2 query.BitSet }
-	var pairs []pair
-	emitPair := func(s1, s2 query.BitSet) {
-		pairs = append(pairs, pair{s1, s2})
-	}
-	enumerateCsgCmpPairs(g, emitPair)
-
-	// Sort by union cardinality (stable counting sort over sizes).
 	bySize := make([][]pair, g.N+1)
-	for _, p := range pairs {
-		c := p.s1.Union(p.s2).Count()
-		bySize[c] = append(bySize[c], p)
-	}
+	enumerateCsgCmpPairs(g, func(s1, s2 query.BitSet) {
+		c := s1.Union(s2).Count()
+		bySize[c] = append(bySize[c], pair{s1, s2})
+	})
 	for _, list := range bySize {
 		for _, p := range list {
 			sp.emit(table, p.s1, p.s2)
 		}
 	}
 
-	full := query.FullSet(g.N)
-	n := table[full]
+	n := table[query.FullSet(g.N)]
 	if n == nil {
 		return nil, fmt.Errorf("enum: no plan for %s (shape %v too restrictive?)", g.Q.ID, sp.Shape)
 	}
 	return n, nil
 }
 
-// enumerateCsgCmpPairs implements the canonical Moerkotte/Neumann DPccp
+// enumerateCsgCmpPairs implements the canonical Moerkotte/Neumann csg-cmp
 // enumeration: every connected subgraph S1 is paired with every connected
 // subgraph S2 of its complement that is reachable through at least one edge;
 // each unordered pair is emitted exactly once.
@@ -182,12 +197,12 @@ func enumerateCsgRec(g *query.Graph, s, x query.BitSet, emit func(s1, s2 query.B
 	if n.Empty() {
 		return
 	}
-	forAllSubsets(n, func(sub query.BitSet) {
+	for sub := n; sub != 0; sub = nextSubset(sub, n) {
 		emitCsg(g, s.Union(sub), emit)
-	})
-	forAllSubsets(n, func(sub query.BitSet) {
+	}
+	for sub := n; sub != 0; sub = nextSubset(sub, n) {
 		enumerateCsgRec(g, s.Union(sub), x.Union(n), emit)
-	})
+	}
 }
 
 // emitCsg enumerates all connected complements of the csg S1.
@@ -197,9 +212,10 @@ func emitCsg(g *query.Graph, s1 query.BitSet, emit func(a, b query.BitSet)) {
 	if n.Empty() {
 		return
 	}
-	elems := n.Elems()
-	for idx := len(elems) - 1; idx >= 0; idx-- {
-		v := elems[idx]
+	for v := g.N - 1; v >= 0; v-- {
+		if !n.Has(v) {
+			continue
+		}
 		s2 := query.Bit(v)
 		emit(s1, s2)
 		// Grow S2 within the complement, excluding smaller neighbours of
@@ -213,55 +229,18 @@ func enumerateCmpRec(g *query.Graph, s1, s2, x query.BitSet, emit func(a, b quer
 	if n.Empty() {
 		return
 	}
-	forAllSubsets(n, func(sub query.BitSet) {
+	for sub := n; sub != 0; sub = nextSubset(sub, n) {
 		emit(s1, s2.Union(sub))
-	})
-	forAllSubsets(n, func(sub query.BitSet) {
+	}
+	for sub := n; sub != 0; sub = nextSubset(sub, n) {
 		enumerateCmpRec(g, s1, s2.Union(sub), x.Union(n), emit)
-	})
+	}
 }
 
-// forAllSubsets calls f on every non-empty subset of s (including s).
-func forAllSubsets(s query.BitSet, f func(sub query.BitSet)) {
-	if s.Empty() {
-		return
-	}
-	f(s)
-	s.SubsetsProper(f)
-}
-
-// DP is the exhaustive dynamic program over connected subgraphs: for every
-// connected relation set (ascending by size) it considers every split into
-// two connected, edge-linked parts. It is correct by construction and fast
-// enough for every JOB query; DPccp is the asymptotically better enumerator
-// and is tested to produce plans of identical cost.
-func DP(sp *Space) (*plan.Node, error) {
-	g := sp.G
-	full := query.FullSet(g.N)
-	table := make(map[query.BitSet]*plan.Node, 1<<uint(g.N))
-	for r := 0; r < g.N; r++ {
-		table[query.Bit(r)] = sp.leafFor(r)
-	}
-	g.ConnectedSubsets(func(s query.BitSet) {
-		if s.Single() {
-			return
-		}
-		s.SubsetsProper(func(s1 query.BitSet) {
-			s2 := s.Minus(s1)
-			// Each unordered split appears twice; visit it once. emit
-			// checks both orientations and that both halves have plans
-			// (i.e. are connected).
-			if s1 < s2 {
-				sp.emit(table, s1, s2)
-			}
-		})
-	})
-	n := table[full]
-	if n == nil {
-		return nil, fmt.Errorf("enum: no plan for %s", g.Q.ID)
-	}
-	return n, nil
-}
+// nextSubset steps through the non-empty subsets of s in descending order:
+// starting from sub = s, it returns the next smaller subset, 0 after the
+// last.
+func nextSubset(sub, s query.BitSet) query.BitSet { return (sub - 1) & s }
 
 // QuickPick builds one random cross-product-free plan by picking join edges
 // uniformly at random until all relations are connected (§6.1, [40]). Join

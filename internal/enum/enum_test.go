@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -81,27 +82,244 @@ func TestDPProducesValidOptimalPlans(t *testing.T) {
 	}
 }
 
-func TestDPccpMatchesDPOnAllJOBQueries(t *testing.T) {
+// dpsub is the O(3^n) reference DP: for every connected relation set
+// (ascending by size) it considers every split into two connected,
+// edge-linked parts and keeps the first strictly cheaper plan in its visit
+// order. It is correct by construction; DP must return exactly its plan.
+func dpsub(sp *Space) (*plan.Node, error) {
+	g := sp.G
+	full := query.FullSet(g.N)
+	table := make(map[query.BitSet]*plan.Node, 1<<uint(g.N))
+	for r := 0; r < g.N; r++ {
+		table[query.Bit(r)] = sp.leafFor(r)
+	}
+	g.ConnectedSubsets(func(s query.BitSet) {
+		if s.Single() {
+			return
+		}
+		s.SubsetsProper(func(s1 query.BitSet) {
+			s2 := s.Minus(s1)
+			// Each unordered split appears twice; visit it once.
+			// dpsubEmit checks both orientations and that both halves
+			// have plans (i.e. are connected).
+			if s1 < s2 {
+				dpsubEmit(sp, table, s1, s2)
+			}
+		})
+	})
+	n := table[full]
+	if n == nil {
+		return nil, fmt.Errorf("enum: no plan for %s", g.Q.ID)
+	}
+	return n, nil
+}
+
+// dpsubEmit offers a (s1, s2) split to the table in both orientations; a
+// plan replaces the incumbent only if it is strictly cheaper.
+func dpsubEmit(sp *Space, table map[query.BitSet]*plan.Node, s1, s2 query.BitSet) {
+	l, r := table[s1], table[s2]
+	if l == nil || r == nil {
+		return
+	}
+	s := s1.Union(s2)
+	cur := table[s]
+	if n := sp.joinOf(l, r); n != nil && (cur == nil || n.ECost < cur.ECost) {
+		table[s] = n
+		cur = n
+	}
+	if n := sp.joinOf(r, l); n != nil && (cur == nil || n.ECost < cur.ECost) {
+		table[s] = n
+	}
+}
+
+// checkSamePlan fails unless DP and dpsub both succeed or both fail, and on
+// success return the same plan text at the bit-identical cost.
+func checkSamePlan(t *testing.T, label string, sp *Space) {
+	t.Helper()
+	got, gerr := DP(sp)
+	want, werr := dpsub(sp)
+	if (gerr != nil) != (werr != nil) {
+		t.Fatalf("%s: DP error %v, dpsub error %v", label, gerr, werr)
+	}
+	if werr != nil {
+		return
+	}
+	if g, w := plan.Explain(got, sp.G), plan.Explain(want, sp.G); g != w {
+		t.Fatalf("%s: DP plan differs from dpsub\n--- DP\n%s--- dpsub\n%s", label, g, w)
+	}
+	if math.Float64bits(got.ECost) != math.Float64bits(want.ECost) {
+		t.Fatalf("%s: DP cost %v != dpsub cost %v", label, got.ECost, want.ECost)
+	}
+}
+
+var allShapes = []plan.Shape{plan.Bushy, plan.ZigZag, plan.LeftDeep, plan.RightDeep}
+
+// TestDPMatchesDPsub: on every JOB query, under every shape restriction and
+// both index designs, DP returns exactly the reference DPsub's plan, ties
+// included. -short checks bushy plans under PK+FK only.
+func TestDPMatchesDPsub(t *testing.T) {
 	l := lab(t)
+	shapes, designs := allShapes, []*index.Set{l.pkfk, l.pk}
+	if testing.Short() {
+		shapes, designs = shapes[:1], designs[:1]
+	}
 	for _, q := range job.Workload() {
 		g := query.MustBuildGraph(q)
-		sp := &Space{
-			G: g, DB: l.db, Cards: l.pg.ForQuery(g),
-			Model: costmodel.NewSimple(), Indexes: l.pkfk, DisableNLJ: true,
+		cards := l.pg.ForQuery(g)
+		for _, shape := range shapes {
+			for di, idx := range designs {
+				sp := &Space{
+					G: g, DB: l.db, Cards: cards, Model: costmodel.NewSimple(),
+					Indexes: idx, DisableNLJ: true, Shape: shape,
+				}
+				checkSamePlan(t, fmt.Sprintf("%s/%v/design%d", q.ID, shape, di), sp)
+			}
 		}
-		a, err := DP(sp)
+	}
+}
+
+// constCards gives every relation set the same cardinality, so every split
+// of every set costs exactly the same and DP's tie-break alone picks the
+// plan.
+type constCards float64
+
+func (c constCards) Card(query.BitSet) float64               { return float64(c) }
+func (c constCards) SansSelection(query.BitSet, int) float64 { return float64(c) }
+func (constCards) Name() string                              { return "constant" }
+
+// syntheticGraph builds a join graph over n aliases of one table with an
+// edge per (u, v) pair.
+func syntheticGraph(t *testing.T, id string, n int, edges [][2]int) *query.Graph {
+	t.Helper()
+	q := &query.Query{ID: id}
+	alias := func(r int) string { return fmt.Sprintf("r%d", r) }
+	for r := 0; r < n; r++ {
+		q.Rels = append(q.Rels, query.Rel{Alias: alias(r), Table: "title"})
+	}
+	for _, e := range edges {
+		q.Joins = append(q.Joins, query.Join{LeftAlias: alias(e[0]), LeftCol: "id", RightAlias: alias(e[1]), RightCol: "id"})
+	}
+	g, err := query.BuildGraph(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// tieGraphs returns chains, stars, cycles and seeded random connected graphs
+// of 2..12 relations, and cliques of 2..10 (a 12-clique alone would take
+// seconds per shape).
+func tieGraphs(t *testing.T) []*query.Graph {
+	var out []*query.Graph
+	rng := rand.New(rand.NewSource(26))
+	for n := 2; n <= 12; n++ {
+		var chain, star, cycle, clique, random [][2]int
+		for v := 1; v < n; v++ {
+			chain = append(chain, [2]int{v - 1, v})
+			star = append(star, [2]int{0, v})
+			// A random spanning tree over a random numbering, plus extra
+			// edges, so the hub is not always relation 0.
+			random = append(random, [2]int{rng.Intn(v), v})
+			for u := 0; u < v; u++ {
+				clique = append(clique, [2]int{u, v})
+			}
+		}
+		cycle = append(append(cycle, chain...), [2]int{n - 1, 0})
+		perm := rng.Perm(n)
+		for i := range random {
+			random[i] = [2]int{perm[random[i][0]], perm[random[i][1]]}
+		}
+		for extra := rng.Intn(n); extra > 0; extra-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				random = append(random, [2]int{u, v})
+			}
+		}
+		out = append(out,
+			syntheticGraph(t, fmt.Sprintf("chain%d", n), n, chain),
+			syntheticGraph(t, fmt.Sprintf("star%d", n), n, star),
+			syntheticGraph(t, fmt.Sprintf("random%d", n), n, random))
+		if n >= 3 {
+			out = append(out, syntheticGraph(t, fmt.Sprintf("cycle%d", n), n, cycle))
+		}
+		if n <= 10 {
+			out = append(out, syntheticGraph(t, fmt.Sprintf("clique%d", n), n, clique))
+		}
+	}
+	return out
+}
+
+// TestDPMatchesDPsubWhenEverySplitTies: on JOB, ties come mostly from the
+// two orientations of one split. Here a constant cardinality and integer
+// costs make every split of every set cost exactly the same, so DP matches
+// DPsub only if its tie-break reproduces DPsub's visit order.
+func TestDPMatchesDPsubWhenEverySplitTies(t *testing.T) {
+	l := lab(t)
+	model := &costmodel.Simple{Tau: 1, Lambda: 2}
+	for _, g := range tieGraphs(t) {
+		for _, shape := range allShapes {
+			sp := &Space{G: g, DB: l.db, Cards: constCards(8), Model: model, DisableNLJ: true, Shape: shape}
+			checkSamePlan(t, fmt.Sprintf("%s/%v", g.Q.ID, shape), sp)
+		}
+	}
+}
+
+// permuteFrom returns q with its FROM list reordered by perm; joins name
+// aliases, so they follow their relations to the new indexes.
+func permuteFrom(q *query.Query, perm []int) *query.Query {
+	p := &query.Query{ID: q.ID, Joins: q.Joins, Rels: make([]query.Rel, len(q.Rels))}
+	for i, j := range perm {
+		p.Rels[i] = q.Rels[j]
+	}
+	return p
+}
+
+// TestDPCostInvariantUnderFromPermutation: renumbering the relations changes
+// which plan wins a tie, but never the optimal cost.
+func TestDPCostInvariantUnderFromPermutation(t *testing.T) {
+	l := lab(t)
+	rng := rand.New(rand.NewSource(3))
+	for _, q := range job.Workload() {
+		base, err := DP(l.space(t, q.ID, plan.Bushy))
 		if err != nil {
-			t.Fatalf("%s: DP: %v", q.ID, err)
+			t.Fatalf("%s: %v", q.ID, err)
 		}
-		b, err := DPccp(sp)
+		for i := 0; i < 3; i++ {
+			g := query.MustBuildGraph(permuteFrom(q, rng.Perm(len(q.Rels))))
+			root, err := DP(&Space{
+				G: g, DB: l.db, Cards: l.pg.ForQuery(g), Model: costmodel.NewSimple(),
+				Indexes: l.pkfk, DisableNLJ: true,
+			})
+			if err != nil {
+				t.Fatalf("%s permuted: %v", q.ID, err)
+			}
+			if math.Abs(root.ECost-base.ECost) > 1e-9*base.ECost {
+				t.Errorf("%s: permuted FROM list costs %v, original %v", q.ID, root.ECost, base.ECost)
+			}
+		}
+	}
+}
+
+// TestDPNoWorseThanHeuristics: on every JOB query DP's plan is at least as
+// cheap as GOO's and QuickPick-1000's under the same estimates.
+func TestDPNoWorseThanHeuristics(t *testing.T) {
+	l := lab(t)
+	for _, q := range job.Workload() {
+		sp := l.space(t, q.ID, plan.Bushy)
+		dp, err := DP(sp)
 		if err != nil {
-			t.Fatalf("%s: DPccp: %v", q.ID, err)
+			t.Fatalf("%s: %v", q.ID, err)
 		}
-		if err := plan.Validate(b, g, query.FullSet(g.N)); err != nil {
-			t.Fatalf("%s: DPccp invalid: %v", q.ID, err)
+		goo, err := GOO(sp)
+		if err != nil {
+			t.Fatalf("%s: GOO: %v", q.ID, err)
 		}
-		if math.Abs(a.ECost-b.ECost) > 1e-6*math.Max(1, a.ECost) {
-			t.Errorf("%s: DP cost %.4f != DPccp cost %.4f", q.ID, a.ECost, b.ECost)
+		qp, err := QuickPickBest(sp, 1000, 1)
+		if err != nil {
+			t.Fatalf("%s: QuickPick: %v", q.ID, err)
+		}
+		tol := 1e-9 * dp.ECost
+		if goo.ECost < dp.ECost-tol || qp.ECost < dp.ECost-tol {
+			t.Errorf("%s: DP %v beaten by GOO %v or QuickPick-1000 %v", q.ID, dp.ECost, goo.ECost, qp.ECost)
 		}
 	}
 }

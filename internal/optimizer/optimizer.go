@@ -1,9 +1,9 @@
 // Package optimizer is the facade tying the query optimizer together:
 // given a join graph, a cardinality provider (an estimator, injected
-// values, or the truth), a cost model, a physical design and an enumeration
-// algorithm, it produces a physical plan. It is the programmatic equivalent
-// of the paper's modified PostgreSQL plus its standalone optimizer (§2.4,
-// §6).
+// values, or the truth), a cost model, a physical design and one of the
+// §6 enumeration algorithms (the exhaustive DP, QuickPick-1000 or GOO), it
+// produces a physical plan. It is the programmatic equivalent of the
+// paper's modified PostgreSQL plus its standalone optimizer (§2.4, §6).
 package optimizer
 
 import (
@@ -23,9 +23,6 @@ type Algorithm int
 const (
 	// DP is exhaustive dynamic programming over connected subgraphs.
 	DP Algorithm = iota
-	// DPccp is the csg-cmp-pair enumerator (same plans, faster on sparse
-	// graphs).
-	DPccp
 	// QuickPick1000 keeps the cheapest of 1000 random plans.
 	QuickPick1000
 	// GOO is Greedy Operator Ordering.
@@ -36,8 +33,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case DP:
 		return "Dynamic Programming"
-	case DPccp:
-		return "Dynamic Programming (ccp)"
 	case QuickPick1000:
 		return "Quickpick-1000"
 	case GOO:
@@ -56,13 +51,12 @@ type Optimizer struct {
 
 	// DisableNLJ removes the risky non-indexed nested-loop joins (§4.1).
 	DisableNLJ bool
-	// Shape restricts the tree shapes enumerated (§6.2); DP only.
+	// Shape restricts the tree shapes every enumerator builds (§6.2).
 	Shape plan.Shape
 	// Algorithm selects the enumerator.
 	Algorithm Algorithm
-	// Seed drives QuickPick; QuickPickPlans defaults to 1000.
-	Seed           int64
-	QuickPickPlans int
+	// Seed drives QuickPick.
+	Seed int64
 }
 
 // Optimize computes a plan for g using the given cardinality provider.
@@ -86,14 +80,8 @@ func (o *Optimizer) Optimize(g *query.Graph, cards cardest.Provider) (*plan.Node
 	switch o.Algorithm {
 	case DP:
 		root, err = enum.DP(sp)
-	case DPccp:
-		root, err = enum.DPccp(sp)
 	case QuickPick1000:
-		k := o.QuickPickPlans
-		if k <= 0 {
-			k = 1000
-		}
-		root, err = enum.QuickPickBest(sp, k, o.Seed)
+		root, err = enum.QuickPickBest(sp, 1000, o.Seed)
 	case GOO:
 		root, err = enum.GOO(sp)
 	default:

@@ -44,7 +44,7 @@ func TestOptimizeAllAlgorithms(t *testing.T) {
 	g := query.MustBuildGraph(job.ByID("13d"))
 	cards := l.pg.ForQuery(g)
 	var dpCost float64
-	for _, alg := range []Algorithm{DP, DPccp, QuickPick1000, GOO} {
+	for _, alg := range []Algorithm{DP, QuickPick1000, GOO} {
 		o := &Optimizer{
 			DB: l.db, Model: costmodel.NewSimple(), Indexes: l.pkfk,
 			DisableNLJ: true, Algorithm: alg, Seed: 1,
@@ -100,26 +100,6 @@ func TestTrueCostRecosting(t *testing.T) {
 		if optCost <= 0 {
 			t.Errorf("%s: non-positive cost %g", qid, optCost)
 		}
-	}
-}
-
-func TestQuickPickPlansKnob(t *testing.T) {
-	l := lab(t)
-	g := query.MustBuildGraph(job.ByID("6a"))
-	cards := l.pg.ForQuery(g)
-	o := &Optimizer{DB: l.db, Model: costmodel.NewSimple(), Indexes: l.pkfk,
-		Algorithm: QuickPick1000, QuickPickPlans: 5, Seed: 9}
-	few, err := o.Optimize(g, cards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.QuickPickPlans = 500
-	many, err := o.Optimize(g, cards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if many.ECost > few.ECost+1e-9 {
-		t.Errorf("more random plans produced a worse best (%g > %g)", many.ECost, few.ECost)
 	}
 }
 

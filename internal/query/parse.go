@@ -278,6 +278,9 @@ func (p *parser) condition(q *Query) error {
 			if err != nil {
 				return err
 			}
+			if q.RelIndex(alias) < 0 || q.RelIndex(a2) < 0 {
+				return fmt.Errorf("join on unknown alias %q/%q", alias, a2)
+			}
 			q.Joins = append(q.Joins, Join{LeftAlias: alias, LeftCol: col, RightAlias: a2, RightCol: c2})
 			return nil
 		}

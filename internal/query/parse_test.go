@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -8,13 +9,50 @@ import (
 	"jobench/internal/storage"
 )
 
+// The parser tests' SQL, good and bad, is also FuzzParseSQL's seed corpus.
+var (
+	simpleSQL = `
+	SELECT COUNT(*)
+	FROM title t, movie_info mi
+	WHERE t.production_year > 2000
+	  AND mi.info = 'Horror'
+	  AND mi.movie_id = t.id;`
+	formsSQL = `
+	SELECT *
+	FROM t a
+	WHERE a.x BETWEEN 3 AND 7
+	  AND a.y IN (1, 2, 3)
+	  AND a.z IN ('u', 'v')
+	  AND a.s LIKE '%foo%'
+	  AND a.s NOT LIKE 'bar%'
+	  AND a.n IS NULL
+	  AND a.m IS NOT NULL
+	  AND a.p != 5
+	  AND a.q <> 'str'
+	  AND a.r <= 9
+	  AND (a.g = 'f' OR a.g = 'm' OR a.g IS NULL)`
+	noWhereSQL      = "SELECT * FROM t a, u b"
+	defaultAliasSQL = "SELECT * FROM title WHERE title.production_year > 1990"
+	escapeSQL       = `SELECT * FROM t a WHERE a.s = 'it''s'`
+
+	badSQL = []string{
+		"FROM t a",                                     // no SELECT
+		"SELECT * WHERE a.x = 1",                       // no FROM
+		"SELECT * FROM t a WHERE a.x ~ 3",              // bad operator
+		"SELECT * FROM t a WHERE a.x BETWEEN 1 OR 2",   // bad BETWEEN
+		"SELECT * FROM t a WHERE a.x IN (1, 'two')",    // mixed IN
+		"SELECT * FROM t a WHERE b.x = 1",              // unknown alias
+		"SELECT * FROM t a WHERE a.x = b.y",            // join on unknown alias
+		"SELECT * FROM t a WHERE (a.x = 1 OR b.y = 2)", // OR across aliases
+		"SELECT * FROM t a WHERE a.x NOT NULL",         // NOT without LIKE
+		"SELECT * FROM t a WHERE a.x = 1 garbage",      // trailing tokens
+		"SELECT * FROM t a WHERE a.x > 'str'",          // range op on string
+		"SELECT * FROM t a WHERE a.x IS 3",             // IS non-null
+	}
+)
+
 func TestParseSimpleQuery(t *testing.T) {
-	q, err := ParseSQL("t1", `
-		SELECT COUNT(*)
-		FROM title t, movie_info mi
-		WHERE t.production_year > 2000
-		  AND mi.info = 'Horror'
-		  AND mi.movie_id = t.id;`)
+	q, err := ParseSQL("t1", simpleSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,20 +71,7 @@ func TestParseSimpleQuery(t *testing.T) {
 }
 
 func TestParsePredicateForms(t *testing.T) {
-	q, err := ParseSQL("forms", `
-		SELECT *
-		FROM t a
-		WHERE a.x BETWEEN 3 AND 7
-		  AND a.y IN (1, 2, 3)
-		  AND a.z IN ('u', 'v')
-		  AND a.s LIKE '%foo%'
-		  AND a.s NOT LIKE 'bar%'
-		  AND a.n IS NULL
-		  AND a.m IS NOT NULL
-		  AND a.p != 5
-		  AND a.q <> 'str'
-		  AND a.r <= 9
-		  AND (a.g = 'f' OR a.g = 'm' OR a.g IS NULL)`)
+	q, err := ParseSQL("forms", formsSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +98,7 @@ func TestParsePredicateForms(t *testing.T) {
 }
 
 func TestParseNoWhere(t *testing.T) {
-	q, err := ParseSQL("nw", "SELECT * FROM t a, u b")
+	q, err := ParseSQL("nw", noWhereSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +108,7 @@ func TestParseNoWhere(t *testing.T) {
 }
 
 func TestParseDefaultAlias(t *testing.T) {
-	q, err := ParseSQL("da", "SELECT * FROM title WHERE title.production_year > 1990")
+	q, err := ParseSQL("da", defaultAliasSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +118,7 @@ func TestParseDefaultAlias(t *testing.T) {
 }
 
 func TestParseStringEscapes(t *testing.T) {
-	q, err := ParseSQL("esc", `SELECT * FROM t a WHERE a.s = 'it''s'`)
+	q, err := ParseSQL("esc", escapeSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,20 +128,7 @@ func TestParseStringEscapes(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"FROM t a",                                     // no SELECT
-		"SELECT * WHERE a.x = 1",                       // no FROM
-		"SELECT * FROM t a WHERE a.x ~ 3",              // bad operator
-		"SELECT * FROM t a WHERE a.x BETWEEN 1 OR 2",   // bad BETWEEN
-		"SELECT * FROM t a WHERE a.x IN (1, 'two')",    // mixed IN
-		"SELECT * FROM t a WHERE b.x = 1",              // unknown alias
-		"SELECT * FROM t a WHERE (a.x = 1 OR b.y = 2)", // OR across aliases
-		"SELECT * FROM t a WHERE a.x NOT NULL",         // NOT without LIKE
-		"SELECT * FROM t a WHERE a.x = 1 garbage",      // trailing tokens
-		"SELECT * FROM t a WHERE a.x > 'str'",          // range op on string
-		"SELECT * FROM t a WHERE a.x IS 3",             // IS non-null
-	}
-	for _, sql := range cases {
+	for _, sql := range badSQL {
 		if _, err := ParseSQL("bad", sql); err == nil {
 			t.Errorf("accepted %q", sql)
 		}
@@ -200,4 +212,79 @@ func TestParsedQueryExecutesLikeOriginal(t *testing.T) {
 	if !slices.Equal(r1, r2) {
 		t.Fatalf("original selects %v, parsed selects %v", r1, r2)
 	}
+}
+
+// FuzzParseSQL: the parser never panics, the joins of a parsed query name
+// relations of its FROM list, and BuildGraph either rejects the query or
+// returns a graph that satisfies checkGraph. Plain `go test` runs the seed
+// corpus.
+func FuzzParseSQL(f *testing.F) {
+	for _, sql := range append([]string{simpleSQL, formsSQL, noWhereSQL, defaultAliasSQL, escapeSQL,
+		"SELECT * FROM t a, t b, u c WHERE a.id = b.id AND b.x = c.y AND c.y = a.id AND a.z = c.z"},
+		badSQL...) {
+		f.Add(sql)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		q, err := ParseSQL("fuzz", sql)
+		if err != nil {
+			return
+		}
+		for _, j := range q.Joins {
+			if q.RelIndex(j.LeftAlias) < 0 || q.RelIndex(j.RightAlias) < 0 {
+				t.Fatalf("join %+v names an alias outside FROM %+v", j, q.Rels)
+			}
+		}
+		g, err := BuildGraph(q)
+		if err != nil {
+			return
+		}
+		if err := checkGraph(g); err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+	})
+}
+
+// checkGraph verifies a join graph's structural invariants: one node per
+// relation; edges between distinct nodes with U < V, one per pair; every
+// join predicate on exactly one edge, normalised to its endpoints' aliases;
+// and adjacency agreeing with the edge list.
+func checkGraph(g *Graph) error {
+	q := g.Q
+	if g.N != len(q.Rels) {
+		return fmt.Errorf("N = %d for %d relations", g.N, len(q.Rels))
+	}
+	preds := 0
+	pairs := map[[2]int]bool{}
+	adj := make([]BitSet, g.N)
+	for ei, e := range g.Edges {
+		if e.U < 0 || e.U >= e.V || e.V >= g.N {
+			return fmt.Errorf("edge %d = (%d, %d) out of order or range", ei, e.U, e.V)
+		}
+		if pairs[[2]int{e.U, e.V}] {
+			return fmt.Errorf("edge %d duplicates the pair (%d, %d)", ei, e.U, e.V)
+		}
+		pairs[[2]int{e.U, e.V}] = true
+		if len(e.Preds) == 0 {
+			return fmt.Errorf("edge %d has no predicate", ei)
+		}
+		for _, j := range e.Preds {
+			if q.RelIndex(j.LeftAlias) != e.U || q.RelIndex(j.RightAlias) != e.V {
+				return fmt.Errorf("edge %d = (%d, %d) holds predicate %+v", ei, e.U, e.V, j)
+			}
+		}
+		preds += len(e.Preds)
+		adj[e.U], adj[e.V] = adj[e.U].Add(e.V), adj[e.V].Add(e.U)
+		if !slices.Contains(g.EdgesBetween(Bit(e.U), Bit(e.V)), ei) {
+			return fmt.Errorf("EdgesBetween misses edge %d", ei)
+		}
+	}
+	if preds != len(q.Joins) {
+		return fmt.Errorf("edges hold %d predicates, query has %d joins", preds, len(q.Joins))
+	}
+	for r := range adj {
+		if g.NeighborsOf(r) != adj[r] {
+			return fmt.Errorf("neighbours of %d = %v, edges say %v", r, g.NeighborsOf(r), adj[r])
+		}
+	}
+	return nil
 }

@@ -127,9 +127,6 @@ func (q *Query) Validate(db *storage.Database) error {
 		if li < 0 || ri < 0 {
 			return fmt.Errorf("query %s: join references unknown alias %q/%q", q.ID, j.LeftAlias, j.RightAlias)
 		}
-		if li == ri {
-			return fmt.Errorf("query %s: self-join predicate on alias %q", q.ID, j.LeftAlias)
-		}
 		for _, side := range []struct{ alias, col string }{
 			{j.LeftAlias, j.LeftCol}, {j.RightAlias, j.RightCol},
 		} {
@@ -209,6 +206,9 @@ func BuildGraph(q *Query) (*Graph, error) {
 		u, v := q.RelIndex(j.LeftAlias), q.RelIndex(j.RightAlias)
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("join references unknown alias %q/%q", j.LeftAlias, j.RightAlias)
+		}
+		if u == v {
+			return nil, fmt.Errorf("self-join predicate on alias %q", j.LeftAlias)
 		}
 		// Normalise the predicate so LeftAlias corresponds to edge.U.
 		if u > v {

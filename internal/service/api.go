@@ -29,7 +29,7 @@ type PlanRequest struct {
 	DisableNestedLoops *bool `json:"disable_nested_loops,omitempty"`
 	// Shape: bushy|leftdeep|rightdeep|zigzag (default bushy).
 	Shape string `json:"shape,omitempty"`
-	// Algorithm: dp|dpccp|quickpick|goo (default dp).
+	// Algorithm: dp|quickpick|goo (default dp).
 	Algorithm string `json:"algorithm,omitempty"`
 	// PlanSeed drives randomized enumerators (quickpick).
 	PlanSeed int64 `json:"plan_seed,omitempty"`

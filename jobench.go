@@ -150,14 +150,12 @@ func MakePlanOptions(estimator, costModel, indexes string, disableNLJ bool, shap
 	switch algorithm {
 	case "dp", "":
 		opts.Algorithm = optimizer.DP
-	case "dpccp":
-		opts.Algorithm = optimizer.DPccp
 	case "quickpick":
 		opts.Algorithm = optimizer.QuickPick1000
 	case "goo":
 		opts.Algorithm = optimizer.GOO
 	default:
-		return opts, fmt.Errorf("jobench: unknown algorithm %q (dp|dpccp|quickpick|goo)", algorithm)
+		return opts, fmt.Errorf("jobench: unknown algorithm %q (dp|quickpick|goo)", algorithm)
 	}
 	return opts, nil
 }

@@ -12,7 +12,7 @@ SNAPSHOT_SCALE ?= 0.3
 # Where `make serve` listens.
 SERVE_ADDR ?= :8080
 
-.PHONY: build test test-short race-short fuzz-short bench bench-smoke bench-json bench-service benchmark-check chaos chaos-short chaos-fleet fmt fmt-check vet docs-check loc ci snapshot serve smoke-serve
+.PHONY: build test test-short race-short fuzz-short bench bench-smoke bench-service benchmark-check chaos chaos-short chaos-fleet fmt fmt-check vet docs-check loc ci snapshot serve smoke-serve
 
 # bench-service knobs: how long the mixed load runs, how many concurrent
 # workers fire it, which scale the replica fleet serves, and which worlds
@@ -24,7 +24,7 @@ BENCH_SERVICE_SCALE ?= 0.1
 BENCH_SERVICE_SEEDS ?= 42,43,44
 BENCH_SERVICE_WORKLOADS ?= imdb,tpch
 
-# Where bench-json drops its perf-trajectory artifacts.
+# Where bench-service and chaos-fleet drop their JSON artifacts.
 BENCH_DIR ?= bench
 
 build:
@@ -62,20 +62,6 @@ bench:
 # the engine micro-benches (BenchmarkEngineExecuteJOB/EngineHashJoin).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# Perf-trajectory capture of the hot-path benchmarks (engine execution,
-# truecard DP) at benchmarking-grade iteration counts: one run yields
-# BENCH_hotpaths.json (the full `go test -json` stream) and
-# BENCH_hotpaths.txt (benchstat-compatible text recovered from it by
-# cmd/benchtxt). CI uploads $(BENCH_DIR) as an artifact on every push, so
-# regressions show up as a diffable series.
-bench-json:
-	@mkdir -p $(BENCH_DIR)
-	$(GO) test -json -run='^$$' -bench='BenchmarkEngineExecuteJOB|BenchmarkEngineHashJoin|BenchmarkTruecardCompute' \
-		-benchmem -benchtime=5x -count=3 ./internal/engine ./internal/truecard \
-		> $(BENCH_DIR)/BENCH_hotpaths.json
-	$(GO) run ./cmd/benchtxt < $(BENCH_DIR)/BENCH_hotpaths.json > $(BENCH_DIR)/BENCH_hotpaths.txt
-	@cat $(BENCH_DIR)/BENCH_hotpaths.txt
 
 # Build (or refresh) the snapshot cache: generates the database, runs
 # ANALYZE, computes all 113 true-cardinality stores, and persists the lot
@@ -133,17 +119,16 @@ bench-service:
 	$(GO) build -o .smoke/jobench ./cmd/jobench; \
 	$(GO) build -o .smoke/jsoncheck ./cmd/jsoncheck; \
 	base=$$(( 21000 + $$$$ % 20000 )); \
-	peers="http://127.0.0.1:$$base,http://127.0.0.1:$$((base+1)),http://127.0.0.1:$$((base+2))"; \
+	replicas="http://127.0.0.1:$$base,http://127.0.0.1:$$((base+1)),http://127.0.0.1:$$((base+2))"; \
 	rport=$$((base+3)); \
 	pids=""; \
 	for i in 0 1 2; do \
 		port=$$((base+i)); \
 		.smoke/jobench serve -addr 127.0.0.1:$$port -scale $(BENCH_SERVICE_SCALE) \
-			-cache-dir $(CACHE_DIR) -pool 4 \
-			-replica-id replica-$$i -peers "$$peers" -self "http://127.0.0.1:$$port" & \
+			-cache-dir $(CACHE_DIR) -pool 4 -replica-id replica-$$i & \
 		pids="$$pids $$!"; \
 	done; \
-	.smoke/jobench router -addr 127.0.0.1:$$rport -replicas "$$peers" & \
+	.smoke/jobench router -addr 127.0.0.1:$$rport -replicas "$$replicas" & \
 	pids="$$pids $$!"; \
 	trap 'kill $$pids 2>/dev/null || true' EXIT; \
 	ok=0; \

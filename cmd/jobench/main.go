@@ -16,9 +16,8 @@
 //	jobench snapshot   build|inspect|clear [-workload imdb] [-cache-dir .jobench-cache]
 //	                   [-scale 0.3] [-seed 42]
 //	jobench serve      [-addr :8080] [-pool 2] [-workload imdb] [-scale 0.3] [-seed 42] [-cache-dir DIR]
-//	                   [-feedback-bytes N] [-replica-id ID] [-peers URL,URL,...] [-self URL]
-//	                   [-slow-query-ms N] [-log-level info] [-pprof 127.0.0.1:6060]
-//	jobench router     -replicas URL,URL,... [-addr :8070] [-inflight 32]
+//	                   [-replica-id ID] [-slow-query-ms N] [-log-level info] [-pprof 127.0.0.1:6060]
+//	jobench router     -replicas URL,URL,... [-addr :8070]
 //	                   [-slow-query-ms N] [-log-level info] [-pprof 127.0.0.1:6070]
 //	jobench loadgen    [-target http://localhost:8070] [-duration 10s] [-concurrency 8]
 //	                   [-mix optimize=4,execute=2,estimate=3,experiment=1] [-out BENCH_service.json]
@@ -29,16 +28,14 @@
 // /v1/experiment/{name} concurrently, with /healthz, /metrics and
 // /v1/traces (recent request traces, propagated end-to-end via the
 // X-Jobench-Trace header) as the ops surface. It shuts
-// down gracefully on SIGINT/SIGTERM, cancelling in-flight work. Given
-// -peers and -self it also joins a replica fleet: report-cache misses
-// peek at the consistent-hash owner before computing.
+// down gracefully on SIGINT/SIGTERM, cancelling in-flight work.
 //
 // "jobench run -reopt" executes adaptively: plan subtrees run first as
 // probes, observed intermediate cardinalities replace estimates whose
 // q-error exceeds -qerr (triggering up to -max-replans re-optimizations),
 // and the observations feed the plan-feedback cache. The service offers
-// the same via the "adaptive" request field; "serve -feedback-bytes"
-// bounds each resident instance's feedback cache.
+// the same via the "adaptive" request field, with a 1 MiB feedback cache
+// per resident instance.
 //
 // "jobench router" fronts N serve replicas with consistent hashing on
 // (workload, seed, scale) so each replica's system pool stays hot; it health-checks
@@ -349,7 +346,7 @@ func cmdRun(args []string) error {
 func cmdExperiment(args []string) error {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
 	name := fs.String("name", "all", "experiment: table1|fig3|fig4|fig5|sec41|fig6|fig7|fig8|fig9|table2|table3|ablation-damping|ablation-rehash|hedging|all")
-	samples := fs.Int("samples", 10000, "random plans per query for fig9")
+	samples := fs.Int("samples", experiments.DefaultSamples, "random plans per query for fig9")
 	maxQ := fs.Int("max-queries", 0, "limit workload size (0 = all 113)")
 	wl, scale, seed, par, cacheDir := openFlags(fs)
 	fs.Parse(args)
@@ -394,10 +391,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	pool := fs.Int("pool", 2, "max resident (seed, scale) instances; least recently used is evicted")
-	feedbackBytes := fs.Int64("feedback-bytes", 0, "per-instance plan-feedback cache budget in bytes (0 = default 1 MiB)")
 	replicaID := fs.String("replica-id", "", "identity label exported at /metrics (jobench_replica_info)")
-	peers := fs.String("peers", "", "comma-separated base URLs of every fleet replica (including this one); enables report-cache peer-fill")
-	self := fs.String("self", "", "this replica's own entry in -peers (required with -peers)")
 	slowMS := fs.Float64("slow-query-ms", 0, "log a span summary for requests at least this slow (0 disables)")
 	maxQueue := fs.Int("max-queue", 0, "experiment admission-queue cap; arrivals past it are shed with 429 (0 = default 16)")
 	faultSpec := fs.String("fault-spec", "", "fault-injection spec for chaos runs, e.g. 'route=/v1/execute,error=0.1,latency=50ms' (empty = injection compiled out)")
@@ -407,9 +401,6 @@ func cmdServe(args []string) error {
 	wl, scale, seed, par, cacheDir := openFlags(fs)
 	fs.Parse(args)
 
-	if (*peers == "") != (*self == "") {
-		return fmt.Errorf("serve: -peers and -self must be set together")
-	}
 	logger, err := buildLogger(*logLevel)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -439,10 +430,7 @@ func cmdServe(args []string) error {
 		Parallel:        *par,
 		CacheDir:        *cacheDir,
 		PoolSize:        *pool,
-		FeedbackBytes:   *feedbackBytes,
 		ReplicaID:       *replicaID,
-		Peers:           splitList(*peers),
-		SelfURL:         *self,
 		SlowQuery:       time.Duration(*slowMS * float64(time.Millisecond)),
 		MaxQueue:        *maxQueue,
 		Fault:           injector,
@@ -455,10 +443,9 @@ func cmdRouter(args []string) error {
 	fs := flag.NewFlagSet("router", flag.ExitOnError)
 	addr := fs.String("addr", ":8070", "listen address")
 	replicas := fs.String("replicas", "", "comma-separated base URLs of the serve replicas (required)")
-	inflight := fs.Int("inflight", 32, "max in-flight forwards per replica; excess requests queue")
 	healthEvery := fs.Duration("health-interval", 2*time.Second, "period of the per-replica /healthz probe")
 	markDown := fs.Int("mark-down-after", 2, "consecutive failures that mark a replica down")
-	requestTimeout := fs.Duration("request-timeout", 0, "end-to-end deadline minted per request as X-Jobench-Deadline (0 = forward timeout)")
+	requestTimeout := fs.Duration("request-timeout", 0, "end-to-end deadline minted per request as X-Jobench-Deadline (0 = 5m)")
 	attemptTimeout := fs.Duration("attempt-timeout", 0, "per-attempt bound so a hung replica burns one attempt, not the whole deadline (0 = request timeout)")
 	maxRetries := fs.Int("max-retries", 2, "max re-attempts per request (transport errors and retryable 5xx)")
 	retryBudget := fs.Float64("retry-budget", 0.2, "per-client retry tokens earned per request (bucket capped at 10)")
@@ -473,17 +460,16 @@ func cmdRouter(args []string) error {
 	}
 	startPprof(*pprofAddr, logger)
 	srv, err := router.New(router.Config{
-		Addr:               *addr,
-		Replicas:           splitList(*replicas),
-		InFlightPerReplica: *inflight,
-		HealthInterval:     *healthEvery,
-		MarkDownAfter:      *markDown,
-		RequestTimeout:     *requestTimeout,
-		AttemptTimeout:     *attemptTimeout,
-		MaxRetries:         *maxRetries,
-		RetryBudget:        *retryBudget,
-		SlowQuery:          time.Duration(*slowMS * float64(time.Millisecond)),
-		Logger:             logger,
+		Addr:           *addr,
+		Replicas:       splitList(*replicas),
+		HealthInterval: *healthEvery,
+		MarkDownAfter:  *markDown,
+		RequestTimeout: *requestTimeout,
+		AttemptTimeout: *attemptTimeout,
+		MaxRetries:     *maxRetries,
+		RetryBudget:    *retryBudget,
+		SlowQuery:      time.Duration(*slowMS * float64(time.Millisecond)),
+		Logger:         logger,
 	})
 	if err != nil {
 		return err

@@ -70,12 +70,15 @@ type Figure9Panel struct {
 	Optimal float64 // this configuration's optimum / FK optimum
 }
 
+// DefaultSamples is fig9's random-plans-per-query count when none is given.
+const DefaultSamples = 10000
+
 // Figure9 samples QuickPick plans for the five representative queries under
 // all three index configurations, and computes the §6.1 workload aggregates
 // from a smaller per-query sample.
 func (l *Lab) Figure9(ctx context.Context, samples int) (*Figure9Result, error) {
 	if samples <= 0 {
-		samples = 10000
+		samples = DefaultSamples
 	}
 	res := &Figure9Result{
 		Samples:       samples,

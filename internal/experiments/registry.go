@@ -20,7 +20,7 @@ type Renderer interface{ Render() string }
 // lab's own configuration.
 type Params struct {
 	// Samples is fig9's random-plans-per-query count; <= 0 means the
-	// driver default (10000).
+	// driver default (DefaultSamples).
 	Samples int
 }
 

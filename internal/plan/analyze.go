@@ -65,7 +65,11 @@ type AnalyzedNode struct {
 	// algorithm name.
 	Op string
 	// Cond renders the scan selection or the join predicates.
-	Cond       string
+	Cond string
+	// Probed marks the right leaf of an IndexNLJoin: it is never scanned,
+	// its rows are fetched by the parent's index probes, so it has no
+	// actual rows and no q-error (both stay zero).
+	Probed     bool
 	EstRows    float64
 	ActualRows int64
 	QError     float64
@@ -79,12 +83,12 @@ type AnalyzedNode struct {
 // yield zero actuals — the node never ran, e.g. past a work-limit abort).
 func Analyze(n *Node, g *query.Graph, stats []NodeStats) []AnalyzedNode {
 	out := make([]AnalyzedNode, 0, NumNodes(n))
-	analyze(&out, n, g, stats, 0, 0)
+	analyze(&out, n, g, stats, 0, 0, false)
 	return out
 }
 
-func analyze(out *[]AnalyzedNode, n *Node, g *query.Graph, stats []NodeStats, id, depth int) {
-	an := AnalyzedNode{ID: id, Depth: depth, Set: n.S, EstRows: n.ECard}
+func analyze(out *[]AnalyzedNode, n *Node, g *query.Graph, stats []NodeStats, id, depth int, probed bool) {
+	an := AnalyzedNode{ID: id, Depth: depth, Set: n.S, EstRows: n.ECard, Probed: probed}
 	if id < len(stats) {
 		st := stats[id]
 		an.ActualRows = st.RowsOut
@@ -92,7 +96,9 @@ func analyze(out *[]AnalyzedNode, n *Node, g *query.Graph, stats []NodeStats, id
 		an.WorkUnits = st.WorkUnits
 		an.WallNanos = st.WallNanos
 	}
-	an.QError = QError(n.ECard, float64(an.ActualRows))
+	if !probed {
+		an.QError = QError(n.ECard, float64(an.ActualRows))
+	}
 	if n.IsLeaf() {
 		rel := g.Q.Rels[n.Rel]
 		an.Op = fmt.Sprintf("Scan %s %s", rel.Table, rel.Alias)
@@ -115,8 +121,8 @@ func analyze(out *[]AnalyzedNode, n *Node, g *query.Graph, stats []NodeStats, id
 	}
 	an.Cond = strings.Join(conds, " AND ")
 	*out = append(*out, an)
-	analyze(out, n.Left, g, stats, LeftChildID(id), depth+1)
-	analyze(out, n.Right, g, stats, n.RightChildID(id), depth+1)
+	analyze(out, n.Left, g, stats, LeftChildID(id), depth+1, false)
+	analyze(out, n.Right, g, stats, n.RightChildID(id), depth+1, n.Algo == IndexNLJoin)
 }
 
 // ExplainAnalyze renders the plan as an indented tree with estimated vs
@@ -130,9 +136,12 @@ func ExplainAnalyze(n *Node, g *query.Graph, stats []NodeStats) string {
 		if an.Cond != "" {
 			fmt.Fprintf(&b, " [%s]", an.Cond)
 		}
-		fmt.Fprintf(&b, "  (est %.0f rows, actual %d rows, q-err %s, work %d, %.2fms)\n",
-			an.EstRows, an.ActualRows, fmtQErr(an.QError), an.WorkUnits,
-			float64(an.WallNanos)/float64(time.Millisecond))
+		actual := fmt.Sprintf("actual %d rows, q-err %s", an.ActualRows, fmtQErr(an.QError))
+		if an.Probed {
+			actual = "index-probed"
+		}
+		fmt.Fprintf(&b, "  (est %.0f rows, %s, work %d, %.2fms)\n",
+			an.EstRows, actual, an.WorkUnits, float64(an.WallNanos)/float64(time.Millisecond))
 	}
 	return b.String()
 }

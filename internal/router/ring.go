@@ -14,10 +14,10 @@ import (
 const vnodes = 64
 
 // AffinityKey canonicalizes a request's (workload, seed, scale) into the
-// string the ring hashes. The router and every replica's peer-fill MUST
-// derive owners from this same encoding, or affinity silently breaks: 'g'
-// formatting is the same rendering service.Key uses, so 0.1 and 0.10
-// collapse to one key. Requests that omit workload/seed/scale hash as
+// string the ring hashes. Anything that predicts the router's choice MUST
+// derive owners from this same encoding: 'g' formatting is the same
+// rendering service.Key uses, so 0.1 and 0.10 collapse to one key.
+// Requests that omit workload/seed/scale hash as
 // ("", 0, 0) — the router does not know the replicas' defaults, but all
 // default-world requests still agree on one owner, which is all affinity
 // needs. The workload name is a plain string here on purpose: the router

@@ -59,17 +59,11 @@ type Config struct {
 	// MarkDownAfter is the number of consecutive probe or forward failures
 	// that marks a replica down (default 2). One success marks it back up.
 	MarkDownAfter int
-	// InFlightPerReplica bounds concurrent forwards per replica; excess
-	// requests queue (default 32).
-	InFlightPerReplica int
-	// ForwardTimeout bounds one forwarded request, queueing included
-	// (default 5m — experiment sweeps are legitimately slow).
-	ForwardTimeout time.Duration
 	// RequestTimeout is the end-to-end deadline the router mints for every
 	// forwarded request as an absolute X-Jobench-Deadline header, honored
 	// by replicas as a context deadline all the way into engine execution.
 	// A client-supplied earlier deadline wins; a later one is clamped to
-	// this policy. Default: ForwardTimeout.
+	// this policy. Default: 5m — experiment sweeps are legitimately slow.
 	RequestTimeout time.Duration
 	// AttemptTimeout bounds ONE forward attempt, so a hung replica burns
 	// one attempt's worth of budget instead of the whole deadline — the
@@ -89,10 +83,6 @@ type Config struct {
 	// forwards to drain — undisturbed — before cancelling the stragglers
 	// (default 5s).
 	ShutdownGrace time.Duration
-	// TraceCapacity bounds the ring buffer of recently finished request
-	// traces served by the router's own /v1/traces (non-positive selects
-	// trace.DefaultStoreCapacity).
-	TraceCapacity int
 	// SlowQuery logs a span summary for every forwarded request at least
 	// this slow (0 disables outlier logging).
 	SlowQuery time.Duration
@@ -116,6 +106,10 @@ func (c Config) logf() func(format string, args ...any) {
 	}
 }
 
+// inFlightPerReplica bounds concurrent forwards per replica; excess
+// requests queue for a slot.
+const inFlightPerReplica = 32
+
 // Circuit-breaker tuning. The breaker watches a sliding window of forward
 // outcomes per replica and sits BETWEEN healthy and marked-down: a replica
 // that still answers probes but fails half its real requests gets half its
@@ -135,7 +129,7 @@ type replica struct {
 	up        atomic.Bool
 	consecNow atomic.Int64 // consecutive failures (probe or forward)
 
-	slots chan struct{} // in-flight limiter, capacity InFlightPerReplica
+	slots chan struct{} // in-flight limiter, capacity inFlightPerReplica
 
 	// Breaker state: throttled/throttleTick are read on the hot path
 	// lock-free; the outcome window is folded into the mu section the
@@ -183,14 +177,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MarkDownAfter <= 0 {
 		cfg.MarkDownAfter = 2
 	}
-	if cfg.InFlightPerReplica <= 0 {
-		cfg.InFlightPerReplica = 32
-	}
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = 5 * time.Minute
-	}
 	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = cfg.ForwardTimeout
+		cfg.RequestTimeout = 5 * time.Minute
 	}
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = cfg.RequestTimeout
@@ -212,8 +200,8 @@ func New(cfg Config) (*Server, error) {
 	// per-attempt timeout still comes from request contexts.
 	transport := &http.Transport{
 		DialContext:         (&net.Dialer{Timeout: 2 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
-		MaxIdleConns:        len(cfg.Replicas) * cfg.InFlightPerReplica,
-		MaxIdleConnsPerHost: cfg.InFlightPerReplica,
+		MaxIdleConns:        len(cfg.Replicas) * inFlightPerReplica,
+		MaxIdleConnsPerHost: inFlightPerReplica,
 		IdleConnTimeout:     90 * time.Second,
 	}
 	s := &Server{
@@ -222,13 +210,13 @@ func New(cfg Config) (*Server, error) {
 		replicas: make(map[string]*replica, len(ring.Replicas())),
 		mux:      http.NewServeMux(),
 		client:   &http.Client{Transport: transport},
-		traces:   trace.NewStore(cfg.TraceCapacity),
+		traces:   trace.NewStore(trace.DefaultStoreCapacity),
 		budget:   newBudgetPool(cfg.RetryBudget),
 	}
 	for _, u := range ring.Replicas() {
 		rep := &replica{
 			url:      u,
-			slots:    make(chan struct{}, cfg.InFlightPerReplica),
+			slots:    make(chan struct{}, inFlightPerReplica),
 			requests: make(map[int]int64),
 		}
 		// Replicas start marked up: the first failed probe or forward flips
@@ -251,8 +239,8 @@ func New(cfg Config) (*Server, error) {
 // Traces exposes the router's trace ring (for tests and embedding).
 func (s *Server) Traces() *trace.Store { return s.traces }
 
-// NewRingFromConfig builds the ring the router uses; exported so replicas
-// (service peer-fill) and tests derive owners from the identical ring.
+// NewRingFromConfig builds the ring the router uses; exported so tests and
+// the benchmark harness derive owners from the identical ring.
 func NewRingFromConfig(replicas []string) *Ring {
 	trimmed := make([]string, 0, len(replicas))
 	for _, r := range replicas {

@@ -112,9 +112,13 @@ type ExplainNode struct {
 	Cond string `json:"cond,omitempty"`
 	// EstRows is the optimizer's cardinality estimate; ActualRows the
 	// measured output cardinality; QError max(est/actual, actual/est).
-	EstRows    float64 `json:"est_rows"`
-	ActualRows int64   `json:"actual_rows"`
-	QError     float64 `json:"q_error"`
+	EstRows    float64  `json:"est_rows"`
+	ActualRows *int64   `json:"actual_rows,omitempty"`
+	QError     *float64 `json:"q_error,omitempty"`
+	// Probed marks an IndexNLJoin's right leaf, which is never scanned
+	// (the parent's index probes fetch its rows): it carries neither
+	// actual_rows nor q_error, which every other node always has.
+	Probed bool `json:"probed,omitempty"`
 	// WorkUnits is the deterministic work charged at this operator;
 	// WallMS the inclusive wall-clock milliseconds of its subtree.
 	WorkUnits int64   `json:"work_units"`

@@ -29,8 +29,6 @@ type Metrics struct {
 	WarmupsInFlight atomic.Int64
 	ReportHits      atomic.Int64
 	ReportMisses    atomic.Int64
-	PeerFillHits    atomic.Int64
-	PeerFillMisses  atomic.Int64
 	Replans         atomic.Int64
 	Panics          atomic.Int64
 
@@ -209,8 +207,6 @@ func (m *Metrics) Render() string {
 	gauge("pool_warmups_inflight", "World opens and view constructions currently running.", m.WarmupsInFlight.Load())
 	gauge("report_cache_hits_total", "Experiment reports served from the report cache.", m.ReportHits.Load())
 	gauge("report_cache_misses_total", "Experiment reports that had to be computed.", m.ReportMisses.Load())
-	gauge("peer_fill_hits_total", "Report misses satisfied by the owning replica's cache.", m.PeerFillHits.Load())
-	gauge("peer_fill_misses_total", "Peer-fill peeks that found the owner cold or unreachable.", m.PeerFillMisses.Load())
 	gauge("replans_total", "Mid-execution re-optimizations triggered by adaptive requests.", m.Replans.Load())
 	gauge("panics_total", "Handler panics recovered into 500 responses.", m.Panics.Load())
 	if m.feedbackStats != nil {

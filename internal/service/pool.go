@@ -53,8 +53,7 @@ type entry struct {
 //
 // All methods are safe for concurrent use.
 type Pool struct {
-	metrics       *Metrics
-	feedbackBytes int64
+	metrics *Metrics
 
 	// openWorld opens a cold world; injectable so the pool tests can count
 	// and stall constructions without generating data.
@@ -75,8 +74,7 @@ func NewPool(cfg Config, metrics *Metrics) *Pool {
 		capacity = 2
 	}
 	return &Pool{
-		metrics:       metrics,
-		feedbackBytes: cfg.FeedbackBytes,
+		metrics: metrics,
 		openWorld: func(k Key) (*world.World, error) {
 			return world.Open(world.Options{
 				Workload: k.World.Workload,
@@ -100,7 +98,7 @@ func (p *Pool) System(ctx context.Context, key Key) (*jobench.System, error) {
 	e, err := p.resident(ctx, key, "system.open",
 		func(e *entry) bool { return e.sys != nil },
 		func(p *Pool, e *entry) (err error) {
-			e.sys, err = jobench.NewSystem(e.world, p.feedbackBytes)
+			e.sys, err = jobench.NewSystem(e.world)
 			return err
 		})
 	if err != nil {

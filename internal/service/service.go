@@ -67,25 +67,6 @@ type Config struct {
 	// scraped series from a fleet are tellable apart; empty omits the
 	// metric.
 	ReplicaID string
-	// Peers are the base URLs of every replica in the fleet, INCLUDING
-	// this one — the identical list (and order-insensitively so) that the
-	// router was started with, since both sides derive report ownership
-	// from the same consistent-hash ring. Empty disables peer-fill.
-	Peers []string
-	// SelfURL is this replica's own entry in Peers; required for peer-fill
-	// (a replica must know which reports it owns itself).
-	SelfURL string
-	// PeerTimeout bounds one peer-fill peek before falling back to local
-	// computation (default 10s).
-	PeerTimeout time.Duration
-	// FeedbackBytes bounds each resident instance's plan-feedback cache in
-	// accounted bytes (observed cardinalities for adaptive requests);
-	// non-positive selects the reopt default of 1 MiB.
-	FeedbackBytes int64
-	// TraceCapacity bounds the ring buffer of recently finished request
-	// traces served by /v1/traces (non-positive selects
-	// trace.DefaultStoreCapacity).
-	TraceCapacity int
 	// SlowQuery logs a span summary for every request at least this slow
 	// (0 disables outlier logging).
 	SlowQuery time.Duration
@@ -137,7 +118,6 @@ type Server struct {
 	reports      *reportCache
 	reportFlight parallel.Flight[reportKey, string]
 	admit        *admission
-	peers        *peerSet
 	traces       *trace.Store
 }
 
@@ -166,8 +146,7 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		reports: newReportCache(),
 		admit:   newAdmission(int64(cfg.ReportCapacity), cfg.MaxQueue),
-		peers:   newPeerSet(cfg),
-		traces:  trace.NewStore(cfg.TraceCapacity),
+		traces:  trace.NewStore(trace.DefaultStoreCapacity),
 	}
 	m.admission = s.admit
 	m.replicaID = cfg.ReplicaID
@@ -183,7 +162,6 @@ func New(cfg Config) *Server {
 	s.route("POST /v1/estimate", s.handleEstimate)
 	s.route("GET /v1/queries", s.handleQueries)
 	s.route("GET /v1/experiment/{name}", s.handleExperiment)
-	s.route("GET /v1/report-cache/{name}", s.handleReportPeek)
 	s.route("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) (int, error) { return s.traces.Serve(w, r), nil })
 	return s
 }
@@ -214,8 +192,8 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // route registers a handler wrapped in the metrics and tracing
 // middleware. pattern is a Go 1.22 mux pattern ("METHOD /path"); its path
 // part labels the metrics and the trace's route. Every traced request
-// gets a trace — continuing the X-Jobench-Trace ID the router (or a
-// peer) propagated, or minting a fresh one — attached to the request
+// gets a trace — continuing the X-Jobench-Trace ID the router propagated,
+// or minting a fresh one — attached to the request
 // context, echoed in the response header, and added to the ring on
 // completion; requests slower than cfg.SlowQuery log a span summary.
 type handlerFunc func(w http.ResponseWriter, r *http.Request) (status int, err error)
@@ -570,9 +548,12 @@ func explainNodes(nodes []plan.AnalyzedNode) []ExplainNode {
 	for i, n := range nodes {
 		out[i] = ExplainNode{
 			ID: n.ID, Depth: n.Depth, Op: n.Op, Cond: n.Cond,
-			EstRows: n.EstRows, ActualRows: n.ActualRows, QError: n.QError,
+			EstRows: n.EstRows, Probed: n.Probed,
 			WorkUnits: n.WorkUnits,
 			WallMS:    float64(n.WallNanos) / float64(time.Millisecond),
+		}
+		if !n.Probed {
+			out[i].ActualRows, out[i].QError = &n.ActualRows, &n.QError
 		}
 	}
 	return out
@@ -671,8 +652,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) (int, 
 	samples := 0
 	if v := r.URL.Query().Get("samples"); v != "" {
 		samples, err = strconv.Atoi(v)
-		if err != nil || samples < 0 {
-			return http.StatusBadRequest, fmt.Errorf("invalid samples %q", v)
+		if err != nil || samples < 0 || samples > maxSamples {
+			return http.StatusBadRequest, fmt.Errorf("invalid samples %q (want 0..%d)", v, maxSamples)
 		}
 	}
 	key := s.key(wl, seed, scale)
@@ -704,18 +685,22 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) (int, 
 	return http.StatusOK, nil
 }
 
+// maxSamples caps /v1/experiment's samples parameter at ten times fig9's
+// default. The sweep runs detached under the server context and holds its
+// admission units until it finishes, so an unbounded count would let one
+// request occupy them until shutdown.
+const maxSamples = 10 * experiments.DefaultSamples
+
 // normalizeSamples canonicalizes the samples parameter before it becomes
 // part of a report cache key: only fig9 consumes it, and fig9 treats 0 as
-// its 10000 default — without this, distinct samples values would
-// redundantly recompute (and separately cache) byte-identical reports.
-// The peer-fill peek endpoint applies the same normalization, so a key
-// always means the same report on every replica.
+// its default — without this, distinct samples values would redundantly
+// recompute (and separately cache) byte-identical reports.
 func normalizeSamples(name string, samples int) int {
 	if name != "fig9" {
 		return 0
 	}
 	if samples == 0 {
-		return 10000
+		return experiments.DefaultSamples
 	}
 	return samples
 }
@@ -799,8 +784,8 @@ func (c *reportCache) put(k reportKey, text string) {
 // while shutdown still aborts it. The requester's own wait IS bounded by
 // its context (DoContext): a deadline-carrying request gets its 504 on
 // time even though the sweep keeps running for the cache. The initiator's
-// trace still records the peer-fill, admission-wait and experiment spans
-// — trace recording is straggler-safe by design.
+// trace still records the admission-wait and experiment spans — trace
+// recording is straggler-safe by design.
 //
 // Only successful renders are cached, so a cancelled or failed run never
 // poisons the cache.
@@ -818,14 +803,6 @@ func (s *Server) report(ctx context.Context, k reportKey) (string, error) {
 	}
 	text, err, _ := s.reportFlight.DoContext(ctx, k, func() (string, error) {
 		if text, ok := s.reports.get(k); ok {
-			return text, nil
-		}
-		// Peer-fill: if another replica owns this report's world on the
-		// fleet's hash ring, it has probably rendered the report already —
-		// one cheap peek beats recomputing a whole sweep. Any failure falls
-		// through to the local computation.
-		if text, ok := s.peerFill(cctx, k); ok {
-			s.reports.put(k, text)
 			return text, nil
 		}
 		// Admission control: only the goroutine that actually computes

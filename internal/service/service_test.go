@@ -218,6 +218,14 @@ func TestErrorMapping(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown experiment: status %d: %s", resp.StatusCode, body)
 	}
+	// samples is bounded: a huge count would pin admission units for as
+	// long as the detached sweep runs. Rejected before any world opens.
+	for _, bad := range []string{"-1", "x", fmt.Sprint(maxSamples + 1), "1000000000"} {
+		resp, body = getBody(t, ts.URL+"/v1/experiment/fig9?samples="+bad)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("samples=%s: status %d: %s", bad, resp.StatusCode, body)
+		}
+	}
 	// NaN parses as a float but must be rejected before it can become an
 	// (undeletable) pool key.
 	for _, bad := range []string{"NaN", "Inf", "-Inf"} {
@@ -439,6 +447,16 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics exposition missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestReplicaInfoMetric: a configured ReplicaID shows up in /metrics.
+func TestReplicaInfoMetric(t *testing.T) {
+	ts := httptest.NewServer(New(Config{ReplicaID: "replica-7", Logger: discardLogger()}).Handler())
+	defer ts.Close()
+	_, body := getBody(t, ts.URL+"/metrics")
+	if want := `jobench_replica_info{replica="replica-7"} 1`; !strings.Contains(string(body), want) {
+		t.Fatalf("/metrics missing %q", want)
 	}
 }
 
@@ -670,13 +688,24 @@ func TestExplainEndpoint(t *testing.T) {
 	if len(out.Nodes) == 0 {
 		t.Fatal("no analyzed nodes")
 	}
-	if out.Nodes[0].ID != 0 || out.Nodes[0].ActualRows != out.Rows {
-		t.Fatalf("root node %+v disagrees with executed rows %d", out.Nodes[0], out.Rows)
+	if root := out.Nodes[0]; root.ID != 0 || root.ActualRows == nil || *root.ActualRows != out.Rows {
+		t.Fatalf("root node %+v disagrees with executed rows %d", root, out.Rows)
 	}
+	probed := 0
 	for _, n := range out.Nodes {
-		if n.QError < 1 {
-			t.Errorf("node %d: q-error %g below 1", n.ID, n.QError)
+		if n.Probed != (n.ActualRows == nil) || n.Probed != (n.QError == nil) {
+			t.Errorf("node %d: probed %v but actual_rows/q_error presence disagrees", n.ID, n.Probed)
 		}
+		if n.Probed {
+			probed++
+		} else if *n.QError < 1 {
+			t.Errorf("node %d: q-error %g below 1", n.ID, *n.QError)
+		}
+	}
+	// 1a under the default PK+FK design probes indexes, so the marked
+	// leaves are exercised too.
+	if probed == 0 {
+		t.Error("no index-probed leaves in 1a's PK+FK plan")
 	}
 	for _, wantStr := range []string{"est", "actual", "q-err"} {
 		if !strings.Contains(out.Text, wantStr) {
@@ -702,9 +731,9 @@ func TestExplainEndpoint(t *testing.T) {
 	if eres.Analyze == "" || len(eres.Nodes) == 0 {
 		t.Fatalf("execute explain=analyze returned no analyze fields: %s", body)
 	}
-	if eres.Nodes[0].ActualRows != out.Nodes[0].ActualRows {
+	if *eres.Nodes[0].ActualRows != *out.Nodes[0].ActualRows {
 		t.Fatalf("execute/explain actuals disagree: %d vs %d",
-			eres.Nodes[0].ActualRows, out.Nodes[0].ActualRows)
+			*eres.Nodes[0].ActualRows, *out.Nodes[0].ActualRows)
 	}
 	resp, _ = postJSON(t, ts.URL+"/v1/execute", map[string]any{"query": "1a", "explain": "verbose"})
 	if resp.StatusCode != http.StatusBadRequest {

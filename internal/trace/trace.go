@@ -19,8 +19,8 @@ import (
 	"time"
 )
 
-// Header is the HTTP header that carries the trace ID between the
-// router, the replicas, and peer-fill requests.
+// Header is the HTTP header that carries the trace ID from a client or
+// the router to a replica.
 const Header = "X-Jobench-Trace"
 
 // ID is a 64-bit trace identifier, rendered as 16 hex digits.
@@ -87,7 +87,7 @@ type Span struct {
 }
 
 // Trace accumulates the spans of one request. It is safe for concurrent
-// span recording (a request may fan out — peer fill, report flights).
+// span recording (a request may fan out — report flights, parallel work).
 type Trace struct {
 	id    ID
 	route string

@@ -34,7 +34,7 @@ func TestTruthSingleFlightAcrossViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := jobench.NewSystem(w, 0)
+	sys, err := jobench.NewSystem(w)
 	if err != nil {
 		t.Fatal(err)
 	}

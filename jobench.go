@@ -65,11 +65,6 @@ type Options struct {
 	// Logf receives cache diagnostics (snapshot load/save warnings).
 	// Nil means the standard library's log.Printf.
 	Logf func(format string, args ...any)
-	// FeedbackBytes bounds the adaptive plan-feedback cache in accounted
-	// bytes (observed cardinalities keyed by query fingerprint, consulted
-	// by OptimizeAdaptive/ExecuteAdaptive). Non-positive selects
-	// reopt.DefaultBudgetBytes.
-	FeedbackBytes int64
 }
 
 // IndexConfig selects a physical design (§4 of the paper).
@@ -220,13 +215,12 @@ func Open(opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewSystem(w, opts.FeedbackBytes)
+	return NewSystem(w)
 }
 
 // NewSystem builds the facade view over an already-open world (the
 // service pool shares one world between a System and an experiments Lab).
-// feedbackBytes is Options.FeedbackBytes.
-func NewSystem(w *world.World, feedbackBytes int64) (*System, error) {
+func NewSystem(w *world.World) (*System, error) {
 	sopts := stats.Options{SampleSize: 30000, MCVTarget: 100, HistBuckets: 100, Seed: w.Key.Seed}
 	configs := w.IndexConfigs()
 	if err := w.Prepare([]stats.Options{sopts}, configs); err != nil {
@@ -238,7 +232,7 @@ func NewSystem(w *world.World, feedbackBytes int64) (*System, error) {
 		w:        w,
 		idx:      make(map[IndexConfig]*index.Set, len(configs)),
 		graphs:   make(map[string]*query.Graph, len(w.Queries)),
-		feedback: reopt.NewFeedbackCache(feedbackBytes),
+		feedback: reopt.NewFeedbackCache(reopt.DefaultBudgetBytes),
 		estimators: map[string]cardest.Estimator{
 			EstPostgres: cardest.NewPostgres(w.DB, sdb),
 			EstDBMSA:    cardest.NewDBMSA(w.DB, sdb),

@@ -215,34 +215,61 @@ func TestAddQueryAndExplainAnalyze(t *testing.T) {
 }
 
 // TestExplainAnalyzeActualsMatchTruth pins EXPLAIN ANALYZE's measured
-// per-operator cardinalities against the true-cardinality DP: every
-// operator's actual row count must equal the truth store's value for its
-// relation set — the engine-side half of the paper's estimated-vs-true
-// comparison.
+// per-operator cardinalities against the true-cardinality DP over every
+// query and physical design: every executed operator's actual row count
+// must equal the truth store's value for its relation set — the
+// engine-side half of the paper's estimated-vs-true comparison. The only
+// operators without actuals are the right leaves of IndexNLJoins, which
+// are never scanned (their rows come from the parent's index probes);
+// exactly those must be marked Probed. -short checks three queries.
 func TestExplainAnalyzeActualsMatchTruth(t *testing.T) {
 	s := system(t)
-	for _, qid := range []string{"1a", "6a", "13d"} {
-		res, err := s.ExplainAnalyzeContext(context.Background(), qid, jobench.RunOptions{
-			PlanOptions: jobench.PlanOptions{DisableNestedLoops: true},
-			Rehash:      true,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", qid, err)
-		}
-		st, err := s.TruthStore(qid)
-		if err != nil {
-			t.Fatalf("%s: %v", qid, err)
-		}
-		if len(res.Nodes) == 0 {
-			t.Fatalf("%s: no analyzed nodes", qid)
-		}
-		for _, n := range res.Nodes {
-			truth, ok := st.Card(n.Set)
-			if !ok {
-				t.Fatalf("%s node %d (%s): truth store has no cardinality for %v", qid, n.ID, n.Op, n.Set)
+	qids := s.QueryIDs()
+	if testing.Short() {
+		qids = []string{"1a", "6a", "13d"}
+	}
+	for _, idx := range []jobench.IndexConfig{jobench.NoIndexes, jobench.PKOnly, jobench.PKFK} {
+		for _, qid := range qids {
+			res, err := s.ExplainAnalyzeContext(context.Background(), qid, jobench.RunOptions{
+				PlanOptions: jobench.PlanOptions{Indexes: idx, DisableNestedLoops: true},
+				Rehash:      true,
+			})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", qid, idx, err)
 			}
-			if n.ActualRows != int64(truth) {
-				t.Errorf("%s node %d (%s): actual %d rows, truth %.0f", qid, n.ID, n.Op, n.ActualRows, truth)
+			st, err := s.TruthStore(qid)
+			if err != nil {
+				t.Fatalf("%s: %v", qid, err)
+			}
+			if len(res.Nodes) == 0 {
+				t.Fatalf("%s/%v: no analyzed nodes", qid, idx)
+			}
+			// Preorder ids: a join's right child follows its left subtree,
+			// which over k relations holds 2k-1 nodes.
+			probed := map[int]bool{}
+			for _, n := range res.Nodes {
+				if n.Op == "IndexNLJoin" {
+					probed[n.ID+2*res.Nodes[n.ID+1].Set.Count()] = true
+				}
+			}
+			for _, n := range res.Nodes {
+				if n.Probed != probed[n.ID] {
+					t.Errorf("%s/%v node %d (%s): Probed = %v, want %v", qid, idx, n.ID, n.Op, n.Probed, probed[n.ID])
+				}
+				if n.Probed {
+					if !strings.HasPrefix(n.Op, "Scan ") || n.ActualRows != 0 || n.QError != 0 {
+						t.Errorf("%s/%v node %d (%s): probed node with actual %d, q-error %g",
+							qid, idx, n.ID, n.Op, n.ActualRows, n.QError)
+					}
+					continue
+				}
+				truth, ok := st.Card(n.Set)
+				if !ok {
+					t.Fatalf("%s node %d (%s): truth store has no cardinality for %v", qid, n.ID, n.Op, n.Set)
+				}
+				if n.ActualRows != int64(truth) {
+					t.Errorf("%s/%v node %d (%s): actual %d rows, truth %.0f", qid, idx, n.ID, n.Op, n.ActualRows, truth)
+				}
 			}
 		}
 	}

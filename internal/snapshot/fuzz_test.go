@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"math"
 	"testing"
 
 	"jobench/internal/job"
@@ -86,6 +87,17 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			got.Card(query.Bit(0))
 			got.SansSelection(query.Bit(1), 1)
 			got.NumSubgraphs()
+			d := got.Dump()
+			for _, e := range d.Cards {
+				if !(e.Card >= 0) || math.IsInf(e.Card, 1) {
+					t.Fatalf("accepted card %g for %v", e.Card, e.S)
+				}
+			}
+			for _, e := range d.Sans {
+				if !e.S.Has(e.Rel) || !(e.Card >= 0) || math.IsInf(e.Card, 1) {
+					t.Fatalf("accepted sans(%v, %d) = %g", e.S, e.Rel, e.Card)
+				}
+			}
 		}
 	})
 }

@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -246,9 +248,9 @@ func TestQuickTruthRoundTrip(t *testing.T) {
 		}
 		seenSans := make(map[sk]bool)
 		for _, raw := range sans {
-			s := query.BitSet(raw) & full
 			r := int(raw>>32) % g.N
-			if s.Empty() || seenSans[sk{s, r}] {
+			s := (query.BitSet(raw) & full).Add(r)
+			if seenSans[sk{s, r}] {
 				continue
 			}
 			seenSans[sk{s, r}] = true
@@ -272,6 +274,49 @@ func TestQuickTruthRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeTruthRejectsInvalidEntries: a well-framed truth file whose
+// entries no Compute could write (a sans relation outside its subgraph, a
+// NaN, infinite or negative count) is rejected with an error, while the
+// same file with valid entries decodes.
+func TestDecodeTruthRejectsInvalidEntries(t *testing.T) {
+	g := query.MustBuildGraph(job.Workload()[0])
+	ab := query.NewBitSet(0, 1)
+	valid := truecard.Dump{
+		MaxSize: g.N,
+		Cards:   []truecard.CardEntry{{S: query.Bit(0), Card: 3}, {S: ab, Card: 0}},
+		Sans:    []truecard.SansEntry{{S: ab, Rel: 1, Card: 7}},
+	}
+	if _, err := DecodeTruth(encodeTruthDump(g, valid, "fp"), "fp", g); err != nil {
+		t.Fatalf("valid entries rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		edit func(d *truecard.Dump)
+	}{
+		{"sans-rel-not-in-subgraph", func(d *truecard.Dump) { d.Sans[0].Rel = 2 }},
+		{"sans-rel-out-of-range", func(d *truecard.Dump) { d.Sans[0].Rel = g.N }},
+		{"card-nan", func(d *truecard.Dump) { d.Cards[0].Card = math.NaN() }},
+		{"card-inf", func(d *truecard.Dump) { d.Cards[1].Card = math.Inf(1) }},
+		{"card-neg-inf", func(d *truecard.Dump) { d.Cards[1].Card = math.Inf(-1) }},
+		{"card-negative", func(d *truecard.Dump) { d.Cards[0].Card = -1 }},
+		{"sans-nan", func(d *truecard.Dump) { d.Sans[0].Card = math.NaN() }},
+		{"sans-inf", func(d *truecard.Dump) { d.Sans[0].Card = math.Inf(1) }},
+		{"sans-negative", func(d *truecard.Dump) { d.Sans[0].Card = -0.5 }},
+	}
+	for _, tc := range cases {
+		d := valid
+		d.Cards = slices.Clone(valid.Cards)
+		d.Sans = slices.Clone(valid.Sans)
+		tc.edit(&d)
+		if _, err := truecard.FromDump(g, d); err == nil {
+			t.Errorf("%s: FromDump accepted the entry", tc.name)
+		}
+		if _, err := DecodeTruth(encodeTruthDump(g, d, "fp"), "fp", g); err == nil {
+			t.Errorf("%s: DecodeTruth accepted the file", tc.name)
+		}
 	}
 }
 

@@ -20,11 +20,15 @@ func sqlHash(sql string) string {
 
 // EncodeTruth serializes one query's true-cardinality store.
 func EncodeTruth(st *truecard.Store, fingerprint string) []byte {
-	d := st.Dump()
+	return encodeTruthDump(st.G, st.Dump(), fingerprint)
+}
+
+// encodeTruthDump serializes a Dump computed over graph g.
+func encodeTruthDump(g *query.Graph, d truecard.Dump, fingerprint string) []byte {
 	var e enc
-	e.str(st.G.Q.ID)
-	e.str(sqlHash(st.G.Q.SQL()))
-	e.u32(uint32(st.G.N))
+	e.str(g.Q.ID)
+	e.str(sqlHash(g.Q.SQL()))
+	e.u32(uint32(g.N))
 	e.u32(uint32(d.MaxSize))
 	e.u64(uint64(len(d.Cards)))
 	for _, c := range d.Cards {

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -147,13 +148,23 @@ func (st *Store) Dump() Dump {
 
 // FromDump rebuilds a Store for graph g from a Dump, validating that every
 // entry fits the graph (decoders feed it untrusted input): subgraphs must
-// be non-empty subsets of g's relations, sans relations in range, and
-// MaxSize within [1, g.N].
+// be non-empty subsets of g's relations, a sans relation must belong to its
+// subgraph, every cardinality must be finite and non-negative, and MaxSize
+// must lie within [1, g.N].
 func FromDump(g *query.Graph, d Dump) (*Store, error) {
 	if d.MaxSize < 1 || d.MaxSize > g.N {
 		return nil, fmt.Errorf("truecard: dump max size %d outside [1,%d]", d.MaxSize, g.N)
 	}
 	full := query.FullSet(g.N)
+	check := func(s query.BitSet, card float64) error {
+		if s.Empty() || !full.Contains(s) {
+			return fmt.Errorf("truecard: dump subgraph %v outside %d-relation graph", s, g.N)
+		}
+		if !(card >= 0) || math.IsInf(card, 1) {
+			return fmt.Errorf("truecard: dump cardinality %g of %v is not a finite count", card, s)
+		}
+		return nil
+	}
 	st := &Store{
 		G:       g,
 		cards:   make(map[query.BitSet]float64, len(d.Cards)),
@@ -161,17 +172,17 @@ func FromDump(g *query.Graph, d Dump) (*Store, error) {
 		maxSize: d.MaxSize,
 	}
 	for _, e := range d.Cards {
-		if e.S.Empty() || !full.Contains(e.S) {
-			return nil, fmt.Errorf("truecard: dump subgraph %v outside %d-relation graph", e.S, g.N)
+		if err := check(e.S, e.Card); err != nil {
+			return nil, err
 		}
 		st.cards[e.S] = e.Card
 	}
 	for _, e := range d.Sans {
-		if e.S.Empty() || !full.Contains(e.S) {
-			return nil, fmt.Errorf("truecard: dump sans subgraph %v outside %d-relation graph", e.S, g.N)
+		if err := check(e.S, e.Card); err != nil {
+			return nil, err
 		}
-		if e.Rel < 0 || e.Rel >= g.N {
-			return nil, fmt.Errorf("truecard: dump sans relation %d outside %d-relation graph", e.Rel, g.N)
+		if !e.S.Has(e.Rel) { // false for any Rel outside [0,64) too
+			return nil, fmt.Errorf("truecard: dump sans relation %d outside subgraph %v", e.Rel, e.S)
 		}
 		st.sans[sansKey{e.S, e.Rel}] = e.Card
 	}
@@ -478,72 +489,96 @@ func (c *computer) hashOf(rel int, col string, filtered bool) *hashtab.Postings 
 	})
 }
 
-// joinCols resolves, for each edge, the probe column (on the base side) and
-// the build column (on relation r).
-type edgeCols struct {
-	probeRel  int
-	probeCol  *storage.Column
-	buildCol  *storage.Column
-	buildName string
+// probe is the shared setup of join and countJoin: relation r's hash on
+// the key column of the first edge, the base column that probes it, and
+// every other predicate of the edges as a residual, split by whether its r
+// side is the key column.
+type probe struct {
+	h     *hashtab.Postings
+	dv    hashtab.DenseView
+	dense bool
+	// key is the first predicate of the first edge: its base side probes
+	// h, which is built on its r side.
+	key residual
+	// keyRes are the residuals whose r side is the hash-key column: every
+	// match carries the probe key there, so each reduces to "the base value
+	// is non-NULL and equals the key", checked once per probe tuple.
+	keyRes []residual
+	// res are the remaining residuals, checked per match.
+	res []residual
 }
 
-func (c *computer) edgeCols(r int, edges []int) []edgeCols {
-	out := make([]edgeCols, len(edges))
-	for i, ei := range edges {
-		e := c.g.Edges[ei]
-		other := e.Other(r)
-		j := e.Preds[0]
-		// Determine which side of the predicate belongs to r. The edge may
-		// carry several predicates; all are applied, the first keyed.
-		var probeName, buildName string
-		if c.g.Q.RelIndex(j.LeftAlias) == r {
-			buildName, probeName = j.LeftCol, j.RightCol
-		} else {
-			buildName, probeName = j.RightCol, j.LeftCol
-		}
-		out[i] = edgeCols{
-			probeRel:  other,
-			probeCol:  c.tables[other].MustColumn(probeName),
-			buildCol:  c.tables[r].MustColumn(buildName),
-			buildName: buildName,
-		}
-	}
-	return out
-}
-
-// residuals returns the extra predicates of the given edges beyond the
-// primary predicate of the first edge: pairs of (base-side column of some
-// relation in the result, r-side column).
+// residual is one equality predicate between the base result and relation
+// r: a base-side column (with the base result's rows of its relation) and
+// an r-side column.
 type residual struct {
-	baseRel int
-	baseCol *storage.Column
-	rCol    *storage.Column
+	baseCol  *storage.Column
+	baseRows []int32
+	rCol     *storage.Column
 }
 
-func (c *computer) residuals(r int, edges []int) []residual {
-	var out []residual
+func (c *computer) newProbe(base *result, r int, edges []int, filtered bool) *probe {
+	p := &probe{}
 	for i, ei := range edges {
 		e := c.g.Edges[ei]
 		other := e.Other(r)
-		preds := e.Preds
-		if i == 0 {
-			preds = preds[1:] // the first predicate of the first edge is the hash key
-		}
-		for _, j := range preds {
-			var baseName, rName string
+		rows := base.colOf(other)
+		for k, j := range e.Preds {
+			baseName, rName := j.LeftCol, j.RightCol
 			if c.g.Q.RelIndex(j.LeftAlias) == r {
-				rName, baseName = j.LeftCol, j.RightCol
-			} else {
-				rName, baseName = j.RightCol, j.LeftCol
+				baseName, rName = rName, baseName
 			}
-			out = append(out, residual{
-				baseRel: other,
-				baseCol: c.tables[other].MustColumn(baseName),
-				rCol:    c.tables[r].MustColumn(rName),
-			})
+			rs := residual{c.tables[other].MustColumn(baseName), rows, c.tables[r].MustColumn(rName)}
+			switch {
+			case i == 0 && k == 0:
+				p.key, p.h = rs, c.hashOf(r, rName, filtered)
+			case rs.rCol == p.key.rCol:
+				p.keyRes = append(p.keyRes, rs)
+			default:
+				p.res = append(p.res, rs)
+			}
 		}
 	}
-	return out
+	p.dv, p.dense = p.h.DenseView()
+	return p
+}
+
+// matches returns relation r's rows that join base tuple i on the key and
+// pass every key residual; the per-match residuals are left to holds.
+func (p *probe) matches(i int) []int32 {
+	kRow := int(p.key.baseRows[i])
+	if p.key.baseCol.IsNull(kRow) {
+		return nil
+	}
+	key := p.key.baseCol.Ints[kRow]
+	for _, rs := range p.keyRes {
+		if bRow := int(rs.baseRows[i]); rs.baseCol.IsNull(bRow) || rs.baseCol.Ints[bRow] != key {
+			return nil
+		}
+	}
+	// Dense keys resolve inline (surrogate keys almost always do); sparse
+	// domains fall back to the hashed lookup.
+	if !p.dense {
+		return p.h.Lookup(key)
+	}
+	if slot := uint64(key) - uint64(p.dv.Min); slot < uint64(len(p.dv.Dense)) {
+		if g := p.dv.Dense[slot]; g != 0 {
+			return p.dv.Vals[p.dv.Offs[g-1]:p.dv.Offs[g]]
+		}
+	}
+	return nil
+}
+
+// holds reports whether the per-match residuals hold for base tuple i
+// joined with r's row rRow.
+func (p *probe) holds(i int, rRow int32) bool {
+	for _, rs := range p.res {
+		bRow := int(rs.baseRows[i])
+		if rs.baseCol.IsNull(bRow) || rs.rCol.IsNull(int(rRow)) || rs.baseCol.Ints[bRow] != rs.rCol.Ints[rRow] {
+			return false
+		}
+	}
+	return true
 }
 
 // ctxCheckMask throttles cancellation polling in the probe loops: the
@@ -552,143 +587,59 @@ func (c *computer) residuals(r int, edges []int) []residual {
 // per-tuple atomic load.
 const ctxCheckMask = 1<<14 - 1
 
-// emitBlockSize is the number of buffered match pairs per column-at-a-time
-// emit flush.
-const emitBlockSize = 1024
-
 // join probes base against relation r on the given edges and materialises
 // the combined result for subgraph s (filtered selects whether r's
-// selection applies). Matches accumulate in (base ordinal, r row) pair
-// buffers and are flushed column-at-a-time per block. The row limit is
-// checked before a tuple is emitted, so no column ever grows past MaxRows.
+// selection applies). The probe keeps the base ordinal and r row of every
+// match; r's output column is that match buffer itself, and every base
+// column is gathered once, at its final length. The row limit is checked
+// before a tuple is kept, so no buffer ever grows past MaxRows.
 func (c *computer) join(ctx context.Context, s query.BitSet, base *result, r int, edges []int, filtered bool) (*result, error) {
-	ecs := c.edgeCols(r, edges)
-	primary := ecs[0]
-	h := c.hashOf(r, primary.buildName, filtered)
-	res := c.residuals(r, edges)
-
-	// Output layout: base relations plus r, ascending.
-	outRels := make([]int, 0, len(base.rels)+1)
-	outRels = append(outRels, base.rels...)
-	pos := len(outRels)
-	for i, x := range outRels {
-		if r < x {
-			pos = i
-			break
-		}
-	}
-	outRels = append(outRels, 0)
-	copy(outRels[pos+1:], outRels[pos:])
-	outRels[pos] = r
-
-	// srcs aligns each output column with its base input column; the slot
-	// for r itself (pos) takes the matched rows directly.
-	outCols := make([][]int32, len(outRels))
-	srcs := make([][]int32, len(outRels))
-	for k, rel := range outRels {
-		outCols[k] = c.getBuf()
-		if rel != r {
-			srcs[k] = base.colOf(rel)
-		}
-	}
-	probe := base.colOf(primary.probeRel)
-	n := base.rows()
-	resRows := make([][]int32, len(res))
-	for j := range res {
-		resRows[j] = base.colOf(res[j].baseRel)
-	}
-
-	bIdx := c.getBuf() // base ordinal of each buffered match
-	rBuf := c.getBuf() // matched r row of each buffered match
-	flush := func() {
-		if len(bIdx) == 0 {
-			return
-		}
-		for k := range outCols {
-			if k == pos {
-				outCols[k] = append(outCols[k], rBuf...)
-			} else {
-				outCols[k] = hashtab.GatherAppend(outCols[k], srcs[k], bIdx)
-			}
-		}
-		bIdx, rBuf = bIdx[:0], rBuf[:0]
-	}
-
-	dv, dvOK := h.DenseView()
-	emitted := 0
-	for i := 0; i < n; i++ {
+	p := c.newProbe(base, r, edges, filtered)
+	bIdx := c.getBuf()  // base ordinal of each match
+	rRows := c.getBuf() // matched r row of each match
+	for i := range base.rows() {
 		if i&ctxCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		pRow := int(probe[i])
-		if primary.probeCol.IsNull(pRow) {
-			continue
-		}
-		key := primary.probeCol.Ints[pRow]
-		// Dense keys resolve inline (surrogate keys almost always do);
-		// sparse domains fall back to the hashed lookup.
-		var matches []int32
-		if dvOK {
-			if slot := uint64(key) - uint64(dv.Min); slot < uint64(len(dv.Dense)) {
-				if g := dv.Dense[slot]; g != 0 {
-					matches = dv.Vals[dv.Offs[g-1]:dv.Offs[g]]
-				}
+		matches := p.matches(i)
+		if len(p.res) == 0 {
+			// No per-match residuals (the common case): the whole match
+			// list is kept as one run.
+			if len(rRows)+len(matches) > c.opts.MaxRows {
+				return nil, fmt.Errorf("truecard: %s: intermediate %v exceeds %d rows", c.g.Q.ID, s, c.opts.MaxRows)
 			}
-		} else {
-			matches = h.Lookup(key)
-		}
-		if len(matches) == 0 {
-			continue
-		}
-		if len(res) == 0 {
-			// No residual predicates (the common case): the whole match
-			// list is emitted as one run.
-			if emitted+len(matches) > c.opts.MaxRows {
-				return nil, fmt.Errorf("truecard: %s: intermediate %v exceeds %d rows",
-					c.g.Q.ID, s, c.opts.MaxRows)
-			}
-			emitted += len(matches)
-			rBuf = append(rBuf, matches...)
+			rRows = append(rRows, matches...)
 			for range matches {
 				bIdx = append(bIdx, int32(i))
 			}
-		} else {
-		match:
-			for _, rRow := range matches {
-				for j := range res {
-					rs := &res[j]
-					bRow := int(resRows[j][i])
-					if rs.baseCol.IsNull(bRow) || rs.rCol.IsNull(int(rRow)) {
-						continue match
-					}
-					if rs.baseCol.Ints[bRow] != rs.rCol.Ints[rRow] {
-						continue match
-					}
-				}
-				if emitted >= c.opts.MaxRows {
-					return nil, fmt.Errorf("truecard: %s: intermediate %v exceeds %d rows",
-						c.g.Q.ID, s, c.opts.MaxRows)
-				}
-				emitted++
-				bIdx = append(bIdx, int32(i))
-				rBuf = append(rBuf, rRow)
+			continue
+		}
+		for _, rRow := range matches {
+			if !p.holds(i, rRow) {
+				continue
 			}
-		}
-		if len(bIdx) >= emitBlockSize {
-			flush()
+			if len(rRows) >= c.opts.MaxRows {
+				return nil, fmt.Errorf("truecard: %s: intermediate %v exceeds %d rows", c.g.Q.ID, s, c.opts.MaxRows)
+			}
+			bIdx = append(bIdx, int32(i))
+			rRows = append(rRows, rRow)
 		}
 	}
-	flush()
+
+	// Output layout: base relations plus r, ascending.
+	pos, _ := slices.BinarySearch(base.rels, r)
+	out := &result{rels: slices.Insert(slices.Clone(base.rels), pos, r), cols: make([][]int32, len(base.rels)+1)}
+	for k, rel := range out.rels {
+		if k == pos {
+			out.cols[k] = rRows
+		} else {
+			out.cols[k] = hashtab.GatherAppend(c.getBuf(), base.colOf(rel), bIdx)
+		}
+	}
 	c.putBuf(bIdx)
-	c.putBuf(rBuf)
-	for k := range outCols {
-		if outCols[k] == nil {
-			outCols[k] = []int32{}
-		}
-	}
-	return &result{rels: outRels, cols: outCols}, nil
+	return out, nil
 }
 
 // SansRowsFactor is the headroom sans-selection counts get over
@@ -704,74 +655,35 @@ const SansRowsFactor = 8
 // count cannot run orders of magnitude past the limit — and polls the
 // context so sibling-worker failures cancel it.
 func (c *computer) countJoin(ctx context.Context, s query.BitSet, base *result, r int, edges []int, filtered bool) (int64, error) {
-	ecs := c.edgeCols(r, edges)
-	primary := ecs[0]
-	h := c.hashOf(r, primary.buildName, filtered)
-	res := c.residuals(r, edges)
-
-	probe := base.colOf(primary.probeRel)
-	n := base.rows()
-	resRows := make([][]int32, len(res))
-	for j := range res {
-		resRows[j] = base.colOf(res[j].baseRel)
-	}
+	p := c.newProbe(base, r, edges, filtered)
 	limit := int64(c.opts.MaxRows)
 	if limit > math.MaxInt64/SansRowsFactor {
 		limit = math.MaxInt64 // effectively unbounded, don't wrap negative
 	} else {
 		limit *= SansRowsFactor
 	}
-	dv, dvOK := h.DenseView()
 	var count int64
-	for i := 0; i < n; i++ {
+	for i := range base.rows() {
 		if i&ctxCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return count, err
 			}
 		}
-		pRow := int(probe[i])
-		if primary.probeCol.IsNull(pRow) {
-			continue
-		}
-		key := primary.probeCol.Ints[pRow]
-		var matches []int32
-		if dvOK {
-			if slot := uint64(key) - uint64(dv.Min); slot < uint64(len(dv.Dense)) {
-				if g := dv.Dense[slot]; g != 0 {
-					matches = dv.Vals[dv.Offs[g-1]:dv.Offs[g]]
-				}
-			}
+		matches := p.matches(i)
+		if len(p.res) == 0 {
+			count += int64(len(matches)) // the whole match list counts as one run
 		} else {
-			matches = h.Lookup(key)
-		}
-		if len(res) == 0 {
-			// No residuals: the whole match list counts as one run. The
-			// limit is still settled per match list, not per probe scan —
-			// a single skewed join key can carry the whole overrun.
-			count += int64(len(matches))
-			if count > limit {
-				return count, fmt.Errorf("truecard: %s: sans-selection count for %v (relation %d unfiltered) exceeds %d rows",
-					c.g.Q.ID, s, r, limit)
-			}
-			continue
-		}
-	match:
-		for _, rRow := range matches {
-			for j := range res {
-				rs := &res[j]
-				bRow := int(resRows[j][i])
-				if rs.baseCol.IsNull(bRow) || rs.rCol.IsNull(int(rRow)) {
-					continue match
-				}
-				if rs.baseCol.Ints[bRow] != rs.rCol.Ints[rRow] {
-					continue match
+			for _, rRow := range matches {
+				if p.holds(i, rRow) {
+					count++
 				}
 			}
-			count++
-			if count > limit {
-				return count, fmt.Errorf("truecard: %s: sans-selection count for %v (relation %d unfiltered) exceeds %d rows",
-					c.g.Q.ID, s, r, limit)
-			}
+		}
+		// The limit is settled per match list, not per probe scan: a single
+		// skewed join key can carry the whole overrun.
+		if count > limit {
+			return count, fmt.Errorf("truecard: %s: sans-selection count for %v (relation %d unfiltered) exceeds %d rows",
+				c.g.Q.ID, s, r, limit)
 		}
 	}
 	return count, nil

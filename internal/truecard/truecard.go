@@ -504,8 +504,10 @@ type probe struct {
 	// match carries the probe key there, so each reduces to "the base value
 	// is non-NULL and equals the key", checked once per probe tuple.
 	keyRes []residual
-	// res are the remaining residuals, checked per match.
-	res []residual
+	// res are the remaining residuals, checked per match; the matches that
+	// pass are collected in kept.
+	res  []residual
+	kept []int32
 }
 
 // residual is one equality predicate between the base result and relation
@@ -544,7 +546,8 @@ func (c *computer) newProbe(base *result, r int, edges []int, filtered bool) *pr
 }
 
 // matches returns relation r's rows that join base tuple i on the key and
-// pass every key residual; the per-match residuals are left to holds.
+// pass every key residual, in ascending order; keep applies the per-match
+// residuals.
 func (p *probe) matches(i int) []int32 {
 	kRow := int(p.key.baseRows[i])
 	if p.key.baseCol.IsNull(kRow) {
@@ -569,16 +572,22 @@ func (p *probe) matches(i int) []int32 {
 	return nil
 }
 
-// holds reports whether the per-match residuals hold for base tuple i
-// joined with r's row rRow.
-func (p *probe) holds(i int, rRow int32) bool {
-	for _, rs := range p.res {
-		bRow := int(rs.baseRows[i])
-		if rs.baseCol.IsNull(bRow) || rs.rCol.IsNull(int(rRow)) || rs.baseCol.Ints[bRow] != rs.rCol.Ints[rRow] {
-			return false
+// keep returns the rows of m that pass the per-match residuals for base
+// tuple i. The slice aliases p.kept and is valid until the next call.
+func (p *probe) keep(i int, m []int32) []int32 {
+	kept := p.kept[:0]
+match:
+	for _, rRow := range m {
+		for _, rs := range p.res {
+			bRow := int(rs.baseRows[i])
+			if rs.baseCol.IsNull(bRow) || rs.rCol.IsNull(int(rRow)) || rs.baseCol.Ints[bRow] != rs.rCol.Ints[rRow] {
+				continue match
+			}
 		}
+		kept = append(kept, rRow)
 	}
-	return true
+	p.kept = kept
+	return kept
 }
 
 // ctxCheckMask throttles cancellation polling in the probe loops: the
@@ -592,7 +601,8 @@ const ctxCheckMask = 1<<14 - 1
 // selection applies). The probe keeps the base ordinal and r row of every
 // match; r's output column is that match buffer itself, and every base
 // column is gathered once, at its final length. The row limit is checked
-// before a tuple is kept, so no buffer ever grows past MaxRows.
+// before a probe tuple's matches are kept, so no buffer ever grows past
+// MaxRows.
 func (c *computer) join(ctx context.Context, s query.BitSet, base *result, r int, edges []int, filtered bool) (*result, error) {
 	p := c.newProbe(base, r, edges, filtered)
 	bIdx := c.getBuf()  // base ordinal of each match
@@ -604,27 +614,15 @@ func (c *computer) join(ctx context.Context, s query.BitSet, base *result, r int
 			}
 		}
 		matches := p.matches(i)
-		if len(p.res) == 0 {
-			// No per-match residuals (the common case): the whole match
-			// list is kept as one run.
-			if len(rRows)+len(matches) > c.opts.MaxRows {
-				return nil, fmt.Errorf("truecard: %s: intermediate %v exceeds %d rows", c.g.Q.ID, s, c.opts.MaxRows)
-			}
-			rRows = append(rRows, matches...)
-			for range matches {
-				bIdx = append(bIdx, int32(i))
-			}
-			continue
+		if len(p.res) > 0 {
+			matches = p.keep(i, matches)
 		}
-		for _, rRow := range matches {
-			if !p.holds(i, rRow) {
-				continue
-			}
-			if len(rRows) >= c.opts.MaxRows {
-				return nil, fmt.Errorf("truecard: %s: intermediate %v exceeds %d rows", c.g.Q.ID, s, c.opts.MaxRows)
-			}
+		if len(rRows)+len(matches) > c.opts.MaxRows {
+			return nil, fmt.Errorf("truecard: %s: intermediate %v exceeds %d rows", c.g.Q.ID, s, c.opts.MaxRows)
+		}
+		rRows = append(rRows, matches...)
+		for range matches {
 			bIdx = append(bIdx, int32(i))
-			rRows = append(rRows, rRow)
 		}
 	}
 
@@ -670,15 +668,10 @@ func (c *computer) countJoin(ctx context.Context, s query.BitSet, base *result, 
 			}
 		}
 		matches := p.matches(i)
-		if len(p.res) == 0 {
-			count += int64(len(matches)) // the whole match list counts as one run
-		} else {
-			for _, rRow := range matches {
-				if p.holds(i, rRow) {
-					count++
-				}
-			}
+		if len(p.res) > 0 {
+			matches = p.keep(i, matches)
 		}
+		count += int64(len(matches))
 		// The limit is settled per match list, not per probe scan: a single
 		// skewed join key can carry the whole overrun.
 		if count > limit {

@@ -73,6 +73,7 @@ func TestTable1ShapesLikePaper(t *testing.T) {
 	if !strings.Contains(res.Render(), "Table 1") {
 		t.Fatal("render broken")
 	}
+	pinReport(t, "table1", res.Render())
 }
 
 func TestFigure3UnderestimationGrows(t *testing.T) {
@@ -120,6 +121,7 @@ func TestFigure3UnderestimationGrows(t *testing.T) {
 	if !strings.Contains(res.Render(), "Figure 3") {
 		t.Fatal("render broken")
 	}
+	pinReport(t, "fig3", res.Render())
 }
 
 func TestFigure4TPCHIsEasy(t *testing.T) {
@@ -150,6 +152,7 @@ func TestFigure4TPCHIsEasy(t *testing.T) {
 	if !strings.Contains(res.Render(), "TPC-H") {
 		t.Fatal("render broken")
 	}
+	pinReport(t, "fig4", res.Render())
 }
 
 func TestFigure5TrueDistinctWorsensUnderestimation(t *testing.T) {
@@ -182,6 +185,7 @@ func TestFigure5TrueDistinctWorsensUnderestimation(t *testing.T) {
 	if !strings.Contains(res.Render(), "Figure 5") {
 		t.Fatal("render broken")
 	}
+	pinReport(t, "fig5", res.Render())
 }
 
 func TestSection41SlowdownTable(t *testing.T) {
@@ -213,6 +217,7 @@ func TestSection41SlowdownTable(t *testing.T) {
 	if !strings.Contains(res.Render(), "Section 4.1") {
 		t.Fatal("render broken")
 	}
+	pinReport(t, "sec41", res.Render())
 }
 
 func TestFigure6EngineHardeningHelps(t *testing.T) {
@@ -237,6 +242,7 @@ func TestFigure6EngineHardeningHelps(t *testing.T) {
 	if !strings.Contains(res.Render(), "Figure 6") {
 		t.Fatal("render broken")
 	}
+	pinReport(t, "fig6", res.Render())
 }
 
 func TestFigure7MoreIndexesHarderProblem(t *testing.T) {
@@ -257,6 +263,7 @@ func TestFigure7MoreIndexesHarderProblem(t *testing.T) {
 	if slowFrac(fk) < slowFrac(pk) {
 		t.Errorf("FK config (%.2f >=2x) not harder than PK (%.2f)", slowFrac(fk), slowFrac(pk))
 	}
+	pinReport(t, "fig7", figure7Report(res).Render())
 }
 
 func TestFigure8CostModels(t *testing.T) {
@@ -297,6 +304,7 @@ func TestFigure8CostModels(t *testing.T) {
 	if !strings.Contains(res.Render(), "Figure 8") {
 		t.Fatal("render broken")
 	}
+	pinReport(t, "fig8", res.Render())
 }
 
 func TestFigure9AndSection61(t *testing.T) {
@@ -328,6 +336,8 @@ func TestFigure9AndSection61(t *testing.T) {
 	if !strings.Contains(res.Render(), "Section 6.1") {
 		t.Fatal("render broken")
 	}
+	// The registry runs fig9 at DefaultSamples, not this test's 400.
+	pinRegistryRun(t, l, "fig9")
 }
 
 func TestTable2TreeShapes(t *testing.T) {
@@ -369,6 +379,7 @@ func TestTable2TreeShapes(t *testing.T) {
 	if !strings.Contains(res.Render(), "Table 2") {
 		t.Fatal("render broken")
 	}
+	pinReport(t, "table2", res.Render())
 }
 
 func TestTable3HeuristicsLeavePerformance(t *testing.T) {
@@ -411,6 +422,7 @@ func TestTable3HeuristicsLeavePerformance(t *testing.T) {
 	if !strings.Contains(res.Render(), "Table 3") {
 		t.Fatal("render broken")
 	}
+	pinReport(t, "table3", res.Render())
 }
 
 func TestPlanSpaceSize(t *testing.T) {

@@ -38,6 +38,8 @@ func TestDampingAblation(t *testing.T) {
 	if !strings.Contains(res.Render(), "Ablation") {
 		t.Fatal("render broken")
 	}
+	// The registry sweeps the default exponents, not this test's three.
+	pinRegistryRun(t, l, "ablation-damping")
 }
 
 func TestRehashAblation(t *testing.T) {
@@ -67,6 +69,8 @@ func TestRehashAblation(t *testing.T) {
 	if !strings.Contains(res.Render(), "rehash") {
 		t.Fatal("render broken")
 	}
+	// The registry sweeps the default factors, not this test's three.
+	pinRegistryRun(t, l, "ablation-rehash")
 }
 
 func TestHedgingSweep(t *testing.T) {
@@ -102,4 +106,5 @@ func TestHedgingSweep(t *testing.T) {
 	if !strings.Contains(res.Render(), "risk-hedging") {
 		t.Fatal("render broken")
 	}
+	pinReport(t, "hedging", res.Render())
 }

@@ -44,8 +44,7 @@ func Registry() []Experiment {
 			if err != nil {
 				return nil, err
 			}
-			// Figure 7 reuses Figure 6's result type; swap the heading.
-			return retitled{"Figure 7: PK vs PK+FK indexes (PostgreSQL estimates)\n", r}, nil
+			return figure7Report(r), nil
 		}},
 		{"fig8", func(ctx context.Context, l *Lab, _ Params) (Renderer, error) { return l.Figure8(ctx) }},
 		{"fig9", func(ctx context.Context, l *Lab, p Params) (Renderer, error) { return l.Figure9(ctx, p.Samples) }},
@@ -85,6 +84,12 @@ func RunExperiment(ctx context.Context, l *Lab, name string, p Params) (string, 
 		}
 	}
 	return "", fmt.Errorf("experiments: unknown experiment %q (%s)", name, strings.Join(Names(), "|"))
+}
+
+// figure7Report is the fig7 report: Figure 7 reuses Figure 6's result
+// type, so swap the heading.
+func figure7Report(r *Figure6Result) Renderer {
+	return retitled{"Figure 7: PK vs PK+FK indexes (PostgreSQL estimates)\n", r}
 }
 
 // retitled swaps the heading of a reused result type.

@@ -97,7 +97,8 @@ smoke-serve:
 	curl -fsS "http://127.0.0.1:$$port/healthz" | .smoke/jsoncheck status=ok; \
 	curl -fsS -X POST "http://127.0.0.1:$$port/v1/optimize" -d '{"query":"13d"}' | .smoke/jsoncheck workload=imdb query=13d; \
 	curl -fsS -X POST "http://127.0.0.1:$$port/v1/execute" -d '{"query":"13d","adaptive":true}' | .smoke/jsoncheck workload=imdb query=13d replans; \
-	curl -fsS -X POST "http://127.0.0.1:$$port/v1/optimize" -d '{"query":"13d","adaptive":true}' | .smoke/jsoncheck workload=imdb query=13d feedback_hit=true; \
+	code=$$(curl -sS -o /dev/null -w '%{http_code}' -X POST "http://127.0.0.1:$$port/v1/optimize" -d '{"query":"13d","adaptive":true}'); \
+	test "$$code" = 400 || { echo "smoke-serve: adaptive /v1/optimize answered $$code, want 400"; exit 1; }; \
 	curl -fsS -X POST "http://127.0.0.1:$$port/v1/optimize" -d '{"query":"tpch5","workload":"tpch","scale":0.05}' | .smoke/jsoncheck workload=tpch query=tpch5; \
 	curl -fsS "http://127.0.0.1:$$port/v1/experiment/fig3?workload=tpch&scale=0.05&format=json" | .smoke/jsoncheck workload=tpch experiment=fig3 report; \
 	curl -fsS -X POST -H 'X-Jobench-Trace: 00000000abcdef12' "http://127.0.0.1:$$port/v1/explain" -d '{"query":"13d"}' | .smoke/jsoncheck workload=imdb query=13d nodes.0.actual_rows text; \

@@ -157,7 +157,7 @@ func BenchmarkTable3Heuristics(b *testing.B) {
 }
 
 // BenchmarkReoptJOB runs the adaptive re-optimization experiment — static
-// vs re-optimized vs feedback-warm over all 113 JOB queries.
+// vs re-optimized over all 113 JOB queries.
 func BenchmarkReoptJOB(b *testing.B) {
 	l := lab(b)
 	b.ResetTimer()

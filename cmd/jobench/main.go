@@ -32,10 +32,9 @@
 //
 // "jobench run -reopt" executes adaptively: plan subtrees run first as
 // probes, observed intermediate cardinalities replace estimates whose
-// q-error exceeds -qerr (triggering up to -max-replans re-optimizations),
-// and the observations feed the plan-feedback cache. The service offers
-// the same via the "adaptive" request field, with a 1 MiB feedback cache
-// per resident instance.
+// q-error exceeds -qerr (triggering up to -max-replans re-optimizations).
+// Every run plans cold: observations do not outlive it. The service offers
+// the same via the "adaptive" field of /v1/execute.
 //
 // "jobench router" fronts N serve replicas with consistent hashing on
 // (workload, seed, scale) so each replica's system pool stays hot; it health-checks
@@ -293,7 +292,7 @@ func cmdRun(args []string) error {
 	est, model, idx, noNLJ, shape, algo := planFlags(fs)
 	rehash := fs.Bool("rehash", true, "resize hash tables at runtime")
 	limit := fs.Int64("work-limit", 0, "abort after this many work units")
-	adaptive := fs.Bool("reopt", false, "execute adaptively: probe intermediates, replan on misestimates, record feedback")
+	adaptive := fs.Bool("reopt", false, "execute adaptively: probe intermediates, replan on misestimates")
 	qerr := fs.Float64("qerr", 0, "q-error threshold that triggers a replan (0 = default 2); needs -reopt")
 	maxReplans := fs.Int("max-replans", 0, "re-optimizations per query (0 = default 4); needs -reopt")
 	wl, scale, seed, par, cacheDir := openFlags(fs)
@@ -318,8 +317,7 @@ func cmdRun(args []string) error {
 			return err
 		}
 		res = ares.Result
-		fmt.Printf("adaptive: %d probes, %d replans, %d cardinalities pinned from feedback\n",
-			ares.Probes, ares.Replans, ares.Pinned)
+		fmt.Printf("adaptive: %d probes, %d replans\n", ares.Probes, ares.Replans)
 	} else {
 		res, err = sys.Execute(*q, jobench.RunOptions{
 			PlanOptions: opts, Rehash: *rehash, WorkLimit: *limit,

@@ -1,8 +1,9 @@
 // Adaptive re-optimization end to end on one query: execute statically on
 // PostgreSQL-style estimates, execute adaptively (probing intermediates and
-// re-planning on misestimates), then plan again and watch the plan-feedback
-// cache pin the observed cardinalities — the paper's "what if the optimizer
-// had the true cardinalities?" question answered by paying for them once.
+// re-planning on misestimates), then execute the plan chosen under the true
+// cardinalities — the paper's "what if the optimizer had the true
+// cardinalities?" question, with the adaptive run paying to learn a few of
+// them.
 package main
 
 import (
@@ -33,7 +34,7 @@ func main() {
 	}
 	fmt.Printf("static:   %d rows, %12d work units\n", static.Rows, static.Work)
 
-	// Adaptive: probe plan subtrees, replan past q-error 2, record feedback.
+	// Adaptive: probe plan subtrees, replan past q-error 2.
 	adaptive, err := sys.ExecuteAdaptive(qid, jobench.AdaptiveOptions{
 		RunOptions: jobench.RunOptions{PlanOptions: plan, Rehash: true},
 	})
@@ -43,15 +44,11 @@ func main() {
 	fmt.Printf("adaptive: %d rows, %12d work units (%d probes, %d replans)\n",
 		adaptive.Rows, adaptive.Work, adaptive.Probes, adaptive.Replans)
 
-	// The observations now live in the plan-feedback cache: a repeat
-	// optimization of the same query fingerprint plans from truth.
-	warm, err := sys.OptimizeAdaptive(qid, plan)
+	// Optimal: plan once on the true cardinalities.
+	plan.Estimator = jobench.EstTrue
+	optimal, err := sys.Execute(qid, jobench.RunOptions{PlanOptions: plan, Rehash: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("replan:   feedback hit=%v, %d observed cardinalities pinned\n",
-		warm.FeedbackHit, warm.Pinned)
-	st := sys.FeedbackStats()
-	fmt.Printf("cache:    %d entries, %d bytes, %d hits, %d misses\n",
-		st.Entries, st.Bytes, st.Hits, st.Misses)
+	fmt.Printf("optimal:  %d rows, %12d work units\n", optimal.Rows, optimal.Work)
 }

@@ -16,29 +16,24 @@ import (
 	"jobench/internal/reopt"
 )
 
-// ReoptResult compares three planning regimes on every JOB query, all in
+// ReoptResult compares two planning regimes on every JOB query, both in
 // work units relative to the true-cardinality plan: static (PostgreSQL
-// estimates, the paper's baseline), re-optimized (adaptive execution with
-// probe work charged unless the probed intermediate survives into the final
-// plan), and feedback-warm (planned once with the adaptive run's observed
-// cardinalities pinned — what a repeat request through the feedback cache
-// pays).
+// estimates, the paper's baseline) and re-optimized (adaptive execution
+// with probe work charged unless the probed intermediate survives into the
+// final plan).
 type ReoptResult struct {
 	// Families aggregates per query family in workload order.
 	Families []ReoptFamily
-	// GeoStatic, GeoAdaptive and GeoWarm are workload geometric-mean
-	// slowdowns.
+	// GeoStatic and GeoAdaptive are workload geometric-mean slowdowns.
 	GeoStatic   float64
 	GeoAdaptive float64
-	GeoWarm     float64
 	// Replans and Probes total over the workload.
 	Replans int
 	Probes  int
-	// TimeoutsStatic, TimeoutsAdaptive and TimeoutsWarm count executions
-	// cut off at timeoutFactor x the optimal plan's work.
+	// TimeoutsStatic and TimeoutsAdaptive count executions cut off at
+	// timeoutFactor x the optimal plan's work.
 	TimeoutsStatic   int
 	TimeoutsAdaptive int
-	TimeoutsWarm     int
 	// Improved counts families whose geometric mean the re-optimizer beat.
 	Improved int
 }
@@ -50,20 +45,18 @@ type ReoptFamily struct {
 	Family string
 	// Queries is the family size.
 	Queries int
-	// GeoStatic, GeoAdaptive and GeoWarm are family geometric-mean
-	// slowdowns.
+	// GeoStatic and GeoAdaptive are family geometric-mean slowdowns.
 	GeoStatic   float64
 	GeoAdaptive float64
-	GeoWarm     float64
 	// Replans totals the family's re-optimizations.
 	Replans int
 }
 
 type reoptCell struct {
-	family                       string
-	static, adaptive, warm       float64
-	replans, probes              int
-	toStatic, toAdaptive, toWarm bool
+	family               string
+	static, adaptive     float64
+	replans, probes      int
+	toStatic, toAdaptive bool
 }
 
 // Reopt runs the adaptive re-optimization experiment; see ReoptResult.
@@ -119,7 +112,7 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 		// work accounting (final plan + non-reused probes) maps onto the
 		// same timeout rule: past the limit it counts exactly like a static
 		// timeout.
-		rres, err := reopt.Run(ctx, g, prov, nil, reopt.Config{
+		rres, err := reopt.Run(ctx, g, prov, reopt.Config{
 			DB: l.DB, Indexes: idx, Model: model,
 			DisableNLJ: rules.DisableNLJ, Rehash: rules.Rehash,
 			WorkLimit: limit, Runner: runner,
@@ -136,26 +129,6 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 			}
 			cell.adaptive = slowdownOf(rres.Work, baseWork)
 		}
-
-		// Feedback-warm: plan once with the adaptive run's observations
-		// pinned and propagated (a feedback-cache hit), execute statically.
-		warmProv := reopt.NewPropagator(prov, rres.Observed)
-		warmPlan, err := opt.Optimize(g, warmProv)
-		if err != nil {
-			return reoptCell{}, err
-		}
-		warmRes, err := runner.Run(l.DB, idx, g, warmPlan, engine.Config{Rehash: rules.Rehash, WorkLimit: limit})
-		switch {
-		case err != nil && errors.Is(err, engine.ErrWorkLimit):
-			cell.warm, cell.toWarm = timeoutFactor, true
-		case err != nil:
-			return reoptCell{}, fmt.Errorf("%s warm: %w", q.ID, err)
-		default:
-			if warmRes.Rows != baseRes.Rows {
-				return reoptCell{}, fmt.Errorf("%s warm: returned %d rows, baseline %d", q.ID, warmRes.Rows, baseRes.Rows)
-			}
-			cell.warm = slowdownOf(warmRes.Work, baseWork)
-		}
 		return cell, nil
 	})
 	if err != nil {
@@ -163,18 +136,16 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 	}
 
 	res := &ReoptResult{}
-	var statics, adaptives, warms []float64
+	var statics, adaptives []float64
 	type famAgg struct {
-		idx                       int
-		statics, adaptives, warms []float64
-		replans                   int
+		statics, adaptives []float64
+		replans            int
 	}
 	fams := make(map[string]*famAgg)
 	var famOrder []string
 	for _, c := range perQuery {
 		statics = append(statics, c.static)
 		adaptives = append(adaptives, c.adaptive)
-		warms = append(warms, c.warm)
 		res.Replans += c.replans
 		res.Probes += c.probes
 		if c.toStatic {
@@ -182,9 +153,6 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 		}
 		if c.toAdaptive {
 			res.TimeoutsAdaptive++
-		}
-		if c.toWarm {
-			res.TimeoutsWarm++
 		}
 		f := fams[c.family]
 		if f == nil {
@@ -194,12 +162,10 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 		}
 		f.statics = append(f.statics, c.static)
 		f.adaptives = append(f.adaptives, c.adaptive)
-		f.warms = append(f.warms, c.warm)
 		f.replans += c.replans
 	}
 	res.GeoStatic = metrics.GeoMean(statics)
 	res.GeoAdaptive = metrics.GeoMean(adaptives)
-	res.GeoWarm = metrics.GeoMean(warms)
 	for _, name := range famOrder {
 		f := fams[name]
 		fam := ReoptFamily{
@@ -207,7 +173,6 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 			Queries:     len(f.statics),
 			GeoStatic:   metrics.GeoMean(f.statics),
 			GeoAdaptive: metrics.GeoMean(f.adaptives),
-			GeoWarm:     metrics.GeoMean(f.warms),
 			Replans:     f.replans,
 		}
 		if fam.GeoAdaptive < fam.GeoStatic {
@@ -239,15 +204,15 @@ func (r *ReoptResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Adaptive re-optimization: work-unit slowdown vs true-cardinality plan\n")
 	b.WriteString("(PostgreSQL estimates, PK indexes, no NLJ, rehash on; probe work charged unless the intermediate is reused)\n\n")
-	fmt.Fprintf(&b, "%-24s %10s %10s %10s\n", "", "static", "re-opt", "warm")
-	fmt.Fprintf(&b, "%-24s %10.2f %10.2f %10.2f\n", "geometric-mean slowdown", r.GeoStatic, r.GeoAdaptive, r.GeoWarm)
-	fmt.Fprintf(&b, "%-24s %10d %10d %10d\n", "timeouts", r.TimeoutsStatic, r.TimeoutsAdaptive, r.TimeoutsWarm)
+	fmt.Fprintf(&b, "%-24s %10s %10s\n", "", "static", "re-opt")
+	fmt.Fprintf(&b, "%-24s %10.2f %10.2f\n", "geometric-mean slowdown", r.GeoStatic, r.GeoAdaptive)
+	fmt.Fprintf(&b, "%-24s %10d %10d\n", "timeouts", r.TimeoutsStatic, r.TimeoutsAdaptive)
 	fmt.Fprintf(&b, "\nreplans: %d, probes: %d; families improved by re-optimization: %d of %d\n\n",
 		r.Replans, r.Probes, r.Improved, len(r.Families))
-	fmt.Fprintf(&b, "%-8s %8s %10s %10s %10s %9s\n", "family", "queries", "static", "re-opt", "warm", "replans")
+	fmt.Fprintf(&b, "%-8s %8s %10s %10s %9s\n", "family", "queries", "static", "re-opt", "replans")
 	for _, f := range r.Families {
-		fmt.Fprintf(&b, "%-8s %8d %10.2f %10.2f %10.2f %9d\n",
-			f.Family, f.Queries, f.GeoStatic, f.GeoAdaptive, f.GeoWarm, f.Replans)
+		fmt.Fprintf(&b, "%-8s %8d %10.2f %10.2f %9d\n",
+			f.Family, f.Queries, f.GeoStatic, f.GeoAdaptive, f.Replans)
 	}
 	return b.String()
 }

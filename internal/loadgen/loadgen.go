@@ -35,9 +35,8 @@ const (
 	ClassEstimate   = "estimate"
 	ClassExperiment = "experiment"
 	// ClassReopt is an adaptive execution (/v1/execute with adaptive:true):
-	// mid-run re-optimization plus plan-feedback cache traffic, so its
-	// latency distribution shows what the feedback cache converges to under
-	// repeat traffic.
+	// probes and mid-run re-optimization on top of execution. Every request
+	// plans cold, so repeats of one query cost the same.
 	ClassReopt = "reopt"
 )
 

@@ -15,6 +15,14 @@ func (p stubProv) SansSelection(s query.BitSet, r int) float64 {
 }
 func (p stubProv) Name() string { return "stub" }
 
+func bs(rels ...int) query.BitSet {
+	var s query.BitSet
+	for _, r := range rels {
+		s = s.Add(r)
+	}
+	return s
+}
+
 func TestPropagatorEmptyObsIsIdentity(t *testing.T) {
 	base := stubProv{cards: map[query.BitSet]float64{bs(0): 5}}
 	if _, wrapped := NewPropagator(base, nil).(*Propagator); wrapped {

@@ -1,3 +1,16 @@
+// Package reopt implements adaptive re-optimization — the paper's "use
+// observed cardinalities instead of estimates" endgame.
+//
+// The execution loop (Run) executes prefixes of the chosen plan through the
+// block engine, compares each observed intermediate cardinality against the
+// optimizer's estimate, and when the q-error exceeds a threshold re-enters
+// plan enumeration over the whole query with the observation pinned and
+// propagated to supersets (a Propagator over the original provider). Work
+// is accounted the way a materializing executor would pay it: each probe is
+// charged incrementally over the intermediates it reuses, subtrees that
+// survive into the final plan are refunded from the final execution, and
+// intermediates invalidated by a replan stay charged. Every run starts
+// cold: nothing observed outlives it.
 package reopt
 
 import (
@@ -145,24 +158,19 @@ type Result struct {
 	Replans int
 	// Steps lists the probes in execution order.
 	Steps []Step
-	// Observed maps each probed relation set to its true cardinality —
-	// this is what feeds the plan-feedback cache.
-	Observed map[query.BitSet]float64
 	// Plan is the plan the execution ended on.
 	Plan *plan.Node
 }
 
-// Run executes g adaptively: optimize under prov (with pinned observed
-// cardinalities injected on top), execute plan subtrees bottom-up, and
-// whenever an observed intermediate's q-error exceeds the threshold,
-// re-enter plan enumeration over the whole query with the observation
-// pinned. Pinned carries prior knowledge (e.g. a feedback-cache hit) and
-// may be nil; it is not mutated. ctx carries an optional trace (each
-// probe and each replan decision records a span, so /v1/traces shows
-// *why* an adaptive execution replanned) and bounds execution: a
-// cancelled or deadline-exceeded ctx aborts the current probe or final
-// execution at the next block boundary with ctx's error.
-func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, pinned map[query.BitSet]float64, cfg Config) (Result, error) {
+// Run executes g adaptively: optimize under prov, execute plan subtrees
+// bottom-up, and whenever an observed intermediate's q-error exceeds the
+// threshold, re-enter plan enumeration over the whole query with the
+// observation pinned. ctx carries an optional trace (each probe and each
+// replan decision records a span, so /v1/traces shows *why* an adaptive
+// execution replanned) and bounds execution: a cancelled or
+// deadline-exceeded ctx aborts the current probe or final execution at the
+// next block boundary with ctx's error.
+func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config) (Result, error) {
 	threshold := cfg.QErrThreshold
 	if threshold <= 0 {
 		threshold = DefaultQErrThreshold
@@ -180,10 +188,7 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, pinned map[
 		runner = engine.NewRunner()
 	}
 
-	overrides := make(map[query.BitSet]float64, len(pinned))
-	for s, v := range pinned {
-		overrides[s] = v
-	}
+	overrides := make(map[query.BitSet]float64)
 	opt := &optimizer.Optimizer{
 		DB:         cfg.DB,
 		Model:      cfg.Model,
@@ -195,8 +200,8 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, pinned map[
 	}
 	ecfg := engine.Config{Rehash: cfg.Rehash, WorkLimit: cfg.WorkLimit, Ctx: ctx}
 
-	res := Result{Observed: make(map[query.BitSet]float64)}
-	cur, err := opt.Optimize(g, NewPropagator(prov, overrides))
+	var res Result
+	cur, err := opt.Optimize(g, prov)
 	if err != nil {
 		return res, fmt.Errorf("reopt: initial plan: %w", err)
 	}
@@ -298,8 +303,7 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, pinned map[
 			// No materialized intermediate, only a lower bound: the subtree
 			// produced at least overrun-factor times its expected work, so
 			// pin the estimate scaled by the observed overrun and let the
-			// replan gate decide. Lower bounds are not truth — they stay out
-			// of Observed (and hence the feedback cache).
+			// replan gate decide.
 			f := float64(pr.Work) / math.Max(1, float64(expected))
 			if f <= threshold {
 				f = threshold + 1
@@ -307,7 +311,6 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, pinned map[
 			obs = est * f
 		} else {
 			obs = float64(pr.Rows)
-			res.Observed[node.S] = obs
 		}
 		q := qError(est, obs)
 		step := Step{S: node.S, Estimate: node.ECard, Observed: obs, QError: q, Aborted: aborted}
@@ -451,15 +454,6 @@ func expectedWork(n *plan.Node, g *query.Graph, db *storage.Database) int64 {
 		return w
 	}
 	return w + expectedWork(n.Left, g, db) + expectedWork(n.Right, g, db)
-}
-
-func collectSignatures(n *plan.Node, out map[query.BitSet]string) {
-	if n == nil || n.IsLeaf() {
-		return
-	}
-	out[n.S] = signature(n)
-	collectSignatures(n.Left, out)
-	collectSignatures(n.Right, out)
 }
 
 func qError(est, actual float64) float64 {

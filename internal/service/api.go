@@ -33,32 +33,25 @@ type PlanRequest struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	// PlanSeed drives randomized enumerators (quickpick).
 	PlanSeed int64 `json:"plan_seed,omitempty"`
-	// Adaptive consults the plan-feedback cache before planning: observed
-	// cardinalities from earlier adaptive executions of the same query
-	// fingerprint are pinned over the estimator. On /v1/execute it also
-	// enables mid-execution re-optimization.
-	Adaptive bool `json:"adaptive,omitempty"`
 }
 
-// OptimizeResponse is one planned query. FeedbackHit and Pinned are present
-// exactly when the request was adaptive.
+// OptimizeResponse is one planned query.
 type OptimizeResponse struct {
 	// Workload echoes the resolved workload the plan was built against.
 	Workload string  `json:"workload"`
 	Query    string  `json:"query"`
 	Plan     string  `json:"plan"`
 	Cost     float64 `json:"cost"`
-	// FeedbackHit reports whether the plan-feedback cache held observations
-	// for this query.
-	FeedbackHit *bool `json:"feedback_hit,omitempty"`
-	// Pinned is the number of observed cardinalities injected over the
-	// estimator.
-	Pinned *int `json:"pinned,omitempty"`
 }
 
 // ExecuteRequest is PlanRequest plus the engine knobs.
 type ExecuteRequest struct {
 	PlanRequest
+	// Adaptive enables mid-execution re-optimization: plan subtrees run
+	// first, and a misestimated intermediate sends the query back to the
+	// enumerator with the observation pinned. Every adaptive request plans
+	// cold from the estimator.
+	Adaptive bool `json:"adaptive,omitempty"`
 	// Rehash lets hash joins grow at runtime; omitted means true, the
 	// CLI's default.
 	Rehash *bool `json:"rehash,omitempty"`
@@ -76,8 +69,8 @@ type ExecuteRequest struct {
 	Explain string `json:"explain,omitempty"`
 }
 
-// ExecuteResponse is one executed query. Replans, FeedbackHit and Pinned
-// are present exactly when the request was adaptive.
+// ExecuteResponse is one executed query. Replans is present exactly when
+// the request was adaptive.
 type ExecuteResponse struct {
 	// Workload echoes the resolved workload the query ran against.
 	Workload string `json:"workload"`
@@ -88,12 +81,6 @@ type ExecuteResponse struct {
 	Plan     string `json:"plan"`
 	// Replans counts mid-execution re-optimizations.
 	Replans *int `json:"replans,omitempty"`
-	// FeedbackHit reports whether planning started from cached
-	// observations.
-	FeedbackHit *bool `json:"feedback_hit,omitempty"`
-	// Pinned is the number of cached cardinalities injected before the
-	// first plan.
-	Pinned *int `json:"pinned,omitempty"`
 	// Analyze and Nodes are present exactly when the request asked for
 	// "explain": "analyze": the EXPLAIN ANALYZE rendering and the
 	// structured per-operator actuals behind it.

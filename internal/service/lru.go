@@ -1,10 +1,6 @@
 package service
 
-import (
-	"sync"
-
-	"jobench"
-)
+import "sync"
 
 // lruMap is the pool's resident-instance store: a mutex-guarded map plus a
 // recency list, evicting the least-recently-used entry once the map grows
@@ -69,18 +65,4 @@ func (l *lruMap) len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.m)
-}
-
-// systems snapshots the resident Systems (recency order, least recent
-// first) so pool-wide metric aggregation can run outside the lock.
-func (l *lruMap) systems() []*jobench.System {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]*jobench.System, 0, len(l.m))
-	for _, k := range l.order {
-		if e := l.m[k]; e != nil && e.sys != nil {
-			out = append(out, e.sys)
-		}
-	}
-	return out
 }

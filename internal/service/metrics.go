@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"jobench/internal/fault"
-	"jobench/internal/reopt"
 )
 
 // Metrics is the service's ops counters, rendered at /metrics in the
@@ -31,10 +30,6 @@ type Metrics struct {
 	ReportMisses    atomic.Int64
 	Replans         atomic.Int64
 	Panics          atomic.Int64
-
-	// feedbackStats, when set, aggregates the plan-feedback cache counters
-	// across the pool's resident systems for the feedback_cache_* series.
-	feedbackStats func() reopt.Stats
 
 	// admission, when set, contributes the report admission-control gauges
 	// (waiting, units in use, total admitted).
@@ -209,14 +204,6 @@ func (m *Metrics) Render() string {
 	gauge("report_cache_misses_total", "Experiment reports that had to be computed.", m.ReportMisses.Load())
 	gauge("replans_total", "Mid-execution re-optimizations triggered by adaptive requests.", m.Replans.Load())
 	gauge("panics_total", "Handler panics recovered into 500 responses.", m.Panics.Load())
-	if m.feedbackStats != nil {
-		fs := m.feedbackStats()
-		gauge("feedback_cache_hits_total", "Plan-feedback cache lookups that found observations.", fs.Hits)
-		gauge("feedback_cache_misses_total", "Plan-feedback cache lookups that found nothing.", fs.Misses)
-		gauge("feedback_cache_evictions_total", "Plan-feedback entries evicted under the byte budget.", fs.Evictions)
-		gauge("feedback_cache_entries", "Resident plan-feedback entries across the system pool.", fs.Entries)
-		gauge("feedback_cache_bytes", "Accounted bytes held by the plan-feedback caches.", fs.Bytes)
-	}
 	if m.replicaID != "" {
 		fmt.Fprintf(&b, "# HELP jobench_replica_info Identity of this replica (constant 1).\n# TYPE jobench_replica_info gauge\njobench_replica_info{replica=%q} 1\n", m.replicaID)
 	}

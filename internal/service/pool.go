@@ -7,7 +7,6 @@ import (
 	"jobench"
 	"jobench/internal/experiments"
 	"jobench/internal/parallel"
-	"jobench/internal/reopt"
 	"jobench/internal/trace"
 	"jobench/internal/workload"
 	"jobench/internal/world"
@@ -184,18 +183,3 @@ func (p *Pool) resident(ctx context.Context, key Key, span string, has func(*ent
 
 // Len reports the number of resident instances.
 func (p *Pool) Len() int { return p.entries.len() }
-
-// FeedbackStats sums the plan-feedback cache counters across every resident
-// System — the /metrics feedback_cache_* series.
-func (p *Pool) FeedbackStats() reopt.Stats {
-	var total reopt.Stats
-	for _, sys := range p.entries.systems() {
-		st := sys.FeedbackStats()
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.Entries += st.Entries
-		total.Bytes += st.Bytes
-		total.Evictions += st.Evictions
-	}
-	return total
-}

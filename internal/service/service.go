@@ -150,7 +150,6 @@ func New(cfg Config) *Server {
 	}
 	m.admission = s.admit
 	m.replicaID = cfg.ReplicaID
-	m.feedbackStats = s.pool.FeedbackStats
 	if cfg.Fault != nil {
 		m.faultStats = cfg.Fault.Stats
 	}
@@ -452,17 +451,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) (int, er
 	if err != nil {
 		return statusOf(err), err
 	}
-	if req.Adaptive {
-		ap, err := sys.OptimizeAdaptiveContext(r.Context(), req.Query, opts)
-		if err != nil {
-			return statusOf(err), err
-		}
-		writeJSON(w, http.StatusOK, OptimizeResponse{
-			Workload: sys.Workload(), Query: req.Query, Plan: ap.Plan, Cost: ap.Cost,
-			FeedbackHit: &ap.FeedbackHit, Pinned: &ap.Pinned,
-		})
-		return http.StatusOK, nil
-	}
 	// The request context flows into the facade so a disconnect or
 	// shutdown aborts an on-demand truth computation (estimator "true").
 	plan, cost, err := sys.OptimizeContext(r.Context(), req.Query, opts)
@@ -525,7 +513,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) (int, err
 		writeJSON(w, http.StatusOK, ExecuteResponse{
 			Workload: sys.Workload(), Query: req.Query, Rows: res.Rows, Work: res.Work,
 			TimedOut: res.TimedOut, Plan: res.Plan,
-			Replans: &res.Replans, FeedbackHit: &res.FeedbackHit, Pinned: &res.Pinned,
+			Replans: &res.Replans,
 		})
 		return http.StatusOK, nil
 	}

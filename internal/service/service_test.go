@@ -214,6 +214,12 @@ func TestErrorMapping(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad knob: status %d: %s", resp.StatusCode, body)
 	}
+	// adaptive belongs to /v1/execute only: planning never consults
+	// earlier executions.
+	resp, body = postJSON(t, ts.URL+"/v1/optimize", map[string]any{"query": "1a", "adaptive": true})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("adaptive optimize: status %d: %s", resp.StatusCode, body)
+	}
 	resp, body = getBody(t, ts.URL+"/v1/experiment/fig99")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown experiment: status %d: %s", resp.StatusCode, body)
@@ -496,48 +502,45 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFeedbackRoundTrip is the acceptance test for the adaptive
-// surface: an adaptive execution records observed cardinalities, so the
-// repeat /v1/optimize for the same query is a feedback-cache hit that skips
-// the misestimate — and the /metrics exposition reflects all of it.
-func TestAdaptiveFeedbackRoundTrip(t *testing.T) {
+// TestAdaptiveExecuteRoundTrip is the acceptance test for the adaptive
+// surface: an adaptive /v1/execute reports its replans, returns the rows a
+// plain execution returns, and plans cold every time, so a repeat costs
+// exactly the same work — and the /metrics exposition counts the replans.
+func TestAdaptiveExecuteRoundTrip(t *testing.T) {
 	_, ts := testServer(t)
 	const qid = "16b" // not touched adaptively by any other test
 
-	// Cold adaptive optimize: nothing observed yet.
-	resp, body := postJSON(t, ts.URL+"/v1/optimize", PlanRequest{Query: qid, Adaptive: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cold optimize status %d: %s", resp.StatusCode, body)
+	adaptive := func() (ExecuteResponse, map[string]json.RawMessage) {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/execute", ExecuteRequest{PlanRequest: PlanRequest{Query: qid}, Adaptive: true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("adaptive execute status %d: %s", resp.StatusCode, body)
+		}
+		var ex ExecuteResponse
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &ex); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		return ex, fields
 	}
-	var cold OptimizeResponse
-	if err := json.Unmarshal(body, &cold); err != nil {
-		t.Fatal(err)
+	ex, fields := adaptive()
+	if ex.Replans == nil {
+		t.Fatalf("adaptive execute omitted replans: %v", fields)
 	}
-	if cold.FeedbackHit == nil || cold.Pinned == nil {
-		t.Fatal("adaptive optimize omitted feedback fields")
-	}
-	if *cold.FeedbackHit || *cold.Pinned != 0 {
-		t.Fatalf("cold optimize reported a feedback hit: %s", body)
-	}
-
-	// Adaptive execution observes intermediates and fills the cache.
-	resp, body = postJSON(t, ts.URL+"/v1/execute", ExecuteRequest{PlanRequest: PlanRequest{Query: qid, Adaptive: true}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("adaptive execute status %d: %s", resp.StatusCode, body)
-	}
-	var ex ExecuteResponse
-	if err := json.Unmarshal(body, &ex); err != nil {
-		t.Fatal(err)
-	}
-	if ex.Replans == nil || ex.FeedbackHit == nil || ex.Pinned == nil {
-		t.Fatalf("adaptive execute omitted adaptive fields: %s", body)
+	for _, gone := range []string{"feedback_hit", "pinned"} {
+		if _, ok := fields[gone]; ok {
+			t.Errorf("adaptive execute reported %q", gone)
+		}
 	}
 	if ex.Rows <= 0 {
 		t.Fatalf("adaptive execute returned %d rows", ex.Rows)
 	}
 
 	// Adaptive and plain execution must agree on the result.
-	resp, body = postJSON(t, ts.URL+"/v1/execute", ExecuteRequest{PlanRequest: PlanRequest{Query: qid}})
+	resp, body := postJSON(t, ts.URL+"/v1/execute", ExecuteRequest{PlanRequest: PlanRequest{Query: qid}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plain execute status %d: %s", resp.StatusCode, body)
 	}
@@ -548,43 +551,24 @@ func TestAdaptiveFeedbackRoundTrip(t *testing.T) {
 	if plain.Rows != ex.Rows {
 		t.Errorf("adaptive execute %d rows, plain %d", ex.Rows, plain.Rows)
 	}
-	if plain.Replans != nil || plain.FeedbackHit != nil {
+	if plain.Replans != nil {
 		t.Errorf("non-adaptive execute leaked adaptive fields: %s", body)
 	}
 
-	// Warm adaptive optimize: the cache now holds this fingerprint.
-	resp, body = postJSON(t, ts.URL+"/v1/optimize", PlanRequest{Query: qid, Adaptive: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm optimize status %d: %s", resp.StatusCode, body)
-	}
-	var warm OptimizeResponse
-	if err := json.Unmarshal(body, &warm); err != nil {
-		t.Fatal(err)
-	}
-	if warm.FeedbackHit == nil || !*warm.FeedbackHit {
-		t.Fatalf("repeat adaptive optimize missed the feedback cache: %s", body)
-	}
-	if warm.Pinned == nil || *warm.Pinned == 0 {
-		t.Fatalf("warm optimize pinned nothing: %s", body)
+	// Nothing observed outlives a request: the repeat plans cold again.
+	again, _ := adaptive()
+	if again.Work != ex.Work || again.Rows != ex.Rows || *again.Replans != *ex.Replans || again.Plan != ex.Plan {
+		t.Errorf("repeat adaptive execute differs: work %d rows %d replans %d, first work %d rows %d replans %d",
+			again.Work, again.Rows, *again.Replans, ex.Work, ex.Rows, *ex.Replans)
 	}
 
-	// The exposition carries the feedback-cache and replan counters.
 	resp, body = getBody(t, ts.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status %d", resp.StatusCode)
 	}
-	text := string(body)
-	for _, name := range []string{
-		"feedback_cache_hits_total", "feedback_cache_misses_total",
-		"feedback_cache_evictions_total", "feedback_cache_entries",
-		"feedback_cache_bytes", "replans_total",
-	} {
-		if !strings.Contains(text, "jobench_"+name) {
-			t.Errorf("metrics exposition missing jobench_%s", name)
-		}
-	}
-	if !strings.Contains(text, "jobench_feedback_cache_hits_total 1") {
-		t.Errorf("feedback hit not counted:\n%s", text)
+	want := fmt.Sprintf("jobench_replans_total %d\n", *ex.Replans+*again.Replans)
+	if !strings.Contains(string(body), want) {
+		t.Errorf("metrics exposition missing %q:\n%s", strings.TrimSpace(want), body)
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"jobench/internal/optimizer"
 	"jobench/internal/plan"
 	"jobench/internal/query"
-	"jobench/internal/reopt"
 	"jobench/internal/stats"
 	"jobench/internal/trace"
 	"jobench/internal/truecard"
@@ -175,8 +174,7 @@ type Result struct {
 // System is an opened benchmark instance: a view over one world.World
 // (the database, statistics, index sets and true cardinalities, shared
 // with every other view of that world) plus what is the facade's own —
-// the query registry AddQuery extends, the estimator profiles, and the
-// adaptive plan-feedback cache.
+// the query registry AddQuery extends and the estimator profiles.
 //
 // Every method is safe for concurrent use by multiple goroutines — the
 // service layer hammers one shared System from many requests at once. The
@@ -199,8 +197,6 @@ type System struct {
 	graphs map[string]*query.Graph // each graph carries its query (Graph.Q)
 
 	estimators map[string]cardest.Estimator
-
-	feedback *reopt.FeedbackCache
 }
 
 // Open generates the data set, computes statistics and indexes, and loads
@@ -229,10 +225,9 @@ func NewSystem(w *world.World) (*System, error) {
 	sdb := w.Stats(sopts)
 
 	s := &System{
-		w:        w,
-		idx:      make(map[IndexConfig]*index.Set, len(configs)),
-		graphs:   make(map[string]*query.Graph, len(w.Queries)),
-		feedback: reopt.NewFeedbackCache(reopt.DefaultBudgetBytes),
+		w:      w,
+		idx:    make(map[IndexConfig]*index.Set, len(configs)),
+		graphs: make(map[string]*query.Graph, len(w.Queries)),
 		estimators: map[string]cardest.Estimator{
 			EstPostgres: cardest.NewPostgres(w.DB, sdb),
 			EstDBMSA:    cardest.NewDBMSA(w.DB, sdb),

@@ -53,25 +53,20 @@ func TestOpenEveryWorkload(t *testing.T) {
 // work of the static pipeline — adaptivity that changes nothing must cost
 // nothing.
 func TestTPCHAdaptiveParityWithStatic(t *testing.T) {
-	open := func() *jobench.System {
-		s, err := jobench.Open(jobench.Options{Workload: "tpch", Scale: 0.05, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	sys, err := jobench.Open(jobench.Options{Workload: "tpch", Scale: 0.05, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
 	run := jobench.RunOptions{
 		PlanOptions: jobench.PlanOptions{DisableNestedLoops: true},
 		Rehash:      true,
 	}
 	for _, qid := range []string{"tpch3", "tpch5", "tpch10"} {
-		// Fresh systems so the adaptive run's feedback cache cannot leak
-		// observations into the static run (or across query ids).
-		static, err := open().Execute(qid, run)
+		static, err := sys.Execute(qid, run)
 		if err != nil {
 			t.Fatalf("%s static: %v", qid, err)
 		}
-		ares, err := open().ExecuteAdaptive(qid, jobench.AdaptiveOptions{
+		ares, err := sys.ExecuteAdaptive(qid, jobench.AdaptiveOptions{
 			RunOptions:    run,
 			QErrThreshold: 1e12, // nothing misestimates this badly
 		})

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -19,9 +18,6 @@ import (
 var updatePins = flag.Bool("update", false, "rewrite testdata/report_pins.tsv from the current drivers")
 
 const reportPinsPath = "testdata/report_pins.tsv"
-
-// pinsMu serialises the read-modify-write of the pins file under -update.
-var pinsMu sync.Mutex
 
 // readReportPins loads the pins file as name -> SHA-256 of Render().
 func readReportPins(t *testing.T) map[string]string {
@@ -60,8 +56,6 @@ func pinReport(t *testing.T, name, rendered string) {
 	t.Helper()
 	sum := sha256.Sum256([]byte(rendered))
 	got := hex.EncodeToString(sum[:])
-	pinsMu.Lock()
-	defer pinsMu.Unlock()
 	pins := readReportPins(t)
 	if !*updatePins {
 		if want, ok := pins[name]; !ok {

@@ -27,8 +27,8 @@
 // /v1/execute, /v1/explain, /v1/estimate, /v1/queries and
 // /v1/experiment/{name} concurrently, with /healthz, /metrics and
 // /v1/traces (recent request traces, propagated end-to-end via the
-// X-Jobench-Trace header) as the ops surface. It shuts
-// down gracefully on SIGINT/SIGTERM, cancelling in-flight work.
+// X-Jobench-Trace header) as the ops surface. On SIGINT/SIGTERM it
+// drains: in-flight work gets a grace period, then is cancelled.
 //
 // "jobench run -reopt" executes adaptively: plan subtrees run first as
 // probes, observed intermediate cardinalities replace estimates whose
@@ -415,9 +415,9 @@ func cmdServe(args []string) error {
 		logger.Warn("fault injection ACTIVE — this replica will misbehave on purpose", "spec", *faultSpec)
 	}
 	startPprof(*pprofAddr, logger)
-	// SIGINT/SIGTERM cancel the context; the server stops listening,
-	// cancellation propagates into in-flight truecard/experiment work, and
-	// handlers get a grace period to flush.
+	// SIGINT/SIGTERM cancel the context; the server stops listening, lets
+	// in-flight requests finish within a grace period, then cancels what
+	// is still running, truecard and experiment work included.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	srv := service.New(service.Config{

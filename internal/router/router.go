@@ -30,10 +30,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"math/rand"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,6 +42,7 @@ import (
 	"time"
 
 	"jobench/internal/deadline"
+	"jobench/internal/serving"
 	"jobench/internal/trace"
 )
 
@@ -91,21 +93,6 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-func (c Config) logger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
-	}
-	return slog.Default()
-}
-
-// logf adapts the structured logger for the router's non-request lines.
-func (c Config) logf() func(format string, args ...any) {
-	lg := c.logger()
-	return func(format string, args ...any) {
-		lg.Info(fmt.Sprintf(format, args...))
-	}
-}
-
 // inFlightPerReplica bounds concurrent forwards per replica; excess
 // requests queue for a slot.
 const inFlightPerReplica = 32
@@ -153,14 +140,14 @@ type Server struct {
 	cfg      Config
 	ring     *Ring
 	replicas map[string]*replica
-	mux      *http.ServeMux
+	mux      *serving.Mux
 	client   *http.Client
-	traces   *trace.Store
 	budget   *budgetPool
 
 	noReplica       atomic.Int64 // requests refused because no replica was live
 	deadlineExpired atomic.Int64 // requests that ran out their end-to-end deadline here
 	budgetDenied    atomic.Int64 // retries suppressed by an empty client budget
+	panics          atomic.Int64 // handler panics recovered into 500s
 }
 
 // New builds a router Server (without binding a socket).
@@ -192,6 +179,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ShutdownGrace <= 0 {
 		cfg.ShutdownGrace = 5 * time.Second
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.Default()
+	}
 	ring := NewRingFromConfig(cfg.Replicas)
 	// Tuned transport: the stdlib default of 2 idle conns per host forces
 	// reconnect churn the moment fan-out exceeds 2, and an unbounded dial
@@ -208,10 +198,15 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		ring:     ring,
 		replicas: make(map[string]*replica, len(ring.Replicas())),
-		mux:      http.NewServeMux(),
 		client:   &http.Client{Transport: transport},
-		traces:   trace.NewStore(trace.DefaultStoreCapacity),
 		budget:   newBudgetPool(cfg.RetryBudget),
+	}
+	// The router is the usual origin of a request's trace and of its
+	// end-to-end deadline, which RequestTimeout caps.
+	s.mux = &serving.Mux{
+		Traces: trace.NewStore(trace.DefaultStoreCapacity),
+		Slow:   cfg.SlowQuery, Logger: cfg.Logger,
+		MaxDeadline: cfg.RequestTimeout, Panics: &s.panics,
 	}
 	for _, u := range ring.Replicas() {
 		rep := &replica{
@@ -226,18 +221,18 @@ func New(cfg Config) (*Server, error) {
 		rep.up.Store(true)
 		s.replicas[u] = rep
 	}
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /healthz", s.handleHealthz)
+	s.mux.Handle("GET /metrics", s.handleMetrics)
 	// More specific than the forward catch-all: the router answers
 	// /v1/traces itself (its view of recent forwards); each replica still
 	// serves its own ring directly.
-	s.mux.HandleFunc("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) { s.traces.Serve(w, r) })
-	s.mux.HandleFunc("/v1/", s.handleForward)
+	s.mux.Handle("GET /v1/traces", s.mux.ServeTraces)
+	s.mux.Handle("/v1/", s.handleForward)
 	return s, nil
 }
 
 // Traces exposes the router's trace ring (for tests and embedding).
-func (s *Server) Traces() *trace.Store { return s.traces }
+func (s *Server) Traces() *trace.Store { return s.mux.Traces }
 
 // NewRingFromConfig builds the ring the router uses; exported so tests and
 // the benchmark harness derive owners from the identical ring.
@@ -255,58 +250,20 @@ func NewRingFromConfig(replicas []string) *Ring {
 // Handler returns the router's HTTP handler (also useful under httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// ListenAndServe binds cfg.Addr and serves until ctx is cancelled, running
-// the health-check loop alongside; see service.Server.ListenAndServe for
-// the shutdown contract it mirrors.
+// ListenAndServe binds cfg.Addr and serves until ctx is cancelled; see
+// Serve.
 func (s *Server) ListenAndServe(ctx context.Context) error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	s.cfg.logf()("jobench router: listening on %s, %d replicas (%s)",
-		ln.Addr(), len(s.replicas), strings.Join(s.ring.Replicas(), ", "))
-	return s.Serve(ctx, ln)
+	return serving.ListenAndServe(ctx, s.cfg.Addr, s.Serve, s.cfg.Logger,
+		"replicas", strings.Join(s.ring.Replicas(), ","))
 }
 
-// Serve runs the router on an existing listener until ctx is cancelled,
-// then drains: it stops accepting, lets in-flight forwards finish
-// undisturbed for up to ShutdownGrace, and only then cancels the
-// stragglers — a deploy-time SIGTERM doesn't fail requests that were
-// about to succeed.
+// Serve runs the health-check loop and the router on an existing listener
+// until ctx is cancelled, then drains as serving.Serve describes.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
 	go s.healthLoop(hctx)
-
-	// Request contexts are detached from the serve ctx (WithoutCancel) so
-	// cancellation reaches them only via cancelRequests, after the grace
-	// window — not the instant SIGTERM lands.
-	reqCtx, cancelRequests := context.WithCancel(context.WithoutCancel(ctx))
-	defer cancelRequests()
-
-	srv := &http.Server{
-		Handler:     s.Handler(),
-		BaseContext: func(net.Listener) context.Context { return reqCtx },
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		s.cfg.logf()("jobench router: draining in-flight forwards (%v)", context.Cause(ctx))
-		shutCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
-		defer cancel()
-		err := srv.Shutdown(shutCtx)
-		cancelRequests() // grace spent: cut off whatever is still running
-		<-errc
-		if err != nil {
-			// Shutdown gave up waiting; close the remaining conns now that
-			// their handlers have lost their contexts.
-			_ = srv.Close()
-		}
-		return err
-	}
+	return serving.Serve(ctx, ln, s.Handler(), s.cfg.ShutdownGrace, s.cfg.Logger)
 }
 
 // --- health checking --------------------------------------------------------
@@ -365,7 +322,7 @@ func (s *Server) noteFailure(rep *replica) {
 		rep.mu.Lock()
 		rep.markDowns++
 		rep.mu.Unlock()
-		s.cfg.logf()("jobench router: replica %s marked down after %d consecutive failures", rep.url, n)
+		s.cfg.Logger.Warn("replica marked down", "replica", rep.url, "consecutive_failures", n)
 	}
 }
 
@@ -373,7 +330,7 @@ func (s *Server) noteFailure(rep *replica) {
 func (s *Server) noteSuccess(rep *replica) {
 	rep.consecNow.Store(0)
 	if rep.up.CompareAndSwap(false, true) {
-		s.cfg.logf()("jobench router: replica %s back up", rep.url)
+		s.cfg.Logger.Info("replica back up", "replica", rep.url)
 	}
 }
 
@@ -414,8 +371,7 @@ func (s *Server) recordOutcome(rep *replica, failure bool) {
 	n := rep.outcomeN
 	rep.mu.Unlock()
 	if flip != "" {
-		s.cfg.logf()("jobench router: breaker %s replica %s (failure fraction %.2f over %d outcomes)",
-			flip, rep.url, frac, n)
+		s.cfg.Logger.Warn("breaker "+flip, "replica", rep.url, "failure_fraction", frac, "outcomes", n)
 	}
 }
 
@@ -558,21 +514,18 @@ type worldFields struct {
 	Scale    float64 `json:"scale"`
 }
 
-func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
-	// The router is the usual origin of a request's trace: mint an ID
-	// (or continue a caller-supplied one), stamp it on the response and
-	// on every forward attempt, and keep the trace in the router's ring.
-	tr, r := trace.Begin(w, r, r.URL.Path)
-	defer s.traces.Finish(tr, s.cfg.SlowQuery, s.cfg.logger())
-
+// handleForward proxies one /v1 request to its world's ring owner. The
+// absolute deadline serving.Mux attached travels with every attempt, so
+// replica queueing and router retries spend one budget.
+func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) (int, error) {
+	ctx := r.Context()
+	dl, _ := ctx.Deadline()
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-		return
+		return http.StatusBadRequest, fmt.Errorf("reading body: %w", err)
 	}
 	if len(body) > maxBodyBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes))
-		return
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
 	}
 
 	var ss worldFields
@@ -588,18 +541,6 @@ func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 		ss.Scale, _ = strconv.ParseFloat(q.Get("scale"), 64)
 	}
 	key := AffinityKey(ss.Workload, ss.Seed, ss.Scale)
-
-	// End-to-end deadline: honor a client-supplied X-Jobench-Deadline when
-	// it is earlier than the router's own policy, otherwise mint one from
-	// RequestTimeout. The ABSOLUTE header travels with every attempt, so
-	// replica-side queueing and router-side retries consume one shared
-	// budget instead of each resetting the clock.
-	dl := time.Now().Add(s.cfg.RequestTimeout)
-	if cdl, ok := deadline.FromRequest(r); ok && cdl.Before(dl) {
-		dl = cdl
-	}
-	ctx, cancel := context.WithDeadline(r.Context(), dl)
-	defer cancel()
 
 	clientKey := clientHost(r.RemoteAddr)
 	s.budget.earn(clientKey)
@@ -631,8 +572,7 @@ func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 		// don't burn an attempt (or a failure mark) on it.
 		if ctx.Err() != nil {
 			s.deadlineExpired.Add(1)
-			httpError(w, http.StatusGatewayTimeout, ctx.Err())
-			return
+			return http.StatusGatewayTimeout, ctx.Err()
 		}
 		if tried > 0 {
 			rep.mu.Lock()
@@ -649,19 +589,17 @@ func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 			s.recordOutcome(rep, true)
 			if ctx.Err() != nil {
 				s.deadlineExpired.Add(1)
-				httpError(w, http.StatusGatewayTimeout, ctx.Err())
-				return
+				return http.StatusGatewayTimeout, ctx.Err()
 			}
-			s.cfg.logger().Warn("forward failed, trying next replica",
+			s.cfg.Logger.Warn("forward failed, trying next replica",
 				"replica", rep.url, "err", err,
-				"trace_id", tr.ID().String(), "route", r.URL.Path)
+				"trace_id", trace.IDFromContext(ctx).String(), "route", r.URL.Path)
 			if i+1 < len(candidates) && s.mayRetry(ctx, clientKey, tried, dl, routeOK) {
 				trace.Annotate(ctx, "retry",
 					trace.String("from", rep.url), trace.String("reason", "transport"))
 				if !backoff(ctx, tried) {
 					s.deadlineExpired.Add(1)
-					httpError(w, http.StatusGatewayTimeout, ctx.Err())
-					return
+					return http.StatusGatewayTimeout, ctx.Err()
 				}
 				continue
 			}
@@ -675,25 +613,23 @@ func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 			lastErr = fmt.Errorf("replica %s answered %d", rep.url, pr.status)
 			trace.Annotate(ctx, "retry",
 				trace.String("from", rep.url), trace.Int64("status", int64(pr.status)))
-			s.cfg.logger().Warn("retryable status, trying next replica",
+			s.cfg.Logger.Warn("retryable status, trying next replica",
 				"replica", rep.url, "status", pr.status,
-				"trace_id", tr.ID().String(), "route", r.URL.Path)
+				"trace_id", trace.IDFromContext(ctx).String(), "route", r.URL.Path)
 			if !backoff(ctx, tried) {
 				s.deadlineExpired.Add(1)
-				httpError(w, http.StatusGatewayTimeout, ctx.Err())
-				return
+				return http.StatusGatewayTimeout, ctx.Err()
 			}
 			continue
 		}
 		pr.commit(w)
-		return
+		return pr.status, nil
 	}
 	if lastErr != nil {
-		httpError(w, http.StatusBadGateway, fmt.Errorf("all forward attempts failed: %w", lastErr))
-		return
+		return http.StatusBadGateway, fmt.Errorf("all forward attempts failed: %w", lastErr)
 	}
 	s.noReplica.Add(1)
-	httpError(w, http.StatusServiceUnavailable, fmt.Errorf("no live replica for key %s", key))
+	return http.StatusServiceUnavailable, fmt.Errorf("no live replica for key %s", key)
 }
 
 // proxyResponse is one fully buffered replica response: buffering is what
@@ -788,15 +724,9 @@ func (s *Server) forwardOnce(ctx context.Context, rep *replica, r *http.Request,
 	}, nil
 }
 
-func httpError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
 // --- ops surface ------------------------------------------------------------
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) (int, error) {
 	live := 0
 	for _, rep := range s.replicas {
 		if rep.up.Load() {
@@ -809,102 +739,52 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "no live replicas"
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{
+	return serving.WriteJSON(w, status, map[string]any{
 		"status": state, "live": live, "replicas": len(s.replicas),
 	})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(s.renderMetrics()))
-}
-
-// renderMetrics produces the Prometheus text exposition, replicas and
-// status codes sorted for a stable (diffable, testable) rendering.
-func (s *Server) renderMetrics() string {
+// handleMetrics writes the Prometheus text exposition, replicas and status
+// codes sorted for a stable (diffable, testable) rendering.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) (int, error) {
 	urls := s.ring.Replicas() // already sorted
-
-	var b strings.Builder
-	b.WriteString("# HELP jobench_router_replica_up Replica liveness as seen by the router (1 = up).\n")
-	b.WriteString("# TYPE jobench_router_replica_up gauge\n")
-	for _, u := range urls {
-		up := 0
-		if s.replicas[u].up.Load() {
-			up = 1
+	var e serving.Exposition
+	perReplica := func(name, help string, value func(*replica) any) {
+		e.Metric(name, help)
+		for _, u := range urls {
+			rep := s.replicas[u]
+			rep.mu.Lock()
+			v := value(rep)
+			rep.mu.Unlock()
+			e.Sample(v, "replica", u)
 		}
-		fmt.Fprintf(&b, "jobench_router_replica_up{replica=%q} %d\n", u, up)
 	}
-	b.WriteString("# HELP jobench_router_replica_requests_total Forward attempts by replica and status code (code 0 = transport error).\n")
-	b.WriteString("# TYPE jobench_router_replica_requests_total counter\n")
+	perReplica("jobench_router_replica_up", "Replica liveness as seen by the router (1 = up).",
+		func(rep *replica) any { return rep.up.Load() })
+	e.Metric("jobench_router_replica_requests_total", "Forward attempts by replica and status code (code 0 = transport error).")
 	for _, u := range urls {
 		rep := s.replicas[u]
 		rep.mu.Lock()
-		codes := make([]int, 0, len(rep.requests))
-		for c := range rep.requests {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(&b, "jobench_router_replica_requests_total{replica=%q,code=\"%d\"} %d\n", u, c, rep.requests[c])
+		for _, c := range slices.Sorted(maps.Keys(rep.requests)) {
+			e.Sample(rep.requests[c], "replica", u, "code", strconv.Itoa(c))
 		}
 		rep.mu.Unlock()
 	}
-	b.WriteString("# HELP jobench_router_replica_request_seconds_total Cumulative forward latency by replica.\n")
-	b.WriteString("# TYPE jobench_router_replica_request_seconds_total counter\n")
-	for _, u := range urls {
-		rep := s.replicas[u]
-		rep.mu.Lock()
-		fmt.Fprintf(&b, "jobench_router_replica_request_seconds_total{replica=%q} %g\n", u, rep.seconds)
-		rep.mu.Unlock()
-	}
-	b.WriteString("# HELP jobench_router_replica_retries_total Re-attempts (transport failover or retryable 5xx) that landed on this replica.\n")
-	b.WriteString("# TYPE jobench_router_replica_retries_total counter\n")
-	for _, u := range urls {
-		rep := s.replicas[u]
-		rep.mu.Lock()
-		fmt.Fprintf(&b, "jobench_router_replica_retries_total{replica=%q} %d\n", u, rep.retries)
-		rep.mu.Unlock()
-	}
-	b.WriteString("# HELP jobench_router_replica_markdowns_total Up-to-down transitions per replica.\n")
-	b.WriteString("# TYPE jobench_router_replica_markdowns_total counter\n")
-	for _, u := range urls {
-		rep := s.replicas[u]
-		rep.mu.Lock()
-		fmt.Fprintf(&b, "jobench_router_replica_markdowns_total{replica=%q} %d\n", u, rep.markDowns)
-		rep.mu.Unlock()
-	}
-	b.WriteString("# HELP jobench_router_replica_inflight Forwards currently in flight per replica.\n")
-	b.WriteString("# TYPE jobench_router_replica_inflight gauge\n")
-	for _, u := range urls {
-		fmt.Fprintf(&b, "jobench_router_replica_inflight{replica=%q} %d\n", u, len(s.replicas[u].slots))
-	}
-	b.WriteString("# HELP jobench_router_breaker_throttled Circuit-breaker state per replica (1 = half of its traffic is routed around it).\n")
-	b.WriteString("# TYPE jobench_router_breaker_throttled gauge\n")
-	for _, u := range urls {
-		throttled := 0
-		if s.replicas[u].throttled.Load() {
-			throttled = 1
-		}
-		fmt.Fprintf(&b, "jobench_router_breaker_throttled{replica=%q} %d\n", u, throttled)
-	}
-	b.WriteString("# HELP jobench_router_breaker_transitions_total Circuit-breaker state flips per replica (both directions).\n")
-	b.WriteString("# TYPE jobench_router_breaker_transitions_total counter\n")
-	for _, u := range urls {
-		rep := s.replicas[u]
-		rep.mu.Lock()
-		fmt.Fprintf(&b, "jobench_router_breaker_transitions_total{replica=%q} %d\n", u, rep.transitions)
-		rep.mu.Unlock()
-	}
-	b.WriteString("# HELP jobench_router_no_replica_total Requests refused because no replica was live.\n")
-	b.WriteString("# TYPE jobench_router_no_replica_total counter\n")
-	fmt.Fprintf(&b, "jobench_router_no_replica_total %d\n", s.noReplica.Load())
-	b.WriteString("# HELP jobench_router_deadline_expired_total Requests whose end-to-end deadline expired at the router.\n")
-	b.WriteString("# TYPE jobench_router_deadline_expired_total counter\n")
-	fmt.Fprintf(&b, "jobench_router_deadline_expired_total %d\n", s.deadlineExpired.Load())
-	b.WriteString("# HELP jobench_router_retry_budget_exhausted_total Retries suppressed because the client's retry budget was empty.\n")
-	b.WriteString("# TYPE jobench_router_retry_budget_exhausted_total counter\n")
-	fmt.Fprintf(&b, "jobench_router_retry_budget_exhausted_total %d\n", s.budgetDenied.Load())
-	return b.String()
+	perReplica("jobench_router_replica_request_seconds_total", "Cumulative forward latency by replica.",
+		func(rep *replica) any { return rep.seconds })
+	perReplica("jobench_router_replica_retries_total", "Re-attempts (transport failover or retryable 5xx) that landed on this replica.",
+		func(rep *replica) any { return rep.retries })
+	perReplica("jobench_router_replica_markdowns_total", "Up-to-down transitions per replica.",
+		func(rep *replica) any { return rep.markDowns })
+	perReplica("jobench_router_replica_inflight", "Forwards currently in flight per replica.",
+		func(rep *replica) any { return len(rep.slots) })
+	perReplica("jobench_router_breaker_throttled", "Circuit-breaker state per replica (1 = half of its traffic is routed around it).",
+		func(rep *replica) any { return rep.throttled.Load() })
+	perReplica("jobench_router_breaker_transitions_total", "Circuit-breaker state flips per replica (both directions).",
+		func(rep *replica) any { return rep.transitions })
+	e.Scalar("jobench_router_no_replica_total", "Requests refused because no replica was live.", s.noReplica.Load())
+	e.Scalar("jobench_router_deadline_expired_total", "Requests whose end-to-end deadline expired at the router.", s.deadlineExpired.Load())
+	e.Scalar("jobench_router_retry_budget_exhausted_total", "Retries suppressed because the client's retry budget was empty.", s.budgetDenied.Load())
+	e.Scalar("jobench_router_panics_total", "Handler panics recovered into 500 responses.", s.panics.Load())
+	return e.Serve(w)
 }

@@ -58,6 +58,13 @@ func newTestRouter(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// metricsText renders s's /metrics exposition.
+func metricsText(s *Server) string {
+	rr := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	return rr.Body.String()
+}
+
 // TestForwardAffinity: requests for one (workload, seed, scale) world
 // always land on the ring owner, across both POST bodies and GET query
 // params.
@@ -144,7 +151,7 @@ func TestFailoverAndMarkDown(t *testing.T) {
 	if s.isLive(deadURL) {
 		t.Fatal("dead replica still marked live after repeated transport errors")
 	}
-	metrics := s.renderMetrics()
+	metrics := metricsText(s)
 	if want := fmt.Sprintf("jobench_router_replica_up{replica=%q} 0", deadURL); !strings.Contains(metrics, want) {
 		t.Fatalf("metrics missing %q:\n%s", want, metrics)
 	}
@@ -376,7 +383,7 @@ func TestRetryOn5xx(t *testing.T) {
 	if !sawRetry {
 		t.Fatalf("trace lacks a retry annotation: %+v", recs[0].Spans)
 	}
-	if want := fmt.Sprintf("jobench_router_replica_retries_total{replica=%q} 1", good.URL); !strings.Contains(s.renderMetrics(), want) {
+	if want := fmt.Sprintf("jobench_router_replica_retries_total{replica=%q} 1", good.URL); !strings.Contains(metricsText(s), want) {
 		t.Fatalf("metrics missing %q", want)
 	}
 }
@@ -411,7 +418,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	if s.budgetDenied.Load() == 0 {
 		t.Fatal("suppressed retries not counted")
 	}
-	if !strings.Contains(s.renderMetrics(), "jobench_router_retry_budget_exhausted_total") {
+	if !strings.Contains(metricsText(s), "jobench_router_retry_budget_exhausted_total") {
 		t.Fatal("metrics missing jobench_router_retry_budget_exhausted_total")
 	}
 }
@@ -446,7 +453,7 @@ func TestBreakerThrottleAndRecovery(t *testing.T) {
 	if !rep.throttled.Load() {
 		t.Fatal("breaker never throttled a replica failing every request")
 	}
-	if want := fmt.Sprintf("jobench_router_breaker_throttled{replica=%q} 1", strings.TrimRight(bad.URL, "/")); !strings.Contains(s.renderMetrics(), want) {
+	if want := fmt.Sprintf("jobench_router_breaker_throttled{replica=%q} 1", strings.TrimRight(bad.URL, "/")); !strings.Contains(metricsText(s), want) {
 		t.Fatalf("metrics missing %q", want)
 	}
 	if s.isLive(bad.URL) != true {
@@ -654,8 +661,7 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestDrainCancelsStragglers: a forward still running when ShutdownGrace
-// expires is cancelled rather than held forever — Serve returns promptly
-// with the shutdown context's error.
+// expires is cancelled rather than held forever — Serve returns promptly.
 func TestDrainCancelsStragglers(t *testing.T) {
 	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/healthz" {

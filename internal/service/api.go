@@ -63,10 +63,6 @@ type ExecuteRequest struct {
 	// MaxReplans bounds re-optimizations per adaptive execution (0 = the
 	// reopt default of 4). Ignored unless adaptive.
 	MaxReplans int `json:"max_replans,omitempty"`
-	// Explain selects an instrumented execution: "analyze" collects
-	// per-operator actuals and adds the analyze/nodes fields to the
-	// response. Incompatible with adaptive.
-	Explain string `json:"explain,omitempty"`
 }
 
 // ExecuteResponse is one executed query. Replans is present exactly when
@@ -81,11 +77,6 @@ type ExecuteResponse struct {
 	Plan     string `json:"plan"`
 	// Replans counts mid-execution re-optimizations.
 	Replans *int `json:"replans,omitempty"`
-	// Analyze and Nodes are present exactly when the request asked for
-	// "explain": "analyze": the EXPLAIN ANALYZE rendering and the
-	// structured per-operator actuals behind it.
-	Analyze string        `json:"analyze,omitempty"`
-	Nodes   []ExplainNode `json:"nodes,omitempty"`
 }
 
 // ExplainNode is one operator of an instrumented execution: the

@@ -1,22 +1,23 @@
 package service
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"jobench/internal/fault"
+	"jobench/internal/serving"
 )
 
 // Metrics is the service's ops counters, rendered at /metrics in the
-// Prometheus text exposition format. It is dependency-free on purpose: the
-// container bakes in no Prometheus client, and the handful of counters the
-// service needs — request counts and latencies per route, pool
-// hits/misses/evictions, in-flight warmups, report-cache hits — fit in a
-// mutex-guarded map plus a few atomics.
+// Prometheus text exposition format: request counts and latencies per
+// route, pool hits/misses/evictions, in-flight warmups and report-cache
+// hits fit in a mutex-guarded map plus a few atomics.
 type Metrics struct {
 	mu        sync.Mutex
 	requests  map[routeCode]*routeStats
@@ -130,110 +131,61 @@ func (m *Metrics) Observe(route string, code int, d time.Duration) {
 	st.seconds += d.Seconds()
 }
 
-// Render produces the Prometheus text format, keys sorted for a stable
+// Render writes every series into e, label sets sorted for a stable
 // (diffable, testable) exposition.
-func (m *Metrics) Render() string {
+func (m *Metrics) Render(e *serving.Exposition) {
 	m.mu.Lock()
-	keys := make([]routeCode, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].route != keys[j].route {
-			return keys[i].route < keys[j].route
-		}
-		return keys[i].code < keys[j].code
+	keys := slices.SortedFunc(maps.Keys(m.requests), func(a, b routeCode) int {
+		return cmp.Or(strings.Compare(a.route, b.route), a.code-b.code)
 	})
-	type row struct {
-		k  routeCode
-		st routeStats
+	e.Metric("jobench_requests_total", "Completed HTTP requests by route and status code.")
+	for _, k := range keys {
+		e.Sample(m.requests[k].count, "route", k.route, "code", strconv.Itoa(k.code))
 	}
-	rows := make([]row, len(keys))
-	for i, k := range keys {
-		rows[i] = row{k, *m.requests[k]}
+	e.Metric("jobench_request_seconds_total", "Cumulative request latency by route and status code.")
+	for _, k := range keys {
+		e.Sample(m.requests[k].seconds, "route", k.route, "code", strconv.Itoa(k.code))
 	}
-	wnames := make([]string, 0, len(m.workloads))
-	for w := range m.workloads {
-		wnames = append(wnames, w)
-	}
-	sort.Strings(wnames)
-	type wrow struct {
-		name string
-		st   workloadStats
-	}
-	wrows := make([]wrow, len(wnames))
-	for i, w := range wnames {
-		wrows[i] = wrow{w, *m.workloads[w]}
+	if len(m.workloads) > 0 {
+		wnames := slices.Sorted(maps.Keys(m.workloads))
+		e.Metric("jobench_pool_requests_total", "Pool lookups by workload and outcome.")
+		for _, w := range wnames {
+			e.Sample(m.workloads[w].poolHits, "workload", w, "outcome", "hit")
+			e.Sample(m.workloads[w].poolMisses, "workload", w, "outcome", "miss")
+		}
+		e.Metric("jobench_report_cache_requests_total", "Report-cache lookups by workload and outcome.")
+		for _, w := range wnames {
+			e.Sample(m.workloads[w].reportHits, "workload", w, "outcome", "hit")
+			e.Sample(m.workloads[w].reportMisses, "workload", w, "outcome", "miss")
+		}
 	}
 	m.mu.Unlock()
-
-	var b strings.Builder
-	b.WriteString("# HELP jobench_requests_total Completed HTTP requests by route and status code.\n")
-	b.WriteString("# TYPE jobench_requests_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "jobench_requests_total{route=%q,code=\"%d\"} %d\n", r.k.route, r.k.code, r.st.count)
-	}
-	b.WriteString("# HELP jobench_request_seconds_total Cumulative request latency by route and status code.\n")
-	b.WriteString("# TYPE jobench_request_seconds_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "jobench_request_seconds_total{route=%q,code=\"%d\"} %g\n", r.k.route, r.k.code, r.st.seconds)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\njobench_%s %d\n",
-			"jobench_"+name, help, "jobench_"+name, kindOf(name), name, v)
-	}
-	if len(wrows) > 0 {
-		b.WriteString("# HELP jobench_pool_requests_total Pool lookups by workload and outcome.\n")
-		b.WriteString("# TYPE jobench_pool_requests_total counter\n")
-		for _, r := range wrows {
-			fmt.Fprintf(&b, "jobench_pool_requests_total{workload=%q,outcome=\"hit\"} %d\n", r.name, r.st.poolHits)
-			fmt.Fprintf(&b, "jobench_pool_requests_total{workload=%q,outcome=\"miss\"} %d\n", r.name, r.st.poolMisses)
-		}
-		b.WriteString("# HELP jobench_report_cache_requests_total Report-cache lookups by workload and outcome.\n")
-		b.WriteString("# TYPE jobench_report_cache_requests_total counter\n")
-		for _, r := range wrows {
-			fmt.Fprintf(&b, "jobench_report_cache_requests_total{workload=%q,outcome=\"hit\"} %d\n", r.name, r.st.reportHits)
-			fmt.Fprintf(&b, "jobench_report_cache_requests_total{workload=%q,outcome=\"miss\"} %d\n", r.name, r.st.reportMisses)
-		}
-	}
-	gauge("pool_hits_total", "Pool lookups that found the world resident.", m.PoolHits.Load())
-	gauge("pool_misses_total", "Pool lookups that opened a world (one per world, not per view).", m.PoolMisses.Load())
-	gauge("pool_evictions_total", "Worlds evicted from the pool.", m.PoolEvictions.Load())
-	gauge("pool_warmups_inflight", "World opens and view constructions currently running.", m.WarmupsInFlight.Load())
-	gauge("report_cache_hits_total", "Experiment reports served from the report cache.", m.ReportHits.Load())
-	gauge("report_cache_misses_total", "Experiment reports that had to be computed.", m.ReportMisses.Load())
-	gauge("replans_total", "Mid-execution re-optimizations triggered by adaptive requests.", m.Replans.Load())
-	gauge("panics_total", "Handler panics recovered into 500 responses.", m.Panics.Load())
+	e.Scalar("jobench_pool_hits_total", "Pool lookups that found the world resident.", m.PoolHits.Load())
+	e.Scalar("jobench_pool_misses_total", "Pool lookups that opened a world (one per world, not per view).", m.PoolMisses.Load())
+	e.Scalar("jobench_pool_evictions_total", "Worlds evicted from the pool.", m.PoolEvictions.Load())
+	e.Scalar("jobench_pool_warmups_inflight", "World opens and view constructions currently running.", m.WarmupsInFlight.Load())
+	e.Scalar("jobench_report_cache_hits_total", "Experiment reports served from the report cache.", m.ReportHits.Load())
+	e.Scalar("jobench_report_cache_misses_total", "Experiment reports that had to be computed.", m.ReportMisses.Load())
+	e.Scalar("jobench_replans_total", "Mid-execution re-optimizations triggered by adaptive requests.", m.Replans.Load())
+	e.Scalar("jobench_panics_total", "Handler panics recovered into 500 responses.", m.Panics.Load())
 	if m.replicaID != "" {
-		fmt.Fprintf(&b, "# HELP jobench_replica_info Identity of this replica (constant 1).\n# TYPE jobench_replica_info gauge\njobench_replica_info{replica=%q} 1\n", m.replicaID)
+		e.Metric("jobench_replica_info", "Identity of this replica (constant 1).")
+		e.Sample(1, "replica", m.replicaID)
 	}
 	if m.admission != nil {
 		waiting, inUse, admitted, shed := m.admission.stats()
-		gauge("report_admission_waiting", "Report computations queued for admission units.", int64(waiting))
-		gauge("report_admission_in_use", "Admission units held by running report computations.", inUse)
-		gauge("report_admission_admitted_total", "Report computations admitted since start.", admitted)
-		gauge("report_shed_total", "Report requests rejected with 429 because the admission queue was full.", shed)
+		e.Scalar("jobench_report_admission_waiting", "Report computations queued for admission units.", waiting)
+		e.Scalar("jobench_report_admission_in_use", "Admission units held by running report computations.", inUse)
+		e.Scalar("jobench_report_admission_admitted_total", "Report computations admitted since start.", admitted)
+		e.Scalar("jobench_report_shed_total", "Report requests rejected with 429 because the admission queue was full.", shed)
 	}
 	if m.faultStats != nil {
 		fs := m.faultStats()
-		b.WriteString("# HELP jobench_fault_injected_total Faults injected by kind (chaos testing only).\n")
-		b.WriteString("# TYPE jobench_fault_injected_total counter\n")
-		fmt.Fprintf(&b, "jobench_fault_injected_total{kind=\"delay\"} %d\n", fs.Delays)
-		fmt.Fprintf(&b, "jobench_fault_injected_total{kind=\"error\"} %d\n", fs.Errors)
-		fmt.Fprintf(&b, "jobench_fault_injected_total{kind=\"hang\"} %d\n", fs.Hangs)
-		fmt.Fprintf(&b, "jobench_fault_injected_total{kind=\"reset\"} %d\n", fs.Resets)
-		crashed := int64(0)
-		if fs.Crashed {
-			crashed = 1
-		}
-		gauge("fault_crashed", "Whether the injected one-shot crash has fired.", crashed)
+		e.Metric("jobench_fault_injected_total", "Faults injected by kind (chaos testing only).")
+		e.Sample(fs.Delays, "kind", "delay")
+		e.Sample(fs.Errors, "kind", "error")
+		e.Sample(fs.Hangs, "kind", "hang")
+		e.Sample(fs.Resets, "kind", "reset")
+		e.Scalar("jobench_fault_crashed", "Whether the injected one-shot crash has fired.", fs.Crashed)
 	}
-	return b.String()
-}
-
-func kindOf(name string) string {
-	if strings.HasSuffix(name, "_total") {
-		return "counter"
-	}
-	return "gauge"
 }

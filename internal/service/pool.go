@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"log/slog"
 	"strconv"
 
 	"jobench"
@@ -68,6 +70,9 @@ func NewPool(cfg Config, metrics *Metrics) *Pool {
 	if metrics == nil {
 		metrics = NewMetrics()
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.Default()
+	}
 	capacity := cfg.PoolSize
 	if capacity <= 0 {
 		capacity = 2
@@ -78,7 +83,9 @@ func NewPool(cfg Config, metrics *Metrics) *Pool {
 			return world.Open(world.Options{
 				Workload: k.World.Workload,
 				Scale:    k.World.Scale, Seed: k.World.Seed, Parallel: cfg.Parallel,
-				CacheDir: k.CacheDir, Logf: cfg.logf(),
+				CacheDir: k.CacheDir,
+				// The snapshot store logs printf-style lines.
+				Logf: func(format string, args ...any) { cfg.Logger.Info(fmt.Sprintf(format, args...)) },
 			})
 		},
 		entries: newLRUMap(capacity, metrics),

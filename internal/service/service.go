@@ -6,8 +6,9 @@
 // (seed, scale) performs exactly one Open — and deterministic experiment
 // reports are memoized in a report cache. The ops surface is /healthz,
 // /metrics (Prometheus text format), and graceful shutdown: cancelling the
-// serve context stops the listener and propagates cancellation into
-// in-flight true-cardinality and experiment work.
+// serve context stops the listener, lets in-flight requests finish within
+// ShutdownGrace, and then cancels what is still running, true-cardinality
+// and experiment work included.
 package service
 
 import (
@@ -19,7 +20,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -27,11 +27,11 @@ import (
 	"time"
 
 	"jobench"
-	"jobench/internal/deadline"
 	"jobench/internal/experiments"
 	"jobench/internal/fault"
 	"jobench/internal/parallel"
 	"jobench/internal/plan"
+	"jobench/internal/serving"
 	"jobench/internal/trace"
 	"jobench/internal/workload"
 )
@@ -60,8 +60,9 @@ type Config struct {
 	// reports queues FIFO for these units instead of oversubscribing the
 	// box (default 4 — at most two heavy grids at once).
 	ReportCapacity int
-	// ShutdownGrace bounds how long a cancelled server waits for in-flight
-	// requests to notice the cancellation and flush (default 5s).
+	// ShutdownGrace bounds how long a cancelled server lets in-flight
+	// requests run undisturbed before cancelling the stragglers (default
+	// 5s).
 	ShutdownGrace time.Duration
 	// ReplicaID labels this replica in /metrics (jobench_replica_info) so
 	// scraped series from a fleet are tellable apart; empty omits the
@@ -85,40 +86,16 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-func (c Config) logger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
-	}
-	return slog.Default()
-}
-
-// logf adapts the structured logger to the printf-style Logf funcs the
-// snapshot store and the facade take, so their signatures don't churn.
-func (c Config) logf() func(format string, args ...any) {
-	lg := c.logger()
-	return func(format string, args ...any) {
-		lg.Info(fmt.Sprintf(format, args...))
-	}
-}
-
 // Server is the benchmark service.
 type Server struct {
 	cfg     Config
 	pool    *Pool
 	metrics *Metrics
-	mux     *http.ServeMux
-
-	// baseCtx is the Serve context: the lifetime of the server itself.
-	// Shared computations (report flights) run under it rather than under
-	// the first requester's context, so one client's disconnect cannot
-	// cancel work other waiters are sharing. Set once in Serve, before any
-	// request can arrive.
-	baseCtx context.Context
+	mux     *serving.Mux
 
 	reports      *reportCache
 	reportFlight parallel.Flight[reportKey, string]
 	admit        *admission
-	traces       *trace.Store
 }
 
 // New builds a Server (without binding a socket).
@@ -138,45 +115,41 @@ func New(cfg Config) *Server {
 	if cfg.ReportCapacity <= 0 {
 		cfg.ReportCapacity = 4
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.Default()
+	}
 	m := NewMetrics()
 	s := &Server{
 		cfg:     cfg,
 		pool:    NewPool(cfg, m),
 		metrics: m,
-		mux:     http.NewServeMux(),
+		mux: &serving.Mux{
+			Traces: trace.NewStore(trace.DefaultStoreCapacity),
+			Slow:   cfg.SlowQuery, Logger: cfg.Logger,
+			Panics: &m.Panics, Observe: m.Observe,
+		},
 		reports: newReportCache(),
 		admit:   newAdmission(int64(cfg.ReportCapacity), cfg.MaxQueue),
-		traces:  trace.NewStore(trace.DefaultStoreCapacity),
 	}
 	m.admission = s.admit
 	m.replicaID = cfg.ReplicaID
 	if cfg.Fault != nil {
 		m.faultStats = cfg.Fault.Stats
 	}
-	s.route("GET /healthz", s.handleHealthz)
-	s.route("GET /metrics", s.handleMetrics)
-	s.route("POST /v1/optimize", s.handleOptimize)
-	s.route("POST /v1/execute", s.handleExecute)
-	s.route("POST /v1/explain", s.handleExplain)
-	s.route("POST /v1/estimate", s.handleEstimate)
-	s.route("GET /v1/queries", s.handleQueries)
-	s.route("GET /v1/experiment/{name}", s.handleExperiment)
-	s.route("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) (int, error) { return s.traces.Serve(w, r), nil })
+	s.mux.Handle("GET /healthz", s.handleHealthz)
+	s.mux.Handle("GET /metrics", s.handleMetrics)
+	s.mux.Handle("POST /v1/optimize", s.handleOptimize)
+	s.mux.Handle("POST /v1/execute", s.handleExecute)
+	s.mux.Handle("POST /v1/explain", s.handleExplain)
+	s.mux.Handle("POST /v1/estimate", s.handleEstimate)
+	s.mux.Handle("GET /v1/queries", s.handleQueries)
+	s.mux.Handle("GET /v1/experiment/{name}", s.handleExperiment)
+	s.mux.Handle("GET /v1/traces", s.mux.ServeTraces)
 	return s
 }
 
 // Traces exposes the server's trace ring (for tests and embedding).
-func (s *Server) Traces() *trace.Store { return s.traces }
-
-// untraced lists the routes that never open a trace: the ops surface and
-// the trace endpoint itself would otherwise fill the ring with noise.
-func untraced(route string) bool {
-	switch route {
-	case "/healthz", "/metrics", "/v1/traces":
-		return true
-	}
-	return false
-}
+func (s *Server) Traces() *trace.Store { return s.mux.Traces }
 
 // Handler returns the service's HTTP handler (also useful under
 // httptest). When cfg.Fault is set the mux is wrapped in the chaos
@@ -188,154 +161,21 @@ func (s *Server) Handler() http.Handler { return s.cfg.Fault.Wrap(s.mux) }
 // Metrics exposes the server's counters (for tests and embedding).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// route registers a handler wrapped in the metrics and tracing
-// middleware. pattern is a Go 1.22 mux pattern ("METHOD /path"); its path
-// part labels the metrics and the trace's route. Every traced request
-// gets a trace — continuing the X-Jobench-Trace ID the router propagated,
-// or minting a fresh one — attached to the request
-// context, echoed in the response header, and added to the ring on
-// completion; requests slower than cfg.SlowQuery log a span summary.
-type handlerFunc func(w http.ResponseWriter, r *http.Request) (status int, err error)
-
-func (s *Server) route(pattern string, h handlerFunc) {
-	label := pattern
-	if i := strings.IndexByte(pattern, ' '); i >= 0 {
-		label = pattern[i+1:]
-	}
-	traced := !untraced(label)
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		var tr *trace.Trace
-		if traced {
-			tr, r = trace.Begin(w, r, label)
-		}
-		// End-to-end deadline: an X-Jobench-Deadline header (minted by the
-		// router from -request-timeout, or sent by the client directly)
-		// becomes the request context's deadline, which every downstream
-		// stage — pool lookup, admission wait, truecard DP, reopt probes,
-		// engine execution — already honors. An absolute deadline means
-		// upstream queueing and retries consumed budget instead of
-		// resetting it.
-		if dl, ok := deadline.FromRequest(r); ok {
-			ctx, cancel := context.WithDeadline(r.Context(), dl)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		status, err := s.recovered(sw, r, h, label, tr)
-		if err != nil {
-			writeError(sw, status, err)
-		}
-		s.metrics.Observe(label, status, time.Since(start))
-		if tr != nil {
-			s.traces.Finish(tr, s.cfg.SlowQuery, s.cfg.logger(), "status", status)
-		}
-	})
-}
-
-// statusWriter remembers whether the handler has started writing a
-// response, so panic recovery knows whether a 500 can still be sent or
-// the connection is beyond saving.
-type statusWriter struct {
-	http.ResponseWriter
-	wrote bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-// Unwrap exposes the underlying writer to http.ResponseController.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// recovered runs h with panic recovery: a handler panic becomes a 500
-// (with the trace ID in the body and a logged stack) instead of tearing
-// down the whole replica's connection. http.ErrAbortHandler re-panics —
-// it is net/http's sanctioned "sever this connection" and must reach the
-// server loop.
-func (s *Server) recovered(w *statusWriter, r *http.Request, h handlerFunc, label string, tr *trace.Trace) (status int, err error) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		if p == http.ErrAbortHandler {
-			panic(p)
-		}
-		s.metrics.Panics.Add(1)
-		traceID := ""
-		if tr != nil {
-			traceID = tr.ID().String()
-		}
-		s.cfg.logger().Error("handler panic recovered",
-			"route", label,
-			"trace_id", traceID,
-			"panic", fmt.Sprint(p),
-			"stack", string(debug.Stack()))
-		status = http.StatusInternalServerError
-		err = nil
-		if !w.wrote {
-			writeError(w, status, fmt.Errorf("internal error (trace %s)", traceID))
-		}
-	}()
-	return h(w, r)
-}
-
-// ListenAndServe binds cfg.Addr and serves until ctx is cancelled, then
-// shuts down gracefully: the listener closes, every in-flight request sees
-// its context cancelled (requests inherit ctx), and the server waits up to
-// cfg.ShutdownGrace for handlers to flush before returning.
+// ListenAndServe binds cfg.Addr and serves until ctx is cancelled; see
+// Serve.
 func (s *Server) ListenAndServe(ctx context.Context) error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	s.cfg.logf()("jobench serve: listening on %s (pool %d, cache-dir %q)",
-		ln.Addr(), s.pool.entries.cap, s.cfg.CacheDir)
-	return s.Serve(ctx, ln)
+	return serving.ListenAndServe(ctx, s.cfg.Addr, s.Serve, s.cfg.Logger,
+		"pool", s.pool.entries.cap, "cache_dir", s.cfg.CacheDir)
 }
 
-// Serve runs the server on an existing listener; see ListenAndServe.
+// Serve runs the server on an existing listener until ctx is cancelled,
+// then drains as serving.Serve describes; report computations are
+// cancelled with the stragglers.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	s.baseCtx = ctx
-	srv := &http.Server{
-		Handler: s.Handler(),
-		// Every request context derives from ctx, which is how shutdown
-		// cancellation reaches in-flight truecard DPs and experiment
-		// sweeps.
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		s.cfg.logf()("jobench serve: shutting down (%v)", context.Cause(ctx))
-		shutCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
-		defer cancel()
-		err := srv.Shutdown(shutCtx)
-		<-errc // Serve has returned http.ErrServerClosed
-		return err
-	}
+	return serving.Serve(ctx, ln, s.Handler(), s.cfg.ShutdownGrace, s.cfg.Logger)
 }
 
 // --- request plumbing -------------------------------------------------------
-
-// serverCtx returns the server's lifetime context (Background under
-// httptest, where Serve never ran).
-func (s *Server) serverCtx() context.Context {
-	if s.baseCtx != nil {
-		return s.baseCtx
-	}
-	return context.Background()
-}
 
 func (s *Server) key(wl string, seed int64, scale float64) Key {
 	if wl == "" {
@@ -371,18 +211,6 @@ func decodeJSON(r *http.Request, dst any) error {
 		return fmt.Errorf("invalid request body: %w", err)
 	}
 	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
 // statusOf maps a pipeline error onto an HTTP status: unknown names are
@@ -425,17 +253,25 @@ func planOptions(req PlanRequest) (jobench.PlanOptions, error) {
 	return opts, nil
 }
 
+// runOptions translates an ExecuteRequest's knobs into jobench.RunOptions;
+// an omitted rehash means true, the CLI's default.
+func runOptions(req ExecuteRequest) (jobench.RunOptions, error) {
+	opts, err := planOptions(req.PlanRequest)
+	return jobench.RunOptions{
+		PlanOptions: opts, Rehash: req.Rehash == nil || *req.Rehash, WorkLimit: req.WorkLimit,
+	}, err
+}
+
 // --- handlers ---------------------------------------------------------------
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) (int, error) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	return http.StatusOK, nil
+	return serving.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) (int, error) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(s.metrics.Render()))
-	return http.StatusOK, nil
+	var e serving.Exposition
+	s.metrics.Render(&e)
+	return e.Serve(w)
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -457,10 +293,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) (int, er
 	if err != nil {
 		return statusOf(err), err
 	}
-	writeJSON(w, http.StatusOK, OptimizeResponse{
+	return serving.WriteJSON(w, http.StatusOK, OptimizeResponse{
 		Workload: sys.Workload(), Query: req.Query, Plan: plan, Cost: cost,
 	})
-	return http.StatusOK, nil
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -468,41 +303,17 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) (int, err
 	if err := decodeJSON(r, &req); err != nil {
 		return http.StatusBadRequest, err
 	}
-	opts, err := planOptions(req.PlanRequest)
+	run, err := runOptions(req)
 	if err != nil {
 		return http.StatusBadRequest, err
-	}
-	rehash := true
-	if req.Rehash != nil {
-		rehash = *req.Rehash
-	}
-	if req.Explain != "" && req.Explain != "analyze" {
-		return http.StatusBadRequest, fmt.Errorf("unknown explain mode %q (want \"analyze\")", req.Explain)
-	}
-	if req.Explain == "analyze" && req.Adaptive {
-		return http.StatusBadRequest, errors.New("explain=analyze cannot be combined with adaptive")
 	}
 	sys, err := s.system(r.Context(), req.Workload, req.Seed, req.Scale)
 	if err != nil {
 		return statusOf(err), err
 	}
-	if req.Explain == "analyze" {
-		res, err := sys.ExplainAnalyzeContext(r.Context(), req.Query, jobench.RunOptions{
-			PlanOptions: opts, Rehash: rehash, WorkLimit: req.WorkLimit,
-		})
-		if err != nil {
-			return statusOf(err), err
-		}
-		writeJSON(w, http.StatusOK, ExecuteResponse{
-			Workload: sys.Workload(), Query: req.Query, Rows: res.Rows, Work: res.Work,
-			TimedOut: res.TimedOut,
-			Analyze:  res.Text, Nodes: explainNodes(res.Nodes),
-		})
-		return http.StatusOK, nil
-	}
 	if req.Adaptive {
 		res, err := sys.ExecuteAdaptiveContext(r.Context(), req.Query, jobench.AdaptiveOptions{
-			RunOptions:    jobench.RunOptions{PlanOptions: opts, Rehash: rehash, WorkLimit: req.WorkLimit},
+			RunOptions:    run,
 			QErrThreshold: req.QErrThreshold,
 			MaxReplans:    req.MaxReplans,
 		})
@@ -510,24 +321,20 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) (int, err
 			return statusOf(err), err
 		}
 		s.metrics.Replans.Add(int64(res.Replans))
-		writeJSON(w, http.StatusOK, ExecuteResponse{
+		return serving.WriteJSON(w, http.StatusOK, ExecuteResponse{
 			Workload: sys.Workload(), Query: req.Query, Rows: res.Rows, Work: res.Work,
 			TimedOut: res.TimedOut, Plan: res.Plan,
 			Replans: &res.Replans,
 		})
-		return http.StatusOK, nil
 	}
-	res, err := sys.ExecuteContext(r.Context(), req.Query, jobench.RunOptions{
-		PlanOptions: opts, Rehash: rehash, WorkLimit: req.WorkLimit,
-	})
+	res, err := sys.ExecuteContext(r.Context(), req.Query, run)
 	if err != nil {
 		return statusOf(err), err
 	}
-	writeJSON(w, http.StatusOK, ExecuteResponse{
+	return serving.WriteJSON(w, http.StatusOK, ExecuteResponse{
 		Workload: sys.Workload(), Query: req.Query, Rows: res.Rows, Work: res.Work,
 		TimedOut: res.TimedOut, Plan: res.Plan,
 	})
-	return http.StatusOK, nil
 }
 
 // explainNodes maps the facade's analyzed operators onto the wire type.
@@ -557,33 +364,23 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) (int, err
 	if req.Adaptive {
 		return http.StatusBadRequest, errors.New("explain analyze cannot be combined with adaptive")
 	}
-	if req.Explain != "" && req.Explain != "analyze" {
-		return http.StatusBadRequest, fmt.Errorf("unknown explain mode %q (want \"analyze\")", req.Explain)
-	}
-	opts, err := planOptions(req.PlanRequest)
+	run, err := runOptions(req)
 	if err != nil {
 		return http.StatusBadRequest, err
-	}
-	rehash := true
-	if req.Rehash != nil {
-		rehash = *req.Rehash
 	}
 	sys, err := s.system(r.Context(), req.Workload, req.Seed, req.Scale)
 	if err != nil {
 		return statusOf(err), err
 	}
-	res, err := sys.ExplainAnalyzeContext(r.Context(), req.Query, jobench.RunOptions{
-		PlanOptions: opts, Rehash: rehash, WorkLimit: req.WorkLimit,
-	})
+	res, err := sys.ExplainAnalyzeContext(r.Context(), req.Query, run)
 	if err != nil {
 		return statusOf(err), err
 	}
-	writeJSON(w, http.StatusOK, ExplainResponse{
+	return serving.WriteJSON(w, http.StatusOK, ExplainResponse{
 		Workload: sys.Workload(), Query: req.Query,
 		Text: res.Text, Nodes: explainNodes(res.Nodes),
 		Rows: res.Rows, Work: res.Work, TimedOut: res.TimedOut,
 	})
-	return http.StatusOK, nil
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -603,10 +400,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) (int, er
 	if err != nil {
 		return statusOf(err), err
 	}
-	writeJSON(w, http.StatusOK, EstimateResponse{
+	return serving.WriteJSON(w, http.StatusOK, EstimateResponse{
 		Workload: sys.Workload(), Query: req.Query, Estimator: estimator, Cardinality: card,
 	})
-	return http.StatusOK, nil
 }
 
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -619,10 +415,9 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) (int, err
 		return statusOf(err), err
 	}
 	ids := sys.QueryIDs()
-	writeJSON(w, http.StatusOK, QueriesResponse{
+	return serving.WriteJSON(w, http.StatusOK, QueriesResponse{
 		Workload: sys.Workload(), Count: len(ids), Queries: ids,
 	})
-	return http.StatusOK, nil
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -659,14 +454,13 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) (int, 
 	// the smoke tests) can assert which workload produced it; the default
 	// stays the raw text rendering, byte-identical to the CLI.
 	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, ExperimentResponse{
+		return serving.WriteJSON(w, http.StatusOK, ExperimentResponse{
 			Experiment: name,
 			Workload:   key.World.Workload,
 			Seed:       key.World.Seed,
 			Scale:      key.World.Scale,
 			Report:     text,
 		})
-		return http.StatusOK, nil
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_, _ = w.Write([]byte(text))
@@ -674,7 +468,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) (int, 
 }
 
 // maxSamples caps /v1/experiment's samples parameter at ten times fig9's
-// default. The sweep runs detached under the server context and holds its
+// default. The sweep runs detached under the request root and holds its
 // admission units until it finishes, so an unbounded count would let one
 // request occupy them until shutdown.
 const maxSamples = 10 * experiments.DefaultSamples
@@ -766,10 +560,10 @@ func (c *reportCache) put(k reportKey, text string) {
 
 // report returns the memoized rendering of one experiment, computing it
 // under single-flight on a miss. The computation runs detached under the
-// server's lifetime context, not the triggering request's: concurrent
-// waiters share the flight, so one client's disconnect or expired
-// deadline must not cancel work the others (and the cache) still want —
-// while shutdown still aborts it. The requester's own wait IS bounded by
+// request root (serving.Root), not the triggering request's context:
+// concurrent waiters share the flight, so one client's disconnect or
+// expired deadline must not cancel work the others (and the cache) still
+// want — while shutdown still aborts it. The requester's own wait IS bounded by
 // its context (DoContext): a deadline-carrying request gets its 504 on
 // time even though the sweep keeps running for the cache. The initiator's
 // trace still records the admission-wait and experiment spans — trace
@@ -783,9 +577,10 @@ func (s *Server) report(ctx context.Context, k reportKey) (string, error) {
 		return text, nil
 	}
 	s.metrics.ReportObserve(k.key.World.Workload, false)
-	// The computation context: server lifetime for cancellation, the
+	// The computation context: the request root for cancellation, the
 	// requester's trace for observability.
-	cctx := s.serverCtx()
+	root := serving.Root(ctx)
+	cctx := root
 	if tr := trace.FromContext(ctx); tr != nil {
 		cctx = trace.NewContext(cctx, tr)
 	}
@@ -795,12 +590,12 @@ func (s *Server) report(ctx context.Context, k reportKey) (string, error) {
 		}
 		// Admission control: only the goroutine that actually computes
 		// acquires (cache hits and flight waiters never queue), under the
-		// server lifetime context so shutdown unblocks the queue. A full
-		// waiter queue sheds immediately (errShed → 429) instead of
-		// joining an unbounded line.
+		// request root so shutdown unblocks the queue. A full waiter queue
+		// sheds immediately (errShed → 429) instead of joining an
+		// unbounded line.
 		weight := experimentWeight(k.name)
 		asp := trace.StartSpan(cctx, "admission.wait")
-		err := s.admit.acquire(s.serverCtx(), weight)
+		err := s.admit.acquire(root, weight)
 		asp.End(trace.Int64("weight", int64(weight)))
 		if err != nil {
 			return "", err
@@ -811,7 +606,7 @@ func (s *Server) report(ctx context.Context, k reportKey) (string, error) {
 			return "", err
 		}
 		esp := trace.StartSpan(cctx, "experiment.run")
-		text, err := experiments.RunExperiment(s.serverCtx(), lab, k.name, experiments.Params{Samples: k.samples})
+		text, err := experiments.RunExperiment(root, lab, k.name, experiments.Params{Samples: k.samples})
 		esp.End(trace.String("experiment", k.name))
 		if err != nil {
 			return "", err

@@ -19,6 +19,7 @@ import (
 	"jobench/internal/deadline"
 	"jobench/internal/experiments"
 	"jobench/internal/fault"
+	"jobench/internal/serving"
 	"jobench/internal/trace"
 )
 
@@ -290,7 +291,7 @@ func TestDeadlineHeaderYields504(t *testing.T) {
 // trace ID — the replica stays up — and is counted in /metrics.
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	srv := New(Config{DefaultScale: testScale, Logger: discardLogger()})
-	srv.route("GET /v1/panic-test", func(w http.ResponseWriter, r *http.Request) (int, error) {
+	srv.mux.Handle("GET /v1/panic-test", func(w http.ResponseWriter, r *http.Request) (int, error) {
 		panic("boom")
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -502,6 +503,110 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
+// serveFaulted runs a replica whose /v1/execute misbehaves as rule says
+// on a loopback listener, opens its default world, and returns the base
+// URL, the serve cancel and Serve's result channel.
+func serveFaulted(t *testing.T, rule fault.Rule, grace time.Duration) (string, context.CancelFunc, chan error) {
+	t.Helper()
+	rule.Route = "/v1/execute"
+	srv := New(Config{
+		DefaultSeed: testSeed, DefaultScale: testScale,
+		ShutdownGrace: grace,
+		Fault:         fault.New(&fault.Spec{Seed: 1, Rules: []fault.Rule{rule}}),
+		Logger:        discardLogger(),
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	base := "http://" + ln.Addr().String()
+	if resp, body := getBody(t, base+"/v1/queries"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up: status %d: %s", resp.StatusCode, body)
+	}
+	return base, cancel, served
+}
+
+// TestServeDrainsInFlight: cancelling the serve context stops accepting
+// but lets an in-flight /v1/execute finish within ShutdownGrace; the
+// client gets its full 200 answer, and Serve then returns cleanly.
+func TestServeDrainsInFlight(t *testing.T) {
+	base, cancel, served := serveFaulted(t, fault.Rule{Latency: 300 * time.Millisecond}, 3*time.Second)
+	type result struct {
+		status int
+		body   []byte
+		err    error
+	}
+	results := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(base+"/v1/execute", "application/json", strings.NewReader(`{"query":"1a"}`))
+		if err != nil {
+			results <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		results <- result{status: resp.StatusCode, body: body, err: err}
+	}()
+
+	time.Sleep(100 * time.Millisecond) // the request is inside the injected delay
+	cancel()                           // "SIGTERM"
+
+	r := <-results
+	if r.err != nil {
+		t.Fatalf("in-flight execute failed during drain: %v", r.err)
+	}
+	var ex ExecuteResponse
+	if r.status != http.StatusOK || json.Unmarshal(r.body, &ex) != nil || ex.Rows <= 0 {
+		t.Fatalf("in-flight execute during drain: status %d, body %q", r.status, r.body)
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve returned %v after a clean drain", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve never returned after the drain")
+	}
+}
+
+// TestServeCancelsStragglers: a /v1/execute still running when
+// ShutdownGrace runs out is cancelled rather than waited for: Serve runs
+// out the grace period, then returns promptly — cleanly, since the
+// straggler honoured its cancellation.
+func TestServeCancelsStragglers(t *testing.T) {
+	const grace = time.Second
+	base, cancel, served := serveFaulted(t, fault.Rule{HangRate: 1}, grace)
+	go func() {
+		resp, err := http.Post(base+"/v1/execute", "application/json", strings.NewReader(`{"query":"1a"}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+
+	time.Sleep(100 * time.Millisecond) // the request hangs until cancelled
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-served:
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("Serve returned %v; the cancelled straggler did return", err)
+		}
+		if elapsed < grace {
+			t.Fatalf("Serve returned after %v: the straggler was cut before its %v grace", elapsed, grace)
+		}
+		if elapsed > 5*time.Second {
+			t.Fatalf("drain of a stuck execute took %v, grace is %v", elapsed, grace)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve never returned with a stuck in-flight execute")
+	}
+}
+
 // TestAdaptiveExecuteRoundTrip is the acceptance test for the adaptive
 // surface: an adaptive /v1/execute reports its replans, returns the rows a
 // plain execution returns, and plans cold every time, so a repeat costs
@@ -633,7 +738,7 @@ func TestTraceMiddleware(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/traces status %d", resp.StatusCode)
 	}
-	var tr trace.Listing
+	var tr serving.Listing
 	if err := json.Unmarshal(body, &tr); err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +746,7 @@ func TestTraceMiddleware(t *testing.T) {
 		t.Fatalf("traces response %d/%d", tr.Count, len(tr.Traces))
 	}
 	for _, r := range tr.Traces {
-		if untraced(r.Route) {
+		if r.Route == "/healthz" || r.Route == "/metrics" || r.Route == "/v1/traces" {
 			t.Fatalf("untraced route %q found in the ring", r.Route)
 		}
 	}
@@ -703,24 +808,10 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("explain+adaptive status %d, want 400", resp.StatusCode)
 	}
 
-	// The same instrumented run is reachable via the execute knob.
+	// /v1/explain is the one EXPLAIN ANALYZE route: /v1/execute knows no
+	// "explain" field.
 	resp, body = postJSON(t, ts.URL+"/v1/execute", map[string]any{"query": "1a", "explain": "analyze"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("execute explain=analyze status %d: %s", resp.StatusCode, body)
-	}
-	var eres ExecuteResponse
-	if err := json.Unmarshal(body, &eres); err != nil {
-		t.Fatal(err)
-	}
-	if eres.Analyze == "" || len(eres.Nodes) == 0 {
-		t.Fatalf("execute explain=analyze returned no analyze fields: %s", body)
-	}
-	if *eres.Nodes[0].ActualRows != *out.Nodes[0].ActualRows {
-		t.Fatalf("execute/explain actuals disagree: %d vs %d",
-			*eres.Nodes[0].ActualRows, *out.Nodes[0].ActualRows)
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/execute", map[string]any{"query": "1a", "explain": "verbose"})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown explain mode status %d, want 400", resp.StatusCode)
+		t.Fatalf("execute with explain: status %d, want 400: %s", resp.StatusCode, body)
 	}
 }

@@ -269,7 +269,8 @@ docs-check:
 	$(GO) run ./cmd/docscheck ./internal/hashtab ./internal/service ./internal/engine \
 		./internal/parallel ./internal/router ./internal/loadgen ./internal/reopt \
 		./internal/workload ./internal/index ./internal/trace \
-		./internal/fault ./internal/deadline ./internal/world ./internal/serving
+		./internal/fault ./internal/deadline ./internal/world ./internal/serving \
+		./internal/query ./internal/enum ./internal/cardest ./internal/optimizer
 
 # The perf ledger (benchmark/) is its own module, outside `go build ./...`
 # and tier-1 — so without this gate a root API change breaks it silently.

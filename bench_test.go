@@ -208,6 +208,7 @@ func benchSpace(l *experiments.Lab, qid string) *enum.Space {
 func BenchmarkDPExhaustive17Relations(b *testing.B) {
 	l := lab(b)
 	sp := benchSpace(l, "29a") // 17 relations, the workload's largest
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := enum.DP(sp); err != nil {
@@ -219,6 +220,7 @@ func BenchmarkDPExhaustive17Relations(b *testing.B) {
 func BenchmarkQuickPick1000(b *testing.B) {
 	l := lab(b)
 	sp := benchSpace(l, "13d")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := enum.QuickPickBest(sp, 1000, int64(i)); err != nil {
@@ -230,11 +232,46 @@ func BenchmarkQuickPick1000(b *testing.B) {
 func BenchmarkGOO(b *testing.B) {
 	l := lab(b)
 	sp := benchSpace(l, "13d")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := enum.GOO(sp); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOptimizeJOB is the in-process form of the plan.job op list: one
+// iteration optimizes all 113 JOB queries under the PostgreSQL and HyPer
+// estimators and the PK and PK+FK designs, with nested-loop joins off, on
+// imdb at scale 0.1. Estimator, statistics and index state are built by a
+// warm pass before the timer starts.
+func BenchmarkOptimizeJOB(b *testing.B) {
+	sys, err := jobench.Open(jobench.Options{Scale: 0.1, Seed: 42, Logf: func(string, ...any) {}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var opts []jobench.PlanOptions
+	for _, est := range []string{jobench.EstPostgres, jobench.EstHyPer} {
+		for _, idx := range []jobench.IndexConfig{jobench.PKOnly, jobench.PKFK} {
+			opts = append(opts, jobench.PlanOptions{Estimator: est, Indexes: idx, DisableNestedLoops: true})
+		}
+	}
+	ids := sys.QueryIDs()
+	optimizeAll := func() {
+		for _, q := range ids {
+			for _, o := range opts {
+				if _, _, err := sys.Optimize(q, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	optimizeAll()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		optimizeAll()
 	}
 }
 

@@ -46,7 +46,7 @@ func main() {
 			provs[est.Name()] = est.ForQuery(g)
 		}
 		g.ConnectedSubsets(func(s query.BitSet) {
-			nj := len(g.EdgesWithin(s))
+			nj := g.EdgesWithin(s).Count()
 			if nj > 6 || s.Count() > 7 {
 				return
 			}

@@ -28,7 +28,7 @@ package cardest
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"jobench/internal/query"
 	"jobench/internal/stats"
@@ -100,17 +100,17 @@ func (f *formula) card(s query.BitSet, skipSel int) float64 {
 		}
 	})
 	edges := f.g.EdgesWithin(s)
-	if f.damping && len(edges) > 1 {
+	n := edges.Count()
+	if f.damping && n > 1 {
 		// Damping: the most selective join predicate applies fully, every
 		// further one is softened slightly (selectivity^dampExp). The more
 		// predicates pile up, the less the estimator trusts their joint
 		// independence — which is exactly the behaviour the paper deduces
 		// for DBMS A from its truth-hugging medians (§3.2).
-		sels := make([]float64, len(edges))
-		for i, e := range edges {
-			sels[i] = f.edgeSel[e]
-		}
-		sort.Float64s(sels)
+		var buf [64]float64
+		sels := buf[:0]
+		edges.ForEach(func(e int) { sels = append(sels, f.edgeSel[e]) })
+		slices.Sort(sels)
 		exp := f.dampExponent
 		if exp == 0 {
 			exp = dampExp
@@ -120,12 +120,10 @@ func (f *formula) card(s query.BitSet, skipSel int) float64 {
 			rows *= math.Pow(sv, exp)
 		}
 	} else {
-		for _, e := range edges {
-			rows *= f.edgeSel[e]
-		}
+		edges.ForEach(func(e int) { rows *= f.edgeSel[e] })
 	}
-	if f.shrink > 0 && f.shrink < 1 && len(edges) > 2 {
-		rows *= math.Pow(f.shrink, float64(len(edges)-2))
+	if f.shrink > 0 && f.shrink < 1 && n > 2 {
+		rows *= math.Pow(f.shrink, float64(n-2))
 	}
 	if rows < 1 {
 		// All systems round up to one row; §3.2's footnote 6 traces some of
@@ -365,7 +363,7 @@ func (p *Pessimistic) SansSelection(s query.BitSet, r int) float64 {
 }
 
 func (p *Pessimistic) inflation(s query.BitSet) float64 {
-	n := len(p.G.EdgesWithin(s))
+	n := p.G.EdgesWithin(s).Count()
 	if n == 0 {
 		return 1
 	}

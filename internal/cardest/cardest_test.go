@@ -131,7 +131,7 @@ func TestJoinUnderestimationGrowsWithJoins(t *testing.T) {
 			if !ok || truth == 0 {
 				return
 			}
-			nj := len(g.EdgesWithin(s))
+			nj := g.EdgesWithin(s).Count()
 			medians[nj] = append(medians[nj], metrics.SignedError(prov.Card(s), truth))
 		})
 	}
@@ -159,7 +159,7 @@ func TestDampingLiftsDeepEstimates(t *testing.T) {
 	// one-row floor, hiding the difference).
 	var aVals, pgVals, bVals []float64
 	g.ConnectedSubsets(func(s query.BitSet) {
-		if nj := len(g.EdgesWithin(s)); nj < 3 || nj > 6 {
+		if nj := g.EdgesWithin(s).Count(); nj < 3 || nj > 6 {
 			return
 		}
 		aVals = append(aVals, a.Card(s))

@@ -53,27 +53,33 @@ func (sp *Space) leafFor(r int) *plan.Node {
 // nil if the shape restriction or available algorithms rule it out. Both
 // orientations must be tried by the caller.
 func (sp *Space) joinOf(left, right *plan.Node) *plan.Node {
-	if !sp.Shape.Allows(left, right) {
-		return nil
-	}
 	edges := sp.G.EdgesBetween(left.S, right.S)
-	if len(edges) == 0 {
+	if !sp.Shape.Allows(left, right) || edges == 0 {
 		return nil
 	}
-	s := left.S.Union(right.S)
-	out := sp.Cards.Card(s)
+	out := sp.Cards.Card(left.S.Union(right.S))
+	cost, algo, ok := sp.price(left, right, edges, out)
+	if !ok {
+		return nil
+	}
+	return newJoin(left, right, edges, out, cost, algo)
+}
 
-	best := math.Inf(1)
-	var bestAlgo plan.JoinAlgo
-	found := false
-
+// price returns the cheapest algorithm, and its total cost, for joining
+// left and right in this orientation over the non-empty edge set edges into
+// out rows; ok is false if no algorithm applies. A later algorithm replaces
+// an earlier one only if strictly cheaper. Index-nested-loop needs a leaf
+// inner with an index on the inner's column of the lowest edge, the key
+// plan.Node.RightKeyColumn reads back from the built node.
+func (sp *Space) price(left, right *plan.Node, edges query.EdgeSet, out float64) (cost float64, algo plan.JoinAlgo, ok bool) {
+	cost = math.Inf(1)
 	try := func(a plan.JoinAlgo, local float64) {
-		cost := left.ECost + local
+		c := left.ECost + local
 		if a != plan.IndexNLJoin {
-			cost += right.ECost
+			c += right.ECost
 		}
-		if cost < best {
-			best, bestAlgo, found = cost, a, true
+		if c < cost {
+			cost, algo, ok = c, a, true
 		}
 	}
 
@@ -83,60 +89,78 @@ func (sp *Space) joinOf(left, right *plan.Node) *plan.Node {
 		try(plan.NestedLoopJoin, sp.Model.NestedLoopJoinCost(left.ECard, right.ECard, out))
 	}
 	if right.IsLeaf() {
-		n := &plan.Node{S: s, Rel: -1, Left: left, Right: right, EdgeIdxs: edges}
-		table, col := n.RightKeyColumn(sp.G)
-		if sp.indexes().Has(table, col) {
-			r := right.Rel
+		r := right.Rel
+		table := sp.G.Q.Rels[r].Table
+		if sp.indexes().Has(table, sp.G.Edges[edges.First()].ColFor(sp.G.Q, r)) {
 			t := sp.DB.MustTable(table)
-			lookups := sp.Cards.SansSelection(s, r)
+			lookups := sp.Cards.SansSelection(left.S.Union(right.S), r)
 			innerRows := sp.Cards.SansSelection(right.S, r)
 			try(plan.IndexNLJoin, sp.Model.IndexJoinCost(left.ECard, lookups, out, innerRows, float64(t.TupleWidth())))
 		}
 	}
-	if !found {
-		return nil
-	}
+	return cost, algo, ok
+}
+
+// newJoin allocates the join node price chose.
+func newJoin(left, right *plan.Node, edges query.EdgeSet, out, cost float64, algo plan.JoinAlgo) *plan.Node {
 	return &plan.Node{
-		S: s, Rel: -1, Algo: bestAlgo, Left: left, Right: right,
-		EdgeIdxs: edges, ECard: out, ECost: best,
+		S: left.S.Union(right.S), Rel: -1, Algo: algo, Left: left, Right: right,
+		EdgeIdxs: edges.Elems(), ECard: out, ECost: cost,
 	}
 }
 
 // emit offers the csg-cmp pair (s1, s2) to the DP table in both
-// orientations.
+// orientations. The union's cardinality is asked of the provider once per
+// set: once the set has a plan, its ECard is that answer. A node is
+// allocated only for an orientation that beats the plan so far.
 func (sp *Space) emit(table map[query.BitSet]*plan.Node, s1, s2 query.BitSet) {
 	l, r := table[s1], table[s2]
-	if l == nil || r == nil {
+	edges := sp.G.EdgesBetween(s1, s2)
+	if l == nil || r == nil || edges == 0 {
 		return
 	}
 	s := s1.Union(s2)
-	if n := sp.joinOf(l, r); n != nil && beats(n, table[s]) {
-		table[s] = n
+	cur := table[s]
+	var out float64
+	known := cur != nil
+	if known {
+		out = cur.ECard
 	}
-	if n := sp.joinOf(r, l); n != nil && beats(n, table[s]) {
-		table[s] = n
+	for _, lr := range [2][2]*plan.Node{{l, r}, {r, l}} {
+		left, right := lr[0], lr[1]
+		if !sp.Shape.Allows(left, right) {
+			continue
+		}
+		if !known {
+			out, known = sp.Cards.Card(s), true
+		}
+		if cost, algo, ok := sp.price(left, right, edges, out); ok && beats(cost, left.S, right.S, cur) {
+			cur = newJoin(left, right, edges, out, cost, algo)
+			table[s] = cur
+		}
 	}
 }
 
-// beats reports whether the join n should replace cur, the best plan so far
-// for the same relation set. A strictly cheaper plan wins. Exactly equal
-// costs are broken by the split, so the winner does not depend on the
-// order pairs are emitted in: the plan whose numerically smaller half lo is
-// larger wins, and at equal lo the plan with lo on the left. That is the
-// first plan in DPsub's visit order (descending subsets, lower half joined
-// on the left first), which the tests keep as the reference.
-func beats(n, cur *plan.Node) bool {
+// beats reports whether a join of left and right costing cost should
+// replace cur, the best plan so far for the same relation set. A strictly
+// cheaper plan wins. Exactly equal costs are broken by the split, so the
+// winner does not depend on the order pairs are emitted in: the plan whose
+// numerically smaller half lo is larger wins, and at equal lo the plan with
+// lo on the left. That is the first plan in DPsub's visit order
+// (descending subsets, lower half joined on the left first), which the
+// tests keep as the reference.
+func beats(cost float64, left, right query.BitSet, cur *plan.Node) bool {
 	if cur == nil {
 		return true
 	}
-	if n.ECost != cur.ECost {
-		return n.ECost < cur.ECost
+	if cost != cur.ECost {
+		return cost < cur.ECost
 	}
-	nlo, clo := min(n.Left.S, n.Right.S), min(cur.Left.S, cur.Right.S)
+	nlo, clo := min(left, right), min(cur.Left.S, cur.Right.S)
 	if nlo != clo {
 		return nlo > clo
 	}
-	return n.Left.S == nlo && cur.Left.S != clo
+	return left == nlo && cur.Left.S != clo
 }
 
 // DP is the exhaustive dynamic program over connected subgraphs without
@@ -148,7 +172,7 @@ func beats(n, cur *plan.Node) bool {
 // shape restriction.
 func DP(sp *Space) (*plan.Node, error) {
 	g := sp.G
-	table := make(map[query.BitSet]*plan.Node, 1<<uint(g.N))
+	table := make(map[query.BitSet]*plan.Node, 4*g.N)
 	for r := 0; r < g.N; r++ {
 		table[query.Bit(r)] = sp.leafFor(r)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"jobench/internal/cardest"
@@ -15,6 +16,7 @@ import (
 	"jobench/internal/query"
 	"jobench/internal/stats"
 	"jobench/internal/storage"
+	"jobench/internal/truecard"
 )
 
 // testLab caches a small database + stats for all tests in this package.
@@ -176,6 +178,66 @@ func TestDPMatchesDPsub(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDPNodeAnnotations: on every JOB query under PostgreSQL estimates and
+// true cardinalities, with PK and PK+FK indexes, every node of DP's plan
+// carries its provider's cardinality bit for bit (under true cardinalities:
+// q-error exactly 1 at every node), every join lists the edges between its
+// children in ascending order, and re-costing the plan reproduces the
+// root's cost. -short checks every 10th query.
+func TestDPNodeAnnotations(t *testing.T) {
+	l := lab(t)
+	model := costmodel.NewSimple()
+	for qi, q := range job.Workload() {
+		if testing.Short() && qi%10 != 0 {
+			continue
+		}
+		g := query.MustBuildGraph(q)
+		st, err := truecard.Compute(l.db, g, truecard.Options{})
+		if err != nil {
+			t.Fatalf("%s: truecard: %v", q.ID, err)
+		}
+		for _, cards := range []cardest.Provider{l.pg.ForQuery(g), cardest.True{Store: st}} {
+			for di, idx := range []*index.Set{l.pk, l.pkfk} {
+				label := fmt.Sprintf("%s/%s/design%d", q.ID, cards.Name(), di)
+				root, err := DP(&Space{
+					G: g, DB: l.db, Cards: cards, Model: model,
+					Indexes: idx, DisableNLJ: true, Shape: plan.Bushy,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				checkAnnotations(t, label, g, cards, root)
+				if c := plan.Cost(root, g, l.db, cards, model); math.Abs(c-root.ECost) > 1e-12*math.Abs(root.ECost) {
+					t.Errorf("%s: re-costed plan %v, DP says %v", label, c, root.ECost)
+				}
+			}
+		}
+	}
+}
+
+// checkAnnotations walks a plan checking each node's ECard against cards
+// and each join's EdgeIdxs against a scan of g.Edges.
+func checkAnnotations(t *testing.T, label string, g *query.Graph, cards cardest.Provider, n *plan.Node) {
+	t.Helper()
+	if want := cards.Card(n.S); n.ECard != want {
+		t.Errorf("%s: node %v has ECard %v, provider says %v", label, n.S, n.ECard, want)
+	}
+	if n.IsLeaf() {
+		return
+	}
+	var want []int
+	for ei, e := range g.Edges {
+		if n.Left.S.Has(e.U) && n.Right.S.Has(e.V) || n.Left.S.Has(e.V) && n.Right.S.Has(e.U) {
+			want = append(want, ei)
+		}
+	}
+	if !slices.Equal(n.EdgeIdxs, want) {
+		t.Errorf("%s: node %v has EdgeIdxs %v, want %v", label, n.S, n.EdgeIdxs, want)
+	}
+	checkAnnotations(t, label, g, cards, n.Left)
+	checkAnnotations(t, label, g, cards, n.Right)
 }
 
 // constCards gives every relation set the same cardinality, so every split

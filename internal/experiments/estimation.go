@@ -125,7 +125,7 @@ func (l *Lab) Figure3(ctx context.Context) (*Figure3Result, error) {
 			errs[i] = make([][]float64, maxFigure3Joins+1)
 		}
 		g.ConnectedSubsets(func(s query.BitSet) {
-			nj := len(g.EdgesWithin(s))
+			nj := g.EdgesWithin(s).Count()
 			if nj > maxFigure3Joins {
 				return
 			}
@@ -255,7 +255,7 @@ func (l *Lab) Figure4(ctx context.Context) (*Figure4Result, error) {
 func figure4Panel(label string, g *query.Graph, prov cardest.Provider, st *truecard.Store) Figure4Panel {
 	byJoins := make([][]float64, maxFigure3Joins+1)
 	g.ConnectedSubsets(func(s query.BitSet) {
-		nj := len(g.EdgesWithin(s))
+		nj := g.EdgesWithin(s).Count()
 		if nj > maxFigure3Joins {
 			return
 		}
@@ -335,7 +335,7 @@ func (l *Lab) Figure5(ctx context.Context) (*Figure5Result, error) {
 			td:  make([][]float64, maxFigure3Joins+1),
 		}
 		g.ConnectedSubsets(func(s query.BitSet) {
-			nj := len(g.EdgesWithin(s))
+			nj := g.EdgesWithin(s).Count()
 			if nj > maxFigure3Joins {
 				return
 			}

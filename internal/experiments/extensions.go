@@ -56,7 +56,7 @@ func (l *Lab) DampingAblation(ctx context.Context, exponents []float64) (*Dampin
 			prov := est.ForQuery(g)
 			out := cellResult{byJoins: make(map[int][]float64)}
 			g.ConnectedSubsets(func(s query.BitSet) {
-				nj := len(g.EdgesWithin(s))
+				nj := g.EdgesWithin(s).Count()
 				if nj == 0 || nj > maxFigure3Joins {
 					return
 				}

@@ -29,6 +29,7 @@ const (
 	GOO
 )
 
+// String returns the algorithm's name as the reports print it.
 func (a Algorithm) String() string {
 	switch a {
 	case DP:

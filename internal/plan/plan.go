@@ -149,15 +149,9 @@ func (n *Node) RightKeyColumn(g *query.Graph) (table, col string) {
 	if len(n.EdgeIdxs) == 0 {
 		panic("plan: join node without edges")
 	}
-	e := g.Edges[n.EdgeIdxs[0]]
-	j := e.Preds[0]
 	// The right child is a single relation for INL.
 	r := n.Right.S.First()
-	rel := g.Q.Rels[r]
-	if g.Q.RelIndex(j.LeftAlias) == r {
-		return rel.Table, j.LeftCol
-	}
-	return rel.Table, j.RightCol
+	return g.Q.Rels[r].Table, g.Edges[n.EdgeIdxs[0]].ColFor(g.Q, r)
 }
 
 // Cost prices the plan under the given cardinality provider and cost model.

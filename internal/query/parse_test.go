@@ -247,7 +247,8 @@ func FuzzParseSQL(f *testing.F) {
 // checkGraph verifies a join graph's structural invariants: one node per
 // relation; edges between distinct nodes with U < V, one per pair; every
 // join predicate on exactly one edge, normalised to its endpoints' aliases;
-// and adjacency agreeing with the edge list.
+// adjacency agreeing with the edge list; and the edge masks holding every
+// edge between its endpoints and within the whole query.
 func checkGraph(g *Graph) error {
 	q := g.Q
 	if g.N != len(q.Rels) {
@@ -274,9 +275,13 @@ func checkGraph(g *Graph) error {
 		}
 		preds += len(e.Preds)
 		adj[e.U], adj[e.V] = adj[e.U].Add(e.V), adj[e.V].Add(e.U)
-		if !slices.Contains(g.EdgesBetween(Bit(e.U), Bit(e.V)), ei) {
+		if g.EdgesBetween(Bit(e.U), Bit(e.V))&(1<<uint(ei)) == 0 {
 			return fmt.Errorf("EdgesBetween misses edge %d", ei)
 		}
+	}
+	all := EdgeSet(1)<<uint(len(g.Edges)) - 1
+	if got := g.EdgesWithin(BitSet(1)<<uint(g.N) - 1); got != all {
+		return fmt.Errorf("EdgesWithin(all relations) = %b, want %b", got, all)
 	}
 	if preds != len(q.Joins) {
 		return fmt.Errorf("edges hold %d predicates, query has %d joins", preds, len(q.Joins))

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"jobench/internal/storage"
@@ -182,9 +181,26 @@ type Graph struct {
 	N     int
 	Edges []Edge
 
-	neighbors []BitSet // per relation
-	edgesOf   [][]int  // edge indexes incident to each relation
+	neighbors []BitSet  // per relation
+	incident  []EdgeSet // edges touching each relation
 }
+
+// EdgeSet is a set of edge indexes of one Graph, bit i standing for
+// Edges[i]; BuildGraph rejects graphs with more than 64 edges (JOB queries
+// have at most 16). Its methods visit edges in ascending index order.
+type EdgeSet uint64
+
+// Count returns the number of edges in the set.
+func (e EdgeSet) Count() int { return BitSet(e).Count() }
+
+// First returns the smallest edge index of a non-empty set.
+func (e EdgeSet) First() int { return BitSet(e).First() }
+
+// Elems returns the edge indexes in ascending order.
+func (e EdgeSet) Elems() []int { return BitSet(e).Elems() }
+
+// ForEach calls f for every edge index in ascending order.
+func (e EdgeSet) ForEach(f func(ei int)) { BitSet(e).ForEach(f) }
 
 // BuildGraph derives the join graph from a query.
 func BuildGraph(q *Query) (*Graph, error) {
@@ -199,7 +215,7 @@ func BuildGraph(q *Query) (*Graph, error) {
 		Q:         q,
 		N:         n,
 		neighbors: make([]BitSet, n),
-		edgesOf:   make([][]int, n),
+		incident:  make([]EdgeSet, n),
 	}
 	byPair := make(map[[2]int]int)
 	for _, j := range q.Joins {
@@ -223,11 +239,14 @@ func BuildGraph(q *Query) (*Graph, error) {
 		byPair[key] = len(g.Edges)
 		g.Edges = append(g.Edges, Edge{U: u, V: v, Preds: []Join{j}})
 	}
+	if len(g.Edges) > 64 {
+		return nil, fmt.Errorf("too many join edges (%d > 64)", len(g.Edges))
+	}
 	for ei, e := range g.Edges {
 		g.neighbors[e.U] = g.neighbors[e.U].Add(e.V)
 		g.neighbors[e.V] = g.neighbors[e.V].Add(e.U)
-		g.edgesOf[e.U] = append(g.edgesOf[e.U], ei)
-		g.edgesOf[e.V] = append(g.edgesOf[e.V], ei)
+		g.incident[e.U] |= 1 << uint(ei)
+		g.incident[e.V] |= 1 << uint(ei)
 	}
 	return g, nil
 }
@@ -277,37 +296,23 @@ func (g *Graph) ConnectedPair(s1, s2 BitSet) bool {
 	return g.Neighborhood(s1).Overlaps(s2)
 }
 
-// EdgesBetween returns the indexes of all edges with one endpoint in s1 and
-// the other in s2.
-func (g *Graph) EdgesBetween(s1, s2 BitSet) []int {
-	var out []int
-	seen := make(map[int]bool)
-	s1.ForEach(func(r int) {
-		for _, ei := range g.edgesOf[r] {
-			if seen[ei] {
-				continue
-			}
-			e := g.Edges[ei]
-			o := e.Other(r)
-			if s2.Has(o) {
-				seen[ei] = true
-				out = append(out, ei)
-			}
-		}
-	})
-	sort.Ints(out)
-	return out
+// touching returns the edges with at least one endpoint in s.
+func (g *Graph) touching(s BitSet) EdgeSet {
+	var es EdgeSet
+	s.ForEach(func(r int) { es |= g.incident[r] })
+	return es
 }
 
-// EdgesWithin returns the indexes of all edges with both endpoints in s.
-func (g *Graph) EdgesWithin(s BitSet) []int {
-	var out []int
-	for ei, e := range g.Edges {
-		if s.Has(e.U) && s.Has(e.V) {
-			out = append(out, ei)
-		}
-	}
-	return out
+// EdgesBetween returns the edges with one endpoint in s1 and the other in
+// s2, for disjoint s1 and s2.
+func (g *Graph) EdgesBetween(s1, s2 BitSet) EdgeSet {
+	return g.touching(s1) & g.touching(s2)
+}
+
+// EdgesWithin returns the edges with both endpoints in s.
+func (g *Graph) EdgesWithin(s BitSet) EdgeSet {
+	all := BitSet(1)<<uint(g.N) - 1 // every relation, also at N = 64
+	return g.touching(s) &^ g.touching(all.Minus(s))
 }
 
 // ConnectedSubsets enumerates every connected subset of the graph's

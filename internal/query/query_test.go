@@ -284,11 +284,86 @@ func TestGraphBundlesParallelEdges(t *testing.T) {
 
 func TestEdgesBetweenAndWithin(t *testing.T) {
 	g := MustBuildGraph(chainQuery(4))
-	if got := g.EdgesBetween(NewBitSet(0, 1), NewBitSet(2, 3)); len(got) != 1 || g.Edges[got[0]].U != 1 {
-		t.Fatalf("EdgesBetween = %v", got)
+	if got := g.EdgesBetween(NewBitSet(0, 1), NewBitSet(2, 3)); got.Count() != 1 || g.Edges[got.First()].U != 1 {
+		t.Fatalf("EdgesBetween = %b", got)
 	}
-	if got := g.EdgesWithin(NewBitSet(0, 1, 2)); len(got) != 2 {
-		t.Fatalf("EdgesWithin = %v", got)
+	if got := g.EdgesWithin(NewBitSet(0, 1, 2)); got.Elems()[0] != 0 || got.Elems()[1] != 1 || got.Count() != 2 {
+		t.Fatalf("EdgesWithin = %b", got)
+	}
+}
+
+// Property: on random graphs of up to 8 relations, EdgesBetween and
+// EdgesWithin agree with a scan of g.Edges for every pair of disjoint
+// relation sets.
+func TestEdgeMasksMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(8)
+		q := &Query{ID: "rnd"}
+		for i := 0; i < n; i++ {
+			q.Rels = append(q.Rels, Rel{Alias: alias(i), Table: "t"})
+		}
+		for k := rng.Intn(2 * n); k > 0; k-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				q.Joins = append(q.Joins, Join{LeftAlias: alias(u), LeftCol: "a", RightAlias: alias(v), RightCol: "b"})
+			}
+		}
+		g := MustBuildGraph(q)
+		brute := func(in func(e Edge) bool) EdgeSet {
+			var es EdgeSet
+			for ei, e := range g.Edges {
+				if in(e) {
+					es |= 1 << uint(ei)
+				}
+			}
+			return es
+		}
+		full := FullSet(n)
+		for s1 := BitSet(0); s1 <= full; s1++ {
+			want := brute(func(e Edge) bool { return s1.Has(e.U) && s1.Has(e.V) })
+			if got := g.EdgesWithin(s1); got != want {
+				t.Fatalf("%v: EdgesWithin(%v) = %b, want %b", g.Edges, s1, got, want)
+			}
+			rest := full.Minus(s1)
+			for s2 := rest; ; s2 = (s2 - 1) & rest {
+				want := brute(func(e Edge) bool {
+					return s1.Has(e.U) && s2.Has(e.V) || s1.Has(e.V) && s2.Has(e.U)
+				})
+				if got := g.EdgesBetween(s1, s2); got != want {
+					t.Fatalf("%v: EdgesBetween(%v, %v) = %b, want %b", g.Edges, s1, s2, got, want)
+				}
+				if s2 == 0 {
+					break
+				}
+			}
+		}
+	}
+}
+
+// BuildGraph accepts up to 64 join edges, the width of an EdgeSet, and
+// rejects more.
+func TestBuildGraphEdgeLimit(t *testing.T) {
+	clique := func(edges int) *Query {
+		q := &Query{ID: "clique"}
+		for i := 0; i < 12; i++ { // K12 has 66 edges
+			q.Rels = append(q.Rels, Rel{Alias: alias(i), Table: "t"})
+		}
+		for u := 0; u < 12 && len(q.Joins) < edges; u++ {
+			for v := u + 1; v < 12 && len(q.Joins) < edges; v++ {
+				q.Joins = append(q.Joins, Join{LeftAlias: alias(u), LeftCol: "a", RightAlias: alias(v), RightCol: "b"})
+			}
+		}
+		return q
+	}
+	g, err := BuildGraph(clique(64))
+	if err != nil {
+		t.Fatalf("64 edges: %v", err)
+	}
+	if got := g.EdgesWithin(FullSet(12)); got != ^EdgeSet(0) {
+		t.Fatalf("EdgesWithin(all) = %b", got)
+	}
+	if _, err := BuildGraph(clique(65)); err == nil || !strings.Contains(err.Error(), "too many join edges") {
+		t.Fatalf("65 edges: err = %v", err)
 	}
 }
 

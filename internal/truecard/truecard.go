@@ -423,10 +423,11 @@ func (c *computer) computeSubset(ctx context.Context, s query.BitSet, prev map[q
 		if !ok {
 			continue // rest disconnected
 		}
-		edges := c.g.EdgesBetween(rest, query.Bit(r))
-		if len(edges) == 0 {
+		between := c.g.EdgesBetween(rest, query.Bit(r))
+		if between == 0 {
 			continue
 		}
+		edges := between.Elems()
 		found = true
 		if out.res == nil {
 			res, err := c.join(ctx, s, base, r, edges, true)

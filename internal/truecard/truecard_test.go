@@ -33,7 +33,7 @@ func bruteForce(db *storage.Database, g *query.Graph, s query.BitSet) int64 {
 		pos[r] = i
 	}
 	var edges []query.Join
-	for _, ei := range g.EdgesWithin(s) {
+	for _, ei := range g.EdgesWithin(s).Elems() {
 		edges = append(edges, g.Edges[ei].Preds...)
 	}
 	var count int64

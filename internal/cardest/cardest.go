@@ -20,7 +20,7 @@
 //   - DBMS C: histograms for numeric predicates but magic constants for all
 //     string predicates: large base-table overestimates (Table 1, row C).
 //
-// The true-cardinality provider and the Injector make any of these
+// Every profile, and the true-cardinality provider True, is a Provider:
 // interchangeable inputs to the optimizer, replicating the paper's §2.4
 // cardinality-injection methodology.
 package cardest
@@ -139,23 +139,40 @@ type baseSelEstimator interface {
 	relSelectivity(rel query.Rel, t *storage.Table, ts *stats.TableStats) float64
 }
 
-// buildFormula assembles the shared product form for one query.
-func buildFormula(name string, db *storage.Database, sdb *stats.DB, g *query.Graph,
-	base baseSelEstimator, damping bool, shrink float64) *formula {
+// profile is an estimator profile: the recipe each query's formula is
+// built from. The five systems and the damping ablation's variants are
+// values of it that differ only in these fields.
+type profile struct {
+	name string
+	db   *storage.Database
+	sdb  *stats.DB
+	base baseSelEstimator
+	// damping, dampExponent and shrink are copied into every formula.
+	damping      bool
+	dampExponent float64
+	shrink       float64
+}
 
+// Name implements Estimator.
+func (p *profile) Name() string { return p.name }
+
+// ForQuery implements Estimator: it assembles the shared product form for
+// one query.
+func (p *profile) ForQuery(g *query.Graph) Provider {
 	f := &formula{
-		name:     name,
-		g:        g,
-		baseRows: make([]float64, g.N),
-		sel:      make([]float64, g.N),
-		damping:  damping,
-		shrink:   shrink,
+		name:         p.name,
+		g:            g,
+		baseRows:     make([]float64, g.N),
+		sel:          make([]float64, g.N),
+		damping:      p.damping,
+		dampExponent: p.dampExponent,
+		shrink:       p.shrink,
 	}
 	for i, rel := range g.Q.Rels {
-		t := db.MustTable(rel.Table)
-		ts := sdb.Table(rel.Table)
+		t := p.db.MustTable(rel.Table)
+		ts := p.sdb.Table(rel.Table)
 		f.baseRows[i] = math.Max(1, float64(ts.RowCount))
-		f.sel[i] = clampSel(base.relSelectivity(rel, t, ts))
+		f.sel[i] = clampSel(p.base.relSelectivity(rel, t, ts))
 	}
 	f.edgeSel = make([]float64, len(g.Edges))
 	for ei, e := range g.Edges {
@@ -165,8 +182,8 @@ func buildFormula(name string, db *storage.Database, sdb *stats.DB, g *query.Gra
 		for _, j := range e.Preds {
 			lRel := g.Q.Rels[g.Q.RelIndex(j.LeftAlias)]
 			rRel := g.Q.Rels[g.Q.RelIndex(j.RightAlias)]
-			nd1 := sdb.Table(lRel.Table).Cols[j.LeftCol].NDistinct
-			nd2 := sdb.Table(rRel.Table).Cols[j.RightCol].NDistinct
+			nd1 := p.sdb.Table(lRel.Table).Cols[j.LeftCol].NDistinct
+			nd2 := p.sdb.Table(rRel.Table).Cols[j.RightCol].NDistinct
 			sel *= 1 / math.Max(1, math.Max(nd1, nd2))
 		}
 		f.edgeSel[ei] = sel
@@ -186,107 +203,45 @@ func clampSel(s float64) float64 {
 
 // --- the five estimator profiles -------------------------------------------
 
-// Postgres is the PostgreSQL-style estimator.
-type Postgres struct {
-	db  *storage.Database
-	sdb *stats.DB
-}
-
 // NewPostgres builds the PostgreSQL profile from ANALYZE statistics. Passing
 // statistics computed with Options.TrueDistinct yields the paper's Fig. 5
 // "true distinct counts" variant.
-func NewPostgres(db *storage.Database, sdb *stats.DB) *Postgres {
-	return &Postgres{db: db, sdb: sdb}
-}
-
-// Name implements Estimator.
-func (p *Postgres) Name() string { return "PostgreSQL" }
-
-// ForQuery implements Estimator.
-func (p *Postgres) ForQuery(g *query.Graph) Provider {
-	return buildFormula(p.Name(), p.db, p.sdb, g, histogramBase{likeSel: 0.005}, false, 0)
-}
-
-// Sample is the HyPer-style table-sample estimator.
-type Sample struct {
-	db   *storage.Database
-	sdb  *stats.DB
-	size int
-	name string
+func NewPostgres(db *storage.Database, sdb *stats.DB) Estimator {
+	return &profile{name: "PostgreSQL", db: db, sdb: sdb, base: histogramBase{likeSel: 0.005}}
 }
 
 // NewSample builds the HyPer profile: base-table predicates are evaluated on
 // the (1000-row) table sample kept in the statistics.
-func NewSample(db *storage.Database, sdb *stats.DB) *Sample {
-	return &Sample{db: db, sdb: sdb, size: 1000, name: "HyPer"}
+func NewSample(db *storage.Database, sdb *stats.DB) Estimator {
+	return &profile{name: "HyPer", db: db, sdb: sdb, base: sampleBase{size: 1000}}
 }
 
-// Name implements Estimator.
-func (s *Sample) Name() string { return s.name }
-
-// ForQuery implements Estimator.
-func (s *Sample) ForQuery(g *query.Graph) Provider {
-	return buildFormula(s.Name(), s.db, s.sdb, g, sampleBase{size: s.size}, false, 0)
+// NewDBMSA builds the DBMS A profile, the "best commercial estimator":
+// sampling plus damping.
+func NewDBMSA(db *storage.Database, sdb *stats.DB) Estimator {
+	return &profile{name: "DBMS A", db: db, sdb: sdb, base: sampleBase{size: 2000}, damping: true}
 }
 
-// DBMSA is the "best commercial estimator" profile: sampling plus damping.
-type DBMSA struct {
-	db  *storage.Database
-	sdb *stats.DB
+// NewDBMSB builds the DBMS B profile: severe underestimation.
+func NewDBMSB(db *storage.Database, sdb *stats.DB) Estimator {
+	return &profile{name: "DBMS B", db: db, sdb: sdb, base: uniformBase{}, shrink: 0.2}
 }
 
-// NewDBMSA builds the DBMS A profile.
-func NewDBMSA(db *storage.Database, sdb *stats.DB) *DBMSA {
-	return &DBMSA{db: db, sdb: sdb}
+// NewDBMSC builds the DBMS C profile: magic constants that overestimate
+// string predicates.
+func NewDBMSC(db *storage.Database, sdb *stats.DB) Estimator {
+	return &profile{name: "DBMS C", db: db, sdb: sdb, base: magicBase{}}
 }
 
-// Name implements Estimator.
-func (a *DBMSA) Name() string { return "DBMS A" }
-
-// ForQuery implements Estimator.
-func (a *DBMSA) ForQuery(g *query.Graph) Provider {
-	return buildFormula(a.Name(), a.db, a.sdb, g, sampleBase{size: 2000}, true, 0)
+// NewDamped builds a DBMS A-style estimator with an explicit damping
+// exponent (1.0 disables damping entirely and reduces to plain
+// independence). It exists for the damping ablation study.
+func NewDamped(db *storage.Database, sdb *stats.DB, exponent float64) Estimator {
+	return &profile{name: fmt.Sprintf("damped(%.2f)", exponent), db: db, sdb: sdb,
+		base: sampleBase{size: 2000}, damping: true, dampExponent: exponent}
 }
 
-// DBMSB is the severe-underestimation profile.
-type DBMSB struct {
-	db  *storage.Database
-	sdb *stats.DB
-}
-
-// NewDBMSB builds the DBMS B profile.
-func NewDBMSB(db *storage.Database, sdb *stats.DB) *DBMSB {
-	return &DBMSB{db: db, sdb: sdb}
-}
-
-// Name implements Estimator.
-func (b *DBMSB) Name() string { return "DBMS B" }
-
-// ForQuery implements Estimator.
-func (b *DBMSB) ForQuery(g *query.Graph) Provider {
-	return buildFormula(b.Name(), b.db, b.sdb, g, uniformBase{}, false, 0.2)
-}
-
-// DBMSC is the magic-constant profile: overestimates string predicates.
-type DBMSC struct {
-	db  *storage.Database
-	sdb *stats.DB
-}
-
-// NewDBMSC builds the DBMS C profile.
-func NewDBMSC(db *storage.Database, sdb *stats.DB) *DBMSC {
-	return &DBMSC{db: db, sdb: sdb}
-}
-
-// Name implements Estimator.
-func (c *DBMSC) Name() string { return "DBMS C" }
-
-// ForQuery implements Estimator.
-func (c *DBMSC) ForQuery(g *query.Graph) Provider {
-	return buildFormula(c.Name(), c.db, c.sdb, g, magicBase{}, false, 0)
-}
-
-// --- true cardinalities and injection ---------------------------------------
+// --- true cardinalities -----------------------------------------------------
 
 // True adapts a truecard.Store into a Provider.
 type True struct {
@@ -312,28 +267,6 @@ func (t True) SansSelection(s query.BitSet, r int) float64 {
 		panic(fmt.Sprintf("cardest: sans-selection cardinality for %v/%d not computed", s, r))
 	}
 	return v
-}
-
-// NewDamped builds a DBMS A-style estimator with an explicit damping
-// exponent (1.0 disables damping entirely and reduces to plain
-// independence). It exists for the damping ablation study.
-func NewDamped(db *storage.Database, sdb *stats.DB, exponent float64) Estimator {
-	return &damped{db: db, sdb: sdb, exp: exponent}
-}
-
-type damped struct {
-	db  *storage.Database
-	sdb *stats.DB
-	exp float64
-}
-
-func (d *damped) Name() string { return fmt.Sprintf("damped(%.2f)", d.exp) }
-
-// ForQuery implements Estimator.
-func (d *damped) ForQuery(g *query.Graph) Provider {
-	f := buildFormula(d.Name(), d.db, d.sdb, g, sampleBase{size: 2000}, true, 0)
-	f.dampExponent = d.exp
-	return f
 }
 
 // Pessimistic hedges against systematic underestimation (the "risk/reward
@@ -372,34 +305,4 @@ func (p *Pessimistic) inflation(s query.BitSet) float64 {
 		f = 2
 	}
 	return math.Pow(f, float64(n))
-}
-
-// Injector overrides individual subexpression cardinalities on top of a
-// fallback provider. It generalises DB2's selectivity injection to arbitrary
-// expressions, which is the capability the paper added to PostgreSQL.
-type Injector struct {
-	Fallback  Provider
-	Overrides map[query.BitSet]float64
-	Label     string
-}
-
-// Name implements Provider.
-func (in *Injector) Name() string {
-	if in.Label != "" {
-		return in.Label
-	}
-	return "injected(" + in.Fallback.Name() + ")"
-}
-
-// Card implements Provider.
-func (in *Injector) Card(s query.BitSet) float64 {
-	if v, ok := in.Overrides[s]; ok {
-		return math.Max(1, v)
-	}
-	return in.Fallback.Card(s)
-}
-
-// SansSelection implements Provider.
-func (in *Injector) SansSelection(s query.BitSet, r int) float64 {
-	return in.Fallback.SansSelection(s, r)
 }

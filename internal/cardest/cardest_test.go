@@ -224,7 +224,7 @@ func TestSansSelectionProperty(t *testing.T) {
 	}
 }
 
-func TestTrueProviderAndInjector(t *testing.T) {
+func TestTrueProvider(t *testing.T) {
 	l := newLab(t)
 	q := job.ByID("3b")
 	g := query.MustBuildGraph(q)
@@ -240,22 +240,6 @@ func TestTrueProviderAndInjector(t *testing.T) {
 	}
 	if tp.Name() == "" {
 		t.Fatal("empty name")
-	}
-
-	pg := NewPostgres(l.db, l.sdb).ForQuery(g)
-	inj := &Injector{Fallback: pg, Overrides: map[query.BitSet]float64{full: 12345}}
-	if inj.Card(full) != 12345 {
-		t.Fatal("override ignored")
-	}
-	sub := query.Bit(0)
-	if inj.Card(sub) != pg.Card(sub) {
-		t.Fatal("fallback ignored")
-	}
-	if inj.SansSelection(full, 0) != pg.SansSelection(full, 0) {
-		t.Fatal("sans fallback ignored")
-	}
-	if inj.Name() == "" {
-		t.Fatal("empty injector name")
 	}
 
 	// Missing true cardinalities must panic loudly, not silently misestimate.

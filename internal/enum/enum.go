@@ -43,10 +43,16 @@ func (sp *Space) indexes() plan.IndexChecker {
 // leafFor builds an annotated scan node.
 func (sp *Space) leafFor(r int) *plan.Node {
 	n := plan.Leaf(r)
-	t := sp.DB.MustTable(sp.G.Q.Rels[r].Table)
+	pr := sp.pricer()
 	n.ECard = sp.Cards.Card(n.S)
-	n.ECost = sp.Model.ScanCost(sp.Cards.SansSelection(n.S, r), float64(t.TupleWidth()))
+	n.ECost = pr.Scan(r)
 	return n
+}
+
+// pricer returns the space's plan.Pricer, the routine plan.Cost re-prices
+// a finished plan with.
+func (sp *Space) pricer() plan.Pricer {
+	return plan.Pricer{G: sp.G, DB: sp.DB, Cards: sp.Cards, Model: sp.Model}
 }
 
 // joinOf builds the cheapest join of (left, right) in this orientation, or
@@ -72,30 +78,25 @@ func (sp *Space) joinOf(left, right *plan.Node) *plan.Node {
 // inner with an index on the inner's column of the lowest edge, the key
 // plan.Node.RightKeyColumn reads back from the built node.
 func (sp *Space) price(left, right *plan.Node, edges query.EdgeSet, out float64) (cost float64, algo plan.JoinAlgo, ok bool) {
+	pr := sp.pricer()
+	l := plan.Priced{S: left.S, Card: left.ECard, Cost: left.ECost}
+	r := plan.Priced{S: right.S, Card: right.ECard, Cost: right.ECost}
 	cost = math.Inf(1)
-	try := func(a plan.JoinAlgo, local float64) {
-		c := left.ECost + local
-		if a != plan.IndexNLJoin {
-			c += right.ECost
-		}
-		if c < cost {
+	try := func(a plan.JoinAlgo) {
+		if c := pr.Join(a, l, r, out); c < cost {
 			cost, algo, ok = c, a, true
 		}
 	}
 
-	try(plan.HashJoin, sp.Model.HashJoinCost(left.ECard, right.ECard, out))
-	try(plan.SortMergeJoin, sp.Model.SortMergeJoinCost(left.ECard, right.ECard, out))
+	try(plan.HashJoin)
+	try(plan.SortMergeJoin)
 	if !sp.DisableNLJ {
-		try(plan.NestedLoopJoin, sp.Model.NestedLoopJoinCost(left.ECard, right.ECard, out))
+		try(plan.NestedLoopJoin)
 	}
 	if right.IsLeaf() {
 		r := right.Rel
-		table := sp.G.Q.Rels[r].Table
-		if sp.indexes().Has(table, sp.G.Edges[edges.First()].ColFor(sp.G.Q, r)) {
-			t := sp.DB.MustTable(table)
-			lookups := sp.Cards.SansSelection(left.S.Union(right.S), r)
-			innerRows := sp.Cards.SansSelection(right.S, r)
-			try(plan.IndexNLJoin, sp.Model.IndexJoinCost(left.ECard, lookups, out, innerRows, float64(t.TupleWidth())))
+		if sp.indexes().Has(sp.G.Q.Rels[r].Table, sp.G.Edges[edges.First()].ColFor(sp.G.Q, r)) {
+			try(plan.IndexNLJoin)
 		}
 	}
 	return cost, algo, ok

@@ -184,8 +184,8 @@ func TestDPMatchesDPsub(t *testing.T) {
 // true cardinalities, with PK and PK+FK indexes, every node of DP's plan
 // carries its provider's cardinality bit for bit (under true cardinalities:
 // q-error exactly 1 at every node), every join lists the edges between its
-// children in ascending order, and re-costing the plan reproduces the
-// root's cost. -short checks every 10th query.
+// children in ascending order, and plan.Cost re-prices the plan to the
+// root's ECost bit for bit. -short checks every 10th query.
 func TestDPNodeAnnotations(t *testing.T) {
 	l := lab(t)
 	model := costmodel.NewSimple()
@@ -209,7 +209,7 @@ func TestDPNodeAnnotations(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				checkAnnotations(t, label, g, cards, root)
-				if c := plan.Cost(root, g, l.db, cards, model); math.Abs(c-root.ECost) > 1e-12*math.Abs(root.ECost) {
+				if c := plan.Cost(root, g, l.db, cards, model); c != root.ECost {
 					t.Errorf("%s: re-costed plan %v, DP says %v", label, c, root.ECost)
 				}
 			}

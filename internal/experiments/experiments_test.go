@@ -425,17 +425,6 @@ func TestTable3HeuristicsLeavePerformance(t *testing.T) {
 	pinReport(t, "table3", res.Render())
 }
 
-func TestPlanSpaceSize(t *testing.T) {
-	l := sharedLab(t)
-	sizes := l.PlanSpaceSize()
-	if len(sizes) != len(l.Queries) {
-		t.Fatalf("%d sizes", len(sizes))
-	}
-	if sizes["13d"] < 20 {
-		t.Errorf("13d search space suspiciously small: %d", sizes["13d"])
-	}
-}
-
 func TestLabBasics(t *testing.T) {
 	l := sharedLab(t)
 	if len(l.QueryIDs()) != len(l.Queries) {

@@ -343,7 +343,7 @@ func (l *Lab) Table3(ctx context.Context) (*Table3Result, error) {
 					if err != nil {
 						return 0, err
 					}
-					return opt.TrueCost(p, g, truth) / baseline.ECost, nil
+					return plan.Cost(p, g, l.DB, truth, opt.Model) / baseline.ECost, nil
 				})
 				if err != nil {
 					return nil, err
@@ -373,18 +373,4 @@ func (r *Table3Result) Render() string {
 			row.Algorithm, row.Cards, row.Config, row.Median, row.P95, row.Max)
 	}
 	return b.String()
-}
-
-// PlanSpaceSize reports connected-subset counts per query (a search-space
-// diagnostic used by the documentation and the CLI).
-func (l *Lab) PlanSpaceSize() map[string]int {
-	// CountConnectedSubsets cannot fail, so the runner's error is nil.
-	counts, _ := runQueries(context.Background(), l, func(ctx context.Context, qi int, q *query.Query) (int, error) {
-		return l.Graphs[q.ID].CountConnectedSubsets(), nil
-	})
-	out := make(map[string]int, len(l.Queries))
-	for i, q := range l.Queries {
-		out[q.ID] = counts[i]
-	}
-	return out
 }

@@ -14,7 +14,6 @@ import (
 	"jobench/internal/index"
 	"jobench/internal/metrics"
 	"jobench/internal/optimizer"
-	"jobench/internal/plan"
 	"jobench/internal/query"
 )
 
@@ -353,20 +352,4 @@ func (r *Figure8Result) Render() string {
 		fmt.Fprintf(&b, "  %-18s %12.0f\n", name, r.GeoMeanRuntime[name])
 	}
 	return b.String()
-}
-
-// CountAlgo counts join operators by algorithm in a plan (reporting helper).
-func CountAlgo(n *plan.Node) map[plan.JoinAlgo]int {
-	out := make(map[plan.JoinAlgo]int)
-	var walk func(n *plan.Node)
-	walk = func(n *plan.Node) {
-		if n == nil || n.IsLeaf() {
-			return
-		}
-		out[n.Algo]++
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(n)
-	return out
 }

@@ -31,9 +31,6 @@ type Config struct {
 	Correlation float64
 }
 
-// DefaultConfig is the scale used by the experiment harness.
-func DefaultConfig() Config { return Config{Scale: 1.0, Seed: 42} }
-
 // gen carries the generator state: one RNG and the latent per-entity
 // variables that create the correlations the paper's estimators miss.
 type gen struct {

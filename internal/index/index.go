@@ -1,30 +1,17 @@
 // Package index provides the unclustered secondary indexes used by the
-// execution engine and the optimizer: hash indexes for equality lookups and
-// a sorted index (binary-search based, standing in for an unclustered
-// B+Tree) as an alternative access path. An index maps a key value to the
-// row ids holding it.
+// execution engine and the optimizer: hash indexes for equality lookups,
+// the one index kind the physical designs build. An index maps a key value
+// to the row ids holding it; NULL rows are never indexed, matching SQL
+// semantics for equi-joins.
 package index
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"jobench/internal/hashtab"
 	"jobench/internal/storage"
 )
-
-// Index is the lookup interface shared by all index kinds. NULL rows are
-// never indexed, matching SQL semantics for equi-joins.
-type Index interface {
-	// Lookup returns the row ids whose key equals v. The returned slice
-	// must not be modified.
-	Lookup(v int64) []int32
-	// Len returns the number of indexed (non-NULL) rows.
-	Len() int
-	// Unique reports whether the index was declared unique (primary key).
-	Unique() bool
-}
 
 // Hash is a hash-based index, backed by the flat grouped postings of
 // internal/hashtab: all row ids live in one contiguous arena grouped by
@@ -58,13 +45,14 @@ func BuildHash(col *storage.Column, unique bool) (*Hash, error) {
 	return h, nil
 }
 
-// Lookup implements Index.
+// Lookup returns the row ids whose key equals v. The returned slice must
+// not be modified.
 func (h *Hash) Lookup(v int64) []int32 { return h.p.Lookup(v) }
 
-// Len implements Index.
+// Len returns the number of indexed (non-NULL) rows.
 func (h *Hash) Len() int { return h.p.Len() }
 
-// Unique implements Index.
+// Unique reports whether the index was declared unique (primary key).
 func (h *Hash) Unique() bool { return h.unique }
 
 // DistinctKeys returns the number of distinct keys in the index.
@@ -122,72 +110,3 @@ func RestoreHash(keys []int64, rows [][]int32, unique bool) (*Hash, error) {
 	}
 	return &Hash{p: hashtab.BuildPostings(flatKeys, flatRows), unique: unique}, nil
 }
-
-// Sorted is a sorted (key, row) index supporting equality and range lookups
-// via binary search. It models an unclustered B+Tree leaf level.
-type Sorted struct {
-	keys   []int64
-	rows   []int32
-	unique bool
-}
-
-// BuildSorted builds a sorted index over col.
-func BuildSorted(col *storage.Column, unique bool) (*Sorted, error) {
-	s := &Sorted{unique: unique}
-	for i, v := range col.Ints {
-		if col.IsNull(i) {
-			continue
-		}
-		s.keys = append(s.keys, v)
-		s.rows = append(s.rows, int32(i))
-	}
-	sort.Sort(byKey{s})
-	if unique {
-		for i := 1; i < len(s.keys); i++ {
-			if s.keys[i] == s.keys[i-1] {
-				return nil, fmt.Errorf("index: duplicate key %d in unique index on %q", s.keys[i], col.Name)
-			}
-		}
-	}
-	return s, nil
-}
-
-type byKey struct{ s *Sorted }
-
-func (b byKey) Len() int { return len(b.s.keys) }
-func (b byKey) Less(i, j int) bool {
-	if b.s.keys[i] != b.s.keys[j] {
-		return b.s.keys[i] < b.s.keys[j]
-	}
-	return b.s.rows[i] < b.s.rows[j]
-}
-func (b byKey) Swap(i, j int) {
-	b.s.keys[i], b.s.keys[j] = b.s.keys[j], b.s.keys[i]
-	b.s.rows[i], b.s.rows[j] = b.s.rows[j], b.s.rows[i]
-}
-
-// Lookup implements Index.
-func (s *Sorted) Lookup(v int64) []int32 {
-	lo := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= v })
-	hi := lo
-	for hi < len(s.keys) && s.keys[hi] == v {
-		hi++
-	}
-	return s.rows[lo:hi]
-}
-
-// Range returns the row ids with lo <= key <= hi.
-func (s *Sorted) Range(lo, hi int64) []int32 {
-	a := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= lo })
-	b := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] > hi })
-	if a >= b {
-		return nil
-	}
-	return s.rows[a:b]
-}
-
-// Len implements Index.
-func (s *Sorted) Len() int { return len(s.keys) }
-
-// Unique implements Index.
-func (s *Sorted) Unique() bool { return s.unique }

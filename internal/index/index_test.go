@@ -3,7 +3,6 @@ package index
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -68,34 +67,7 @@ func TestNullsNotIndexed(t *testing.T) {
 	}
 }
 
-func TestSortedLookupAndRange(t *testing.T) {
-	col := intCol(10, 5, 7, 5, 12, 7, 7)
-	s, err := BuildSorted(col, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Lookup(7); !reflect.DeepEqual(got, []int32{2, 5, 6}) {
-		t.Fatalf("Lookup(7) = %v", got)
-	}
-	got := s.Range(6, 10)
-	want := []int32{2, 5, 6, 0}
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Range(6,10) = %v, want %v", got, want)
-	}
-	if got := s.Range(100, 50); got != nil {
-		t.Fatalf("inverted range returned %v", got)
-	}
-}
-
-func TestUniqueSortedRejectsDuplicates(t *testing.T) {
-	if _, err := BuildSorted(intCol(4, 4), true); err == nil {
-		t.Fatal("unique sorted index accepted duplicate")
-	}
-}
-
-// Property: both index kinds agree with a linear scan on random data.
+// Property: the hash index agrees with a linear scan on random data.
 func TestIndexMatchesScanProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -103,9 +75,8 @@ func TestIndexMatchesScanProperty(t *testing.T) {
 		for i := 0; i < int(n)+1; i++ {
 			col.AppendInt(int64(rng.Intn(16)))
 		}
-		h, err1 := BuildHash(col, false)
-		s, err2 := BuildSorted(col, false)
-		if err1 != nil || err2 != nil {
+		h, err := BuildHash(col, false)
+		if err != nil {
 			return false
 		}
 		for key := int64(-1); key <= 16; key++ {
@@ -116,12 +87,7 @@ func TestIndexMatchesScanProperty(t *testing.T) {
 				}
 			}
 			hg := append([]int32(nil), h.Lookup(key)...)
-			sg := append([]int32(nil), s.Lookup(key)...)
-			sort.Slice(sg, func(i, j int) bool { return sg[i] < sg[j] })
 			if !reflect.DeepEqual(hg, want) && !(len(hg) == 0 && len(want) == 0) {
-				return false
-			}
-			if !reflect.DeepEqual(sg, want) && !(len(sg) == 0 && len(want) == 0) {
 				return false
 			}
 		}

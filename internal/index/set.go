@@ -12,21 +12,21 @@ import (
 // loop join only if Has(table, column) is true, which is how the paper's
 // three index configurations (none / PK / PK+FK) are expressed.
 type Set struct {
-	m map[setKey]Index
+	m map[setKey]*Hash
 }
 
 type setKey struct{ table, column string }
 
 // NewSet returns an empty index set (the "no indexes" configuration).
-func NewSet() *Set { return &Set{m: make(map[setKey]Index)} }
+func NewSet() *Set { return &Set{m: make(map[setKey]*Hash)} }
 
 // Add registers an index for (table, column), replacing any previous one.
-func (s *Set) Add(table, column string, idx Index) {
+func (s *Set) Add(table, column string, idx *Hash) {
 	s.m[setKey{table, column}] = idx
 }
 
 // Get returns the index on (table, column), or nil.
-func (s *Set) Get(table, column string) Index {
+func (s *Set) Get(table, column string) *Hash {
 	return s.m[setKey{table, column}]
 }
 
@@ -44,7 +44,7 @@ func (s *Set) Size() int { return len(s.m) }
 type Item struct {
 	Table  string
 	Column string
-	Index  Index
+	Index  *Hash
 }
 
 // Items returns the registered indexes sorted by (table, column), the

@@ -125,14 +125,6 @@ func FracAtMost(xs []float64, bound float64) float64 {
 	return float64(n) / float64(len(xs))
 }
 
-// FracGreater returns the fraction of xs that are > bound.
-func FracGreater(xs []float64, bound float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	return 1 - FracAtMost(xs, bound)
-}
-
 // Boxplot summarises a distribution with the five percentiles the paper's
 // boxplots display (Fig. 3): 5th, 25th, median, 75th, 95th.
 type Boxplot struct {

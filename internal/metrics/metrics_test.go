@@ -106,9 +106,6 @@ func TestAggregates(t *testing.T) {
 	if got := FracAtMost(xs, 4); got != 2.0/3 {
 		t.Fatalf("FracAtMost = %g", got)
 	}
-	if got := FracGreater(xs, 4); math.Abs(got-1.0/3) > 1e-12 {
-		t.Fatalf("FracGreater = %g", got)
-	}
 }
 
 func TestBoxplot(t *testing.T) {

@@ -96,10 +96,3 @@ func (o *Optimizer) Optimize(g *query.Graph, cards cardest.Provider) (*plan.Node
 	}
 	return root, nil
 }
-
-// TrueCost re-prices a plan under a different provider (typically the true
-// cardinalities), the §6 methodology for comparing plans without executing
-// them.
-func (o *Optimizer) TrueCost(root *plan.Node, g *query.Graph, truth cardest.Provider) float64 {
-	return plan.Cost(root, g, o.DB, truth, o.Model)
-}

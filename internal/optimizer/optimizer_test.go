@@ -92,8 +92,11 @@ func TestTrueCostRecosting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		estCost := o.TrueCost(estPlan, g, truth)
-		optCost := o.TrueCost(truePlan, g, truth)
+		estCost := plan.Cost(estPlan, g, l.db, truth, o.Model)
+		optCost := plan.Cost(truePlan, g, l.db, truth, o.Model)
+		if optCost != truePlan.ECost {
+			t.Errorf("%s: re-costing the true-card plan under truth gives %v, the optimizer priced it %v", qid, optCost, truePlan.ECost)
+		}
 		if optCost > estCost+1e-9 {
 			t.Errorf("%s: true-card plan (%g) worse than estimate plan (%g)", qid, optCost, estCost)
 		}

@@ -2,10 +2,10 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
+	"jobench/internal/metrics"
 	"jobench/internal/query"
 )
 
@@ -44,14 +44,6 @@ func LeftChildID(id int) int { return id + 1 }
 
 // RightChildID returns the preorder id of n's right child given n's id.
 func (n *Node) RightChildID(id int) int { return id + 2*n.Left.S.Count() }
-
-// QError is the paper's q-error: max(est/actual, actual/est), with both
-// sides clamped to 1 row so empty intermediates stay finite (§3.1).
-func QError(est float64, actual float64) float64 {
-	e := math.Max(est, 1)
-	a := math.Max(actual, 1)
-	return math.Max(e/a, a/e)
-}
 
 // AnalyzedNode pairs one operator with its planning-time estimate and
 // its executed actuals, in preorder (ID is both the slice position and
@@ -97,7 +89,7 @@ func analyze(out *[]AnalyzedNode, n *Node, g *query.Graph, stats []NodeStats, id
 		an.WallNanos = st.WallNanos
 	}
 	if !probed {
-		an.QError = QError(n.ECard, float64(an.ActualRows))
+		an.QError = metrics.QError(n.ECard, float64(an.ActualRows))
 	}
 	if n.IsLeaf() {
 		rel := g.Q.Rels[n.Rel]

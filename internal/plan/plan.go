@@ -1,7 +1,8 @@
 // Package plan defines physical operator trees: scans and joins annotated
 // with join algorithms, the tree-shape taxonomy of the paper's §6.2
-// (left-deep / right-deep / zig-zag / bushy), and the cost walker that
-// prices a plan under any cardinality provider and cost model — the
+// (left-deep / right-deep / zig-zag / bushy), and the Pricer that prices
+// scans and joins under any cardinality provider and cost model, both while
+// the enumerator builds a plan and when Cost re-prices a finished one — the
 // mechanism behind the paper's "optimize with estimates, cost with truth"
 // methodology.
 package plan
@@ -74,9 +75,6 @@ func Leaf(r int) *Node { return &Node{S: query.Bit(r), Rel: r} }
 
 // IsLeaf reports whether n is a base-relation scan.
 func (n *Node) IsLeaf() bool { return n.Rel >= 0 }
-
-// Relations returns the number of relations joined by this subtree.
-func (n *Node) Relations() int { return n.S.Count() }
 
 // Shape classifies join trees (§6.2).
 type Shape uint8
@@ -154,55 +152,78 @@ func (n *Node) RightKeyColumn(g *query.Graph) (table, col string) {
 	return g.Q.Rels[r].Table, g.Edges[n.EdgeIdxs[0]].ColFor(g.Q, r)
 }
 
-// Cost prices the plan under the given cardinality provider and cost model.
-// Widths come from the database schema; sizes of base relations come from
-// the provider so that the same walker serves both estimated costs (during
-// optimization) and "true costs" (the §6 methodology of re-costing a plan
-// with true cardinalities).
-func Cost(n *Node, g *query.Graph, db *storage.Database, cards cardest.Provider, m costmodel.Model) float64 {
-	cost, _ := costAndCard(n, g, db, cards, m)
-	return cost
+// Pricer prices scans and joins under one cardinality provider and cost
+// model. It is the only place a plan's cost is computed: the enumerator
+// prices each candidate join with it while building plans bottom-up, and
+// Cost re-prices a finished plan with it, so a plan re-costed under the
+// provider that built it reproduces its ECost bit for bit. Widths come from
+// the database schema, sizes of base relations from the provider.
+type Pricer struct {
+	G     *query.Graph
+	DB    *storage.Database
+	Cards cardest.Provider
+	Model costmodel.Model
 }
 
-func costAndCard(n *Node, g *query.Graph, db *storage.Database, cards cardest.Provider, m costmodel.Model) (cost, card float64) {
-	if n.IsLeaf() {
-		t := db.MustTable(g.Q.Rels[n.Rel].Table)
-		rows := cards.SansSelection(n.S, n.Rel) // |R| (full scan reads everything)
-		return m.ScanCost(rows, float64(t.TupleWidth())), cards.Card(n.S)
-	}
-	out := cards.Card(n.S)
-	lCost, lCard := costAndCard(n.Left, g, db, cards, m)
-	switch n.Algo {
-	case IndexNLJoin:
-		// The right child is read through the index: no scan cost for it.
-		r := n.Right.Rel
-		t := db.MustTable(g.Q.Rels[r].Table)
-		lookups := cards.SansSelection(n.S, r)
-		innerRows := cards.SansSelection(n.Right.S, r)
-		return lCost + m.IndexJoinCost(lCard, lookups, out, innerRows, float64(t.TupleWidth())), out
+// Priced is what pricing a join needs of one child: its relation set,
+// cardinality and total cost.
+type Priced struct {
+	S    query.BitSet
+	Card float64
+	Cost float64
+}
+
+// Scan returns the cost of scanning relation r, which reads all of |R|.
+func (p *Pricer) Scan(r int) float64 {
+	t := p.DB.MustTable(p.G.Q.Rels[r].Table)
+	return p.Model.ScanCost(p.Cards.SansSelection(query.Bit(r), r), float64(t.TupleWidth()))
+}
+
+// Join returns the total cost of joining left and right with algo into out
+// rows, summed as left.Cost + the join's own cost + right.Cost. An
+// IndexNLJoin reads its right child, a single relation, through the index,
+// so right.Cost is not added and right.Card is not read.
+func (p *Pricer) Join(algo JoinAlgo, left, right Priced, out float64) float64 {
+	var local float64
+	switch algo {
 	case HashJoin:
-		rCost, rCard := costAndCard(n.Right, g, db, cards, m)
-		return lCost + rCost + m.HashJoinCost(lCard, rCard, out), out
+		local = p.Model.HashJoinCost(left.Card, right.Card, out)
 	case SortMergeJoin:
-		rCost, rCard := costAndCard(n.Right, g, db, cards, m)
-		return lCost + rCost + m.SortMergeJoinCost(lCard, rCard, out), out
+		local = p.Model.SortMergeJoinCost(left.Card, right.Card, out)
 	case NestedLoopJoin:
-		rCost, rCard := costAndCard(n.Right, g, db, cards, m)
-		return lCost + rCost + m.NestedLoopJoinCost(lCard, rCard, out), out
+		local = p.Model.NestedLoopJoinCost(left.Card, right.Card, out)
+	case IndexNLJoin:
+		r := right.S.First()
+		t := p.DB.MustTable(p.G.Q.Rels[r].Table)
+		lookups := p.Cards.SansSelection(left.S.Union(right.S), r)
+		innerRows := p.Cards.SansSelection(right.S, r)
+		return left.Cost + p.Model.IndexJoinCost(left.Card, lookups, out, innerRows, float64(t.TupleWidth()))
 	default:
-		panic(fmt.Sprintf("plan: unknown join algorithm %v", n.Algo))
+		panic(fmt.Sprintf("plan: unknown join algorithm %v", algo))
 	}
+	return left.Cost + local + right.Cost
 }
 
-// Annotate fills ECard/ECost on every node from the given provider/model.
-func Annotate(n *Node, g *query.Graph, db *storage.Database, cards cardest.Provider, m costmodel.Model) {
-	if n == nil {
-		return
+// Cost prices the plan under the given cardinality provider and cost model,
+// whatever provider built it: the §6 methodology of re-costing a plan with
+// true cardinalities.
+func Cost(n *Node, g *query.Graph, db *storage.Database, cards cardest.Provider, m costmodel.Model) float64 {
+	p := Pricer{G: g, DB: db, Cards: cards, Model: m}
+	return p.price(n).Cost
+}
+
+// price re-prices the subtree at n bottom-up.
+func (p *Pricer) price(n *Node) Priced {
+	if n.IsLeaf() {
+		cost := p.Scan(n.Rel)
+		return Priced{S: n.S, Card: p.Cards.Card(n.S), Cost: cost}
 	}
-	Annotate(n.Left, g, db, cards, m)
-	Annotate(n.Right, g, db, cards, m)
-	cost, card := costAndCard(n, g, db, cards, m)
-	n.ECost, n.ECard = cost, card
+	out := p.Cards.Card(n.S)
+	left, right := p.price(n.Left), Priced{S: n.Right.S}
+	if n.Algo != IndexNLJoin {
+		right = p.price(n.Right)
+	}
+	return Priced{S: n.S, Card: out, Cost: p.Join(n.Algo, left, right, out)}
 }
 
 // Explain renders the plan as an indented EXPLAIN-style tree.

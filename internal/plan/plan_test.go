@@ -164,13 +164,12 @@ func TestCostWalker(t *testing.T) {
 		t.Fatalf("INL cost = %g, want 94", got)
 	}
 
-	// Annotate fills estimates on every node.
-	Annotate(p, g, db, cards, m)
-	if p.ECard != 20 || p.ECost != 36 {
-		t.Fatalf("annotation = (%g, %g)", p.ECard, p.ECost)
+	// Subtrees price on their own: a b scan 4 + HJ1 10, and the c scan 2.
+	if got := Cost(p.Left, g, db, cards, m); got != 14 {
+		t.Fatalf("left subtree cost = %g, want 14", got)
 	}
-	if p.Left.ECard != 10 {
-		t.Fatalf("child annotation = %g", p.Left.ECard)
+	if got := Cost(p.Right, g, db, cards, m); got != 2 {
+		t.Fatalf("leaf cost = %g, want 2", got)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"jobench/internal/costmodel"
 	"jobench/internal/engine"
 	"jobench/internal/index"
+	"jobench/internal/metrics"
 	"jobench/internal/optimizer"
 	"jobench/internal/plan"
 	"jobench/internal/query"
@@ -101,9 +102,6 @@ type Config struct {
 	// MaxReplans bounds re-optimizations per query (non-positive selects
 	// DefaultMaxReplans).
 	MaxReplans int
-	// MaxProbeRels bounds probed subtrees to at most this many relations
-	// (non-positive selects DefaultMaxProbeRels).
-	MaxProbeRels int
 
 	// Runner optionally supplies a scratch-owning engine runner to reuse
 	// across calls; nil uses a private one.
@@ -179,10 +177,6 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 	if maxReplans <= 0 {
 		maxReplans = DefaultMaxReplans
 	}
-	maxProbeRels := cfg.MaxProbeRels
-	if maxProbeRels <= 0 {
-		maxProbeRels = DefaultMaxProbeRels
-	}
 	runner := cfg.Runner
 	if runner == nil {
 		runner = engine.NewRunner()
@@ -245,7 +239,7 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 		return total
 	}
 	for {
-		node := firstUnprobed(cur, maxProbeRels, func(s query.BitSet) bool { _, ok := probes[s]; return ok })
+		node := firstUnprobed(cur, DefaultMaxProbeRels, func(s query.BitSet) bool { _, ok := probes[s]; return ok })
 		if node == nil {
 			break
 		}
@@ -312,7 +306,7 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 		} else {
 			obs = float64(pr.Rows)
 		}
-		q := qError(est, obs)
+		q := metrics.QError(est, obs)
 		step := Step{S: node.S, Estimate: node.ECard, Observed: obs, QError: q, Aborted: aborted}
 		overrides[node.S] = obs
 		// An aborted probe materialized nothing: it stays recorded so the
@@ -454,17 +448,4 @@ func expectedWork(n *plan.Node, g *query.Graph, db *storage.Database) int64 {
 		return w
 	}
 	return w + expectedWork(n.Left, g, db) + expectedWork(n.Right, g, db)
-}
-
-func qError(est, actual float64) float64 {
-	if est < 1 {
-		est = 1
-	}
-	if actual < 1 {
-		actual = 1
-	}
-	if est > actual {
-		return est / actual
-	}
-	return actual / est
 }

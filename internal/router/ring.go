@@ -86,20 +86,6 @@ func (r *Ring) Owner(key string) string {
 	return seq[0]
 }
 
-// OwnerLive returns the first replica clockwise from key's hash for which
-// live returns true — the failover contract: every router and replica
-// agreeing on the same live set picks the same owner, and when a replica
-// is marked down only its keys move (to their next-clockwise neighbor).
-// Returns "" if no replica is live.
-func (r *Ring) OwnerLive(key string, live func(string) bool) string {
-	for _, rep := range r.Sequence(key) {
-		if live(rep) {
-			return rep
-		}
-	}
-	return ""
-}
-
 // Sequence returns all replicas in clockwise order from key's hash, each
 // exactly once: the preference order for forwarding (owner first, then
 // failover candidates).

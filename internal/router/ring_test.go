@@ -76,34 +76,6 @@ func TestRingDeterminism(t *testing.T) {
 	}
 }
 
-// TestRingOwnerLive: marking one replica down moves exactly its keys (to
-// their next-clockwise candidate); every other key keeps its owner. A key
-// whose owner is down lands on the second replica of its Sequence.
-func TestRingOwnerLive(t *testing.T) {
-	urls := replicaURLs(4)
-	r := NewRing(urls)
-	down := urls[1]
-	live := func(u string) bool { return u != down }
-
-	for _, k := range testKeys(1000) {
-		owner := r.Owner(k)
-		got := r.OwnerLive(k, live)
-		if owner != down {
-			if got != owner {
-				t.Fatalf("key %q: owner %s is live but OwnerLive returned %s", k, owner, got)
-			}
-			continue
-		}
-		seq := r.Sequence(k)
-		if len(seq) < 2 || got != seq[1] {
-			t.Fatalf("key %q: down owner should fail over to %v[1], got %s", k, seq, got)
-		}
-	}
-	if got := r.OwnerLive("anything", func(string) bool { return false }); got != "" {
-		t.Fatalf("OwnerLive with nothing live = %q, want \"\"", got)
-	}
-}
-
 // TestRingSequence: Sequence lists every replica exactly once.
 func TestRingSequence(t *testing.T) {
 	r := NewRing(replicaURLs(5))

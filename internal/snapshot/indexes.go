@@ -17,19 +17,12 @@ import (
 // row ids, flattened so decoding performs one allocation per index rather
 // than one per row.
 
-// EncodeIndexes serializes an index set. Only hash indexes are supported
-// (the only kind the physical designs build); any other Index
-// implementation is an error so the caller's Save degrades to a logged
-// warning instead of writing a file it could not read back.
+// EncodeIndexes serializes an index set.
 func EncodeIndexes(set *index.Set, fingerprint string, workers int) ([]byte, error) {
 	items := set.Items()
 	blobs, err := parallel.RunCells(context.Background(), workers, items,
 		func(_ context.Context, it index.Item) ([]byte, error) {
-			h, ok := it.Index.(*index.Hash)
-			if !ok {
-				return nil, fmt.Errorf("snapshot: index %s.%s is %T, only hash indexes snapshot", it.Table, it.Column, it.Index)
-			}
-			return encodeHashIndex(it, h), nil
+			return encodeHashIndex(it), nil
 		})
 	if err != nil {
 		return nil, err
@@ -42,7 +35,8 @@ func EncodeIndexes(set *index.Set, fingerprint string, workers int) ([]byte, err
 	return frame(kindIndexes, fingerprint, e.b), nil
 }
 
-func encodeHashIndex(it index.Item, h *index.Hash) []byte {
+func encodeHashIndex(it index.Item) []byte {
+	h := it.Index
 	keys, rows := h.Postings()
 	var e enc
 	e.str(it.Table)

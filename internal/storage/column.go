@@ -113,16 +113,6 @@ func (c *Column) IsNull(i int) bool {
 	return c.nulls != nil && c.nulls[i]
 }
 
-// HasNulls reports whether any row of the column is NULL.
-func (c *Column) HasNulls() bool {
-	for _, n := range c.nulls {
-		if n {
-			return true
-		}
-	}
-	return false
-}
-
 // Int returns the raw int64 value (or dictionary code) of row i.
 // The caller is responsible for checking IsNull first.
 func (c *Column) Int(i int) int64 { return c.Ints[i] }
@@ -149,27 +139,6 @@ func (c *Column) Code(s string) (int64, bool) {
 
 // DictSize returns the number of distinct strings in the dictionary.
 func (c *Column) DictSize() int { return len(c.Dict) }
-
-// MinMax returns the minimum and maximum non-NULL value of the column and
-// whether any non-NULL value exists.
-func (c *Column) MinMax() (lo, hi int64, ok bool) {
-	for i, v := range c.Ints {
-		if c.IsNull(i) {
-			continue
-		}
-		if !ok {
-			lo, hi, ok = v, v, true
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi, ok
-}
 
 // NullMask exposes the column's NULL bitmap for serialization: nulls[i]
 // reports whether row i is NULL, and nil means "no NULLs". The returned

@@ -21,10 +21,6 @@ func TestIntColumnAppendAndRead(t *testing.T) {
 			t.Fatalf("row %d unexpectedly NULL", i)
 		}
 	}
-	lo, hi, ok := c.MinMax()
-	if !ok || lo != 0 || hi != 297 {
-		t.Fatalf("MinMax = (%d,%d,%v), want (0,297,true)", lo, hi, ok)
-	}
 }
 
 func TestStringColumnDictionaryEncoding(t *testing.T) {
@@ -64,13 +60,6 @@ func TestNullHandling(t *testing.T) {
 	}
 	if c.IsNull(0) || !c.IsNull(1) || c.IsNull(2) {
 		t.Fatalf("null mask wrong: %v %v %v", c.IsNull(0), c.IsNull(1), c.IsNull(2))
-	}
-	if !c.HasNulls() {
-		t.Fatal("HasNulls = false")
-	}
-	lo, hi, ok := c.MinMax()
-	if !ok || lo != 1 || hi != 3 {
-		t.Fatalf("MinMax ignoring NULLs = (%d,%d,%v)", lo, hi, ok)
 	}
 }
 
@@ -118,9 +107,6 @@ func TestTableAndDatabase(t *testing.T) {
 	}
 	if got := db.TableNames(); len(got) != 1 || got[0] != "t" {
 		t.Fatalf("TableNames = %v", got)
-	}
-	if db.TotalRows() != 10 {
-		t.Fatalf("TotalRows = %d", db.TotalRows())
 	}
 	if err := db.Check(); err != nil {
 		t.Fatalf("db.Check: %v", err)

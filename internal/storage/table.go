@@ -54,15 +54,6 @@ func (t *Table) MustColumn(name string) *Column {
 	return c
 }
 
-// ColumnNames returns the column names in declaration order.
-func (t *Table) ColumnNames() []string {
-	names := make([]string, len(t.Cols))
-	for i, c := range t.Cols {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // TupleWidth returns a rough per-tuple width in bytes, used by the
 // disk-oriented cost model to translate rows into pages.
 func (t *Table) TupleWidth() int {
@@ -124,15 +115,6 @@ func (d *Database) TableNames() []string {
 	out := make([]string, len(d.order))
 	copy(out, d.order)
 	return out
-}
-
-// TotalRows returns the sum of row counts over all tables.
-func (d *Database) TotalRows() int {
-	total := 0
-	for _, name := range d.order {
-		total += d.tables[name].NumRows()
-	}
-	return total
 }
 
 // Check validates every table in the catalog.

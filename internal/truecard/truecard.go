@@ -75,16 +75,6 @@ func (st *Store) Card(s query.BitSet) (float64, bool) {
 	return v, ok
 }
 
-// MustCard returns the cardinality of s or panics; callers use it after
-// computing the full query.
-func (st *Store) MustCard(s query.BitSet) float64 {
-	v, ok := st.cards[s]
-	if !ok {
-		panic(fmt.Sprintf("truecard: no cardinality for %v", s))
-	}
-	return v
-}
-
 // SansSelection returns |join of s with relation r's selection discarded|.
 // For relations without predicates this equals Card(s); for a single
 // filtered relation the stored value is its base table's row count.

@@ -14,7 +14,6 @@ import (
 	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
 	"jobench/internal/enum"
-	"jobench/internal/imdb"
 	"jobench/internal/index"
 	"jobench/internal/job"
 	"jobench/internal/optimizer"
@@ -22,13 +21,18 @@ import (
 	"jobench/internal/query"
 	"jobench/internal/storage"
 	"jobench/internal/truecard"
+	"jobench/internal/workload"
 )
 
 func main() {
 	const qid = "16d" // one of Fig. 9's "few good plans" queries
 	const samples = 5000
 
-	db := imdb.Generate(imdb.Config{Scale: 0.3, Seed: 42})
+	w, err := workload.Get("imdb")
+	if err != nil {
+		log.Fatal(err)
+	}
+	db := w.Generate(workload.Config{Scale: 0.3, Seed: 42})
 	q := job.ByID(qid)
 	g := query.MustBuildGraph(q)
 	fmt.Printf("query %s: %d relations, %d join predicates, %d connected subgraphs\n\n",
@@ -40,34 +44,19 @@ func main() {
 	}
 	truth := cardest.True{Store: st}
 
-	configs := []struct {
-		label string
-		cfg   imdb.IndexConfig
-	}{
-		{"no indexes", imdb.NoIndexes},
-		{"PK indexes", imdb.PKOnly},
-		{"PK + FK indexes", imdb.PKFK},
-	}
-
 	// The normaliser: optimal plan under FK indexes (as in Fig. 9).
-	var fkOptimal float64
-	for i := len(configs) - 1; i >= 0; i-- {
-		idx, err := imdb.BuildIndexes(db, configs[i].cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sp := space(g, db, idx, truth)
-		opt, err := enum.DP(sp)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if configs[i].cfg == imdb.PKFK {
-			fkOptimal = opt.ECost
-		}
+	fkIdx, err := w.BuildIndexes(db, index.PKFK)
+	if err != nil {
+		log.Fatal(err)
 	}
+	fkOpt, err := enum.DP(space(g, db, fkIdx, truth))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fkOptimal := fkOpt.ECost
 
-	for _, c := range configs {
-		idx, err := imdb.BuildIndexes(db, c.cfg)
+	for _, cfg := range w.IndexConfigs() {
+		idx, err := w.BuildIndexes(db, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -85,7 +74,7 @@ func main() {
 			}
 			costs = append(costs, p.ECost/fkOptimal)
 		}
-		fmt.Printf("--- %s (optimal %.2fx of FK optimum) ---\n", c.label, opt.ECost/fkOptimal)
+		fmt.Printf("--- %s (optimal %.2fx of FK optimum) ---\n", cfg, opt.ECost/fkOptimal)
 		histogram(costs)
 
 		// How do the heuristics fare here?

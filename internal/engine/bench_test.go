@@ -15,6 +15,7 @@ import (
 	"jobench/internal/query"
 	"jobench/internal/stats"
 	"jobench/internal/storage"
+	"jobench/internal/workload"
 )
 
 // benchEnv is the scale-0.1 world the engine micro-benches run in: database,
@@ -39,7 +40,8 @@ func benchSetup(b *testing.B) *benchEnv {
 	benchOnce.Do(func() {
 		db := imdb.Generate(imdb.Config{Scale: 0.1, Seed: 42})
 		sdb := stats.AnalyzeDatabase(db, stats.Options{SampleSize: 2000, Seed: 1})
-		pkfk, err := imdb.BuildIndexes(db, imdb.PKFK)
+		wl, _ := workload.Get("imdb")
+		pkfk, err := wl.BuildIndexes(db, index.PKFK)
 		if err != nil {
 			benchSetupErr = err
 			return

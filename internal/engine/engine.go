@@ -124,24 +124,12 @@ type Runner struct {
 func NewRunner() *Runner { return &Runner{} }
 
 // Run executes the plan over db, using idx for index-nested-loop joins,
-// reusing the Runner's scratch space.
+// reusing the Runner's scratch space. root may be any subtree of a plan —
+// a prefix of the full join order: the executor touches only the relations
+// and edges reachable from it, so a subtree runs exactly as it would
+// inside the full plan and reports the rows its materialised intermediate
+// would have (adaptive re-optimization, internal/reopt, probes that way).
 func (r *Runner) Run(db *storage.Database, idx *index.Set, g *query.Graph, root *plan.Node, cfg Config) (Result, error) {
-	return r.runNode(db, idx, g, root, cfg)
-}
-
-// RunSubtree executes an arbitrary subtree of a plan — a prefix of the full
-// join order — and reports the row count its materialised intermediate
-// would have, plus the work spent producing it. The executor only touches
-// the relations and edges reachable from node, so a subtree runs exactly as
-// it would inside the full plan; adaptive re-optimization (internal/reopt)
-// uses this to observe intermediate cardinalities without duplicating
-// executor setup. Work metering and the work limit behave exactly as in
-// Run.
-func (r *Runner) RunSubtree(db *storage.Database, idx *index.Set, g *query.Graph, node *plan.Node, cfg Config) (Result, error) {
-	return r.runNode(db, idx, g, node, cfg)
-}
-
-func (r *Runner) runNode(db *storage.Database, idx *index.Set, g *query.Graph, root *plan.Node, cfg Config) (Result, error) {
 	start := time.Now()
 	ex := &executor{db: db, idx: idx, g: g, cfg: cfg, sc: &r.sc, block: blockSize, stats: cfg.Stats}
 	if cfg.Ctx != nil {

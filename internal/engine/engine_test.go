@@ -16,6 +16,7 @@ import (
 	"jobench/internal/stats"
 	"jobench/internal/storage"
 	"jobench/internal/truecard"
+	"jobench/internal/workload"
 )
 
 type elab struct {
@@ -34,7 +35,8 @@ func lab(t *testing.T) *elab {
 	}
 	db := imdb.Generate(imdb.Config{Scale: 0.05, Seed: 21})
 	sdb := stats.AnalyzeDatabase(db, stats.Options{SampleSize: 2000, Seed: 1})
-	pkfk, err := imdb.BuildIndexes(db, imdb.PKFK)
+	wl, _ := workload.Get("imdb")
+	pkfk, err := wl.BuildIndexes(db, index.PKFK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,17 +318,18 @@ func TestRunSubtree(t *testing.T) {
 			t.Fatalf("%s: %v", qid, err)
 		}
 		r := NewRunner()
-		// The root is itself a subtree: RunSubtree must agree with Run.
+		// The root is itself a subtree: the Runner and the pooled Run
+		// must agree on it.
 		full, err := r.Run(l.db, l.pkfk, g, root, Config{Rehash: true})
 		if err != nil {
 			t.Fatalf("%s: %v", qid, err)
 		}
-		asSub, err := r.RunSubtree(l.db, l.pkfk, g, root, Config{Rehash: true})
+		asSub, err := Run(l.db, l.pkfk, g, root, Config{Rehash: true})
 		if err != nil {
 			t.Fatalf("%s: %v", qid, err)
 		}
 		if asSub.Rows != full.Rows || asSub.Work != full.Work {
-			t.Errorf("%s: RunSubtree(root) = %d rows/%d work, Run = %d/%d",
+			t.Errorf("%s: Run(root) = %d rows/%d work, Runner.Run = %d/%d",
 				qid, asSub.Rows, asSub.Work, full.Rows, full.Work)
 		}
 		// Every proper join subtree reports its true intermediate
@@ -336,7 +339,7 @@ func TestRunSubtree(t *testing.T) {
 			if n == nil || n.IsLeaf() {
 				return
 			}
-			res, err := r.RunSubtree(l.db, l.pkfk, g, n, Config{Rehash: true})
+			res, err := r.Run(l.db, l.pkfk, g, n, Config{Rehash: true})
 			if err != nil {
 				t.Fatalf("%s %v: %v", qid, n.S, err)
 			}
@@ -347,7 +350,7 @@ func TestRunSubtree(t *testing.T) {
 			if n != root && res.Work >= full.Work {
 				t.Errorf("%s subtree %v: work %d not below full plan's %d", qid, n.S, res.Work, full.Work)
 			}
-			again, err := r.RunSubtree(l.db, l.pkfk, g, n, Config{Rehash: true})
+			again, err := r.Run(l.db, l.pkfk, g, n, Config{Rehash: true})
 			if err != nil {
 				t.Fatalf("%s %v: %v", qid, n.S, err)
 			}

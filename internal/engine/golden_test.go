@@ -18,7 +18,7 @@ import (
 	"jobench/internal/query"
 	"jobench/internal/stats"
 	"jobench/internal/storage"
-	"jobench/internal/tpch"
+	"jobench/internal/workload"
 )
 
 // -update regenerates the golden work-unit tables from the current engine.
@@ -64,15 +64,19 @@ func TestGoldenWorkUnitsFetchFlush(t *testing.T) {
 // under the no-index design: scans and hash joins only, the path the
 // benchmark's exec.tpch workload measures.
 func TestGoldenWorkUnitsTPCH(t *testing.T) {
-	db := tpch.Generate(tpch.Config{Scale: 1, Seed: 21})
+	w, err := workload.Get("tpch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := w.Generate(workload.Config{Scale: 1, Seed: 21})
 	sdb := stats.AnalyzeDatabase(db, stats.Options{SampleSize: 2000, Seed: 1})
-	none, err := tpch.BuildIndexes(db, index.NoIndexes)
+	none, err := w.BuildIndexes(db, index.NoIndexes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pg := cardest.NewPostgres(db, sdb)
 	var plans []goldenPlan
-	for _, q := range tpch.Queries() {
+	for _, q := range w.Queries() {
 		g := query.MustBuildGraph(q)
 		root, err := enum.DP(&enum.Space{
 			G: g, DB: db, Cards: pg.ForQuery(g),

@@ -17,6 +17,7 @@ import (
 	"jobench/internal/stats"
 	"jobench/internal/storage"
 	"jobench/internal/truecard"
+	"jobench/internal/workload"
 )
 
 // testLab caches a small database + stats for all tests in this package.
@@ -37,11 +38,12 @@ func lab(t *testing.T) *testLab {
 	}
 	db := imdb.Generate(imdb.Config{Scale: 0.05, Seed: 11})
 	sdb := stats.AnalyzeDatabase(db, stats.Options{SampleSize: 2000, Seed: 1})
-	pkfk, err := imdb.BuildIndexes(db, imdb.PKFK)
+	wl, _ := workload.Get("imdb")
+	pkfk, err := wl.BuildIndexes(db, index.PKFK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, err := imdb.BuildIndexes(db, imdb.PKOnly)
+	pk, err := wl.BuildIndexes(db, index.PKOnly)
 	if err != nil {
 		t.Fatal(err)
 	}

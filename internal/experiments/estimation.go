@@ -9,7 +9,6 @@ import (
 	"jobench/internal/metrics"
 	"jobench/internal/query"
 	"jobench/internal/stats"
-	"jobench/internal/tpch"
 	"jobench/internal/truecard"
 	"jobench/internal/world"
 )
@@ -223,14 +222,11 @@ func (l *Lab) Figure4(ctx context.Context) (*Figure4Result, error) {
 				return figure4Panel(label+strings.TrimPrefix(qid, "tpch"), g, pg.ForQuery(g), st), nil
 			})
 	}
-	var jobIDs, tpchIDs []string
+	var jobIDs []string
 	for _, qid := range []string{"6a", "16d", "17b", "25c"} {
 		if _, ok := l.Graphs[qid]; ok {
 			jobIDs = append(jobIDs, qid)
 		}
-	}
-	for _, q := range tpch.Fig4Queries() {
-		tpchIDs = append(tpchIDs, q.ID)
 	}
 	jobPanels, err := panels(l.W, l.Postgres, "JOB ", jobIDs)
 	if err != nil {
@@ -245,7 +241,7 @@ func (l *Lab) Figure4(ctx context.Context) (*Figure4Result, error) {
 		return nil, err
 	}
 	tpg := cardest.NewPostgres(tw.DB, tw.Stats(stats.Options{SampleSize: 30000, Seed: topts.Seed}))
-	tpchPanels, err := panels(tw, tpg, "TPC-H ", tpchIDs)
+	tpchPanels, err := panels(tw, tpg, "TPC-H ", []string{"tpch5", "tpch8", "tpch10"})
 	if err != nil {
 		return nil, err
 	}

@@ -114,7 +114,7 @@ func NewLabOver(w *world.World, maxQueries int) (*Lab, error) {
 	topts := sopts
 	topts.TrueDistinct = true
 
-	if err := w.Prepare([]stats.Options{sopts, topts}, []index.Config{index.NoIndexes, index.PKOnly, index.PKFK}); err != nil {
+	if err := w.Prepare([]stats.Options{sopts, topts}, w.IndexConfigs()); err != nil {
 		return nil, err
 	}
 	l.Stats = w.Stats(sopts)

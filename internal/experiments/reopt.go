@@ -78,9 +78,7 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 		if err != nil {
 			return reoptCell{}, err
 		}
-		runner := runnerPool.Get().(*engine.Runner)
-		defer runnerPool.Put(runner)
-		baseRes, err := runner.Run(l.DB, idx, g, basePlan, engine.Config{Rehash: rules.Rehash})
+		baseRes, err := engine.Run(l.DB, idx, g, basePlan, engine.Config{Rehash: rules.Rehash})
 		if err != nil {
 			return reoptCell{}, fmt.Errorf("%s baseline: %w", q.ID, err)
 		}
@@ -98,7 +96,7 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 		if err != nil {
 			return reoptCell{}, err
 		}
-		staticRes, err := runner.Run(l.DB, idx, g, staticPlan, engine.Config{Rehash: rules.Rehash, WorkLimit: limit})
+		staticRes, err := engine.Run(l.DB, idx, g, staticPlan, engine.Config{Rehash: rules.Rehash, WorkLimit: limit})
 		switch {
 		case err != nil && errors.Is(err, engine.ErrWorkLimit):
 			cell.static, cell.toStatic = timeoutFactor, true
@@ -115,7 +113,7 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 		rres, err := reopt.Run(ctx, g, prov, reopt.Config{
 			DB: l.DB, Indexes: idx, Model: model,
 			DisableNLJ: rules.DisableNLJ, Rehash: rules.Rehash,
-			WorkLimit: limit, Runner: runner,
+			WorkLimit: limit,
 		})
 		if err != nil {
 			return reoptCell{}, fmt.Errorf("%s adaptive: %w", q.ID, err)

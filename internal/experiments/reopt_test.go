@@ -65,8 +65,6 @@ func TestReoptNoReplanMatchesStatic(t *testing.T) {
 		}
 		g := l.Graphs[q.ID]
 		prov := l.Postgres.ForQuery(g)
-		runner := runnerPool.Get().(*engine.Runner)
-		defer runnerPool.Put(runner)
 		var bad []string
 		for _, d := range designs {
 			opt := &optimizer.Optimizer{DB: l.DB, Model: model, Indexes: d.idx, DisableNLJ: true}
@@ -74,13 +72,13 @@ func TestReoptNoReplanMatchesStatic(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			want, err := runner.Run(l.DB, d.idx, g, static, engine.Config{Rehash: true})
+			want, err := engine.Run(l.DB, d.idx, g, static, engine.Config{Rehash: true})
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s static: %w", q.ID, d.name, err)
 			}
 			got, err := reopt.Run(ctx, g, prov, reopt.Config{
 				DB: l.DB, Indexes: d.idx, Model: model, DisableNLJ: true, Rehash: true,
-				QErrThreshold: math.Inf(1), Runner: runner,
+				QErrThreshold: math.Inf(1),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s adaptive: %w", q.ID, d.name, err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
@@ -16,13 +15,6 @@ import (
 	"jobench/internal/optimizer"
 	"jobench/internal/query"
 )
-
-// runnerPool recycles engine.Runners across the per-query cells of the
-// runtime sweeps: a Runner's scratch buffers (emit vectors, row-id pool)
-// grow to a sweep's working set once, instead of once per executed plan.
-// A sync.Pool keeps the reuse worker-local under the parallel runner
-// without tying cells to workers.
-var runnerPool = sync.Pool{New: func() any { return engine.NewRunner() }}
 
 // engineRules captures the engine/optimizer switches of §4.1.
 type engineRules struct {
@@ -51,9 +43,7 @@ func (l *Lab) runOne(ctx context.Context, qid string, prov cardest.Provider, idx
 	if err != nil {
 		return 0, false, err
 	}
-	runner := runnerPool.Get().(*engine.Runner)
-	defer runnerPool.Put(runner)
-	baseRes, err := runner.Run(l.DB, idx, g, optPlan, engine.Config{Rehash: rules.Rehash})
+	baseRes, err := engine.Run(l.DB, idx, g, optPlan, engine.Config{Rehash: rules.Rehash})
 	if err != nil {
 		return 0, false, fmt.Errorf("%s baseline: %w", qid, err)
 	}
@@ -66,7 +56,7 @@ func (l *Lab) runOne(ctx context.Context, qid string, prov cardest.Provider, idx
 	if err != nil {
 		return 0, false, err
 	}
-	res, err := runner.Run(l.DB, idx, g, estPlan, engine.Config{
+	res, err := engine.Run(l.DB, idx, g, estPlan, engine.Config{
 		Rehash:    rules.Rehash,
 		WorkLimit: timeoutFactor * baseWork,
 	})
@@ -306,9 +296,7 @@ func (l *Lab) Figure8(ctx context.Context) (*Figure8Result, error) {
 				if err != nil {
 					return cellResult{}, err
 				}
-				runner := runnerPool.Get().(*engine.Runner)
-				defer runnerPool.Put(runner)
-				r, err := runner.Run(l.DB, l.IdxPKFK, g, p, engine.Config{Rehash: rules.Rehash})
+				r, err := engine.Run(l.DB, l.IdxPKFK, g, p, engine.Config{Rehash: rules.Rehash})
 				if err != nil {
 					return cellResult{}, err
 				}

@@ -7,13 +7,22 @@ import (
 	"jobench/internal/storage"
 )
 
+// tableNames lists the 21 tables of the schema.
+var tableNames = []string{
+	"kind_type", "info_type", "company_type", "role_type", "link_type",
+	"comp_cast_type", "title", "company_name", "keyword", "name",
+	"char_name", "movie_companies", "movie_info", "movie_info_idx",
+	"movie_keyword", "cast_info", "aka_name", "aka_title", "movie_link",
+	"person_info", "complete_cast",
+}
+
 func small() *storage.Database {
 	return Generate(Config{Scale: 0.05, Seed: 7})
 }
 
 func TestAllTablesPresent(t *testing.T) {
 	db := small()
-	for _, name := range TableNames() {
+	for _, name := range tableNames {
 		tbl := db.Table(name)
 		if tbl == nil {
 			t.Fatalf("missing table %q", name)
@@ -22,8 +31,8 @@ func TestAllTablesPresent(t *testing.T) {
 			t.Errorf("table %q is empty", name)
 		}
 	}
-	if len(TableNames()) != 21 {
-		t.Fatalf("schema has %d tables, want 21", len(TableNames()))
+	if len(tableNames) != 21 {
+		t.Fatalf("schema has %d tables, want 21", len(tableNames))
 	}
 	if err := db.Check(); err != nil {
 		t.Fatal(err)
@@ -33,7 +42,7 @@ func TestAllTablesPresent(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	a := Generate(Config{Scale: 0.05, Seed: 9})
 	b := Generate(Config{Scale: 0.05, Seed: 9})
-	for _, name := range TableNames() {
+	for _, name := range tableNames {
 		ta, tb := a.Table(name), b.Table(name)
 		if ta.NumRows() != tb.NumRows() {
 			t.Fatalf("%s: %d vs %d rows", name, ta.NumRows(), tb.NumRows())
@@ -84,7 +93,7 @@ func TestForeignKeyIntegrity(t *testing.T) {
 
 func TestPrimaryKeysDense(t *testing.T) {
 	db := small()
-	for _, name := range TableNames() {
+	for _, name := range tableNames {
 		id := db.MustTable(name).MustColumn("id")
 		for i := 0; i < id.Len(); i++ {
 			if id.Ints[i] != int64(i+1) {
@@ -219,40 +228,6 @@ func TestJoinCrossingCorrelation(t *testing.T) {
 	pBase := float64(base) / float64(len(allMovies))
 	if pCond < 3*pBase {
 		t.Errorf("P(German|de company)=%.3f vs P(German)=%.3f: correlation too weak", pCond, pBase)
-	}
-}
-
-func TestIndexConfigs(t *testing.T) {
-	db := small()
-	none, err := BuildIndexes(db, NoIndexes)
-	if err != nil || none.Size() != 0 {
-		t.Fatalf("NoIndexes: size=%d err=%v", none.Size(), err)
-	}
-	pk, err := BuildIndexes(db, PKOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pk.Size() != 21 {
-		t.Fatalf("PKOnly size = %d, want 21", pk.Size())
-	}
-	if !pk.Has("title", "id") || pk.Has("movie_info", "movie_id") {
-		t.Fatal("PKOnly content wrong")
-	}
-	pkfk, err := BuildIndexes(db, PKFK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 21 + len(ForeignKeys())
-	if pkfk.Size() != want {
-		t.Fatalf("PKFK size = %d, want %d", pkfk.Size(), want)
-	}
-	if !pkfk.Has("movie_info", "movie_id") || !pkfk.Has("cast_info", "person_id") {
-		t.Fatal("FK indexes missing")
-	}
-	for _, cfg := range []IndexConfig{NoIndexes, PKOnly, PKFK} {
-		if cfg.String() == "" {
-			t.Fatal("empty IndexConfig string")
-		}
 	}
 }
 

@@ -6,11 +6,6 @@
 // at a configurable scale.
 package imdb
 
-import (
-	"jobench/internal/index"
-	"jobench/internal/storage"
-)
-
 // FK describes one foreign-key relationship of the schema.
 type FK struct {
 	Table    string
@@ -24,7 +19,8 @@ type FK struct {
 }
 
 // ForeignKeys returns every FK of the schema. It drives both the PK+FK
-// index configuration and the generator's integrity tests.
+// index configuration (internal/workload) and the generator's integrity
+// tests.
 func ForeignKeys() []FK {
 	return []FK{
 		{"title", "kind_id", "kind_type", "id", false},
@@ -52,52 +48,4 @@ func ForeignKeys() []FK {
 		{"complete_cast", "subject_id", "comp_cast_type", "id", false},
 		{"complete_cast", "status_id", "comp_cast_type", "id", false},
 	}
-}
-
-// TableNames lists the 21 tables of the schema.
-func TableNames() []string {
-	return []string{
-		"kind_type", "info_type", "company_type", "role_type", "link_type",
-		"comp_cast_type", "title", "company_name", "keyword", "name",
-		"char_name", "movie_companies", "movie_info", "movie_info_idx",
-		"movie_keyword", "cast_info", "aka_name", "aka_title", "movie_link",
-		"person_info", "complete_cast",
-	}
-}
-
-// IndexConfig selects one of the paper's three physical designs (§4, §6.1).
-// The enum itself lives in internal/index so every workload shares it; the
-// alias (and the re-exported constants below) keep this package's historical
-// surface intact.
-type IndexConfig = index.Config
-
-const (
-	// NoIndexes has no indexes at all.
-	NoIndexes = index.NoIndexes
-	// PKOnly indexes the primary key (id) of every table.
-	PKOnly = index.PKOnly
-	// PKFK additionally indexes every foreign-key column.
-	PKFK = index.PKFK
-)
-
-// BuildIndexes constructs the index set for the chosen physical design.
-func BuildIndexes(db *storage.Database, cfg IndexConfig) (*index.Set, error) {
-	set := index.NewSet()
-	if cfg == NoIndexes {
-		return set, nil
-	}
-	for _, name := range TableNames() {
-		if err := set.BuildHashOn(db, name, "id", true); err != nil {
-			return nil, err
-		}
-	}
-	if cfg == PKOnly {
-		return set, nil
-	}
-	for _, fk := range ForeignKeys() {
-		if err := set.BuildHashOn(db, fk.Table, fk.Column, false); err != nil {
-			return nil, err
-		}
-	}
-	return set, nil
 }

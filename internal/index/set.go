@@ -63,20 +63,6 @@ func (s *Set) Items() []Item {
 	return out
 }
 
-// Describe returns a sorted human-readable list of indexed columns.
-func (s *Set) Describe() []string {
-	out := make([]string, 0, len(s.m))
-	for k, idx := range s.m {
-		kind := "non-unique"
-		if idx.Unique() {
-			kind = "unique"
-		}
-		out = append(out, fmt.Sprintf("%s.%s (%s, %d entries)", k.table, k.column, kind, idx.Len()))
-	}
-	sort.Strings(out)
-	return out
-}
-
 // BuildHashOn builds and registers a hash index on table.column of db.
 func (s *Set) BuildHashOn(db *storage.Database, table, column string, unique bool) error {
 	t := db.Table(table)

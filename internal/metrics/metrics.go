@@ -111,20 +111,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// FracAtMost returns the fraction of xs that are <= bound.
-func FracAtMost(xs []float64, bound float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for _, x := range xs {
-		if x <= bound {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
 // Boxplot summarises a distribution with the five percentiles the paper's
 // boxplots display (Fig. 3): 5th, 25th, median, 75th, 95th.
 type Boxplot struct {

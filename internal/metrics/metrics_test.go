@@ -103,9 +103,6 @@ func TestAggregates(t *testing.T) {
 	if Min(xs) != 1 || Max(xs) != 16 {
 		t.Fatal("min/max broken")
 	}
-	if got := FracAtMost(xs, 4); got != 2.0/3 {
-		t.Fatalf("FracAtMost = %g", got)
-	}
 }
 
 func TestBoxplot(t *testing.T) {

@@ -7,12 +7,14 @@ import (
 	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
 	"jobench/internal/imdb"
+	"jobench/internal/index"
 	"jobench/internal/job"
 	"jobench/internal/plan"
 	"jobench/internal/query"
 	"jobench/internal/stats"
 	"jobench/internal/storage"
 	"jobench/internal/truecard"
+	"jobench/internal/workload"
 )
 
 type olab struct {
@@ -31,7 +33,8 @@ func lab(t *testing.T) *olab {
 	}
 	db := imdb.Generate(imdb.Config{Scale: 0.05, Seed: 31})
 	sdb := stats.AnalyzeDatabase(db, stats.Options{SampleSize: 2000, Seed: 1})
-	pkfk, err := imdb.BuildIndexes(db, imdb.PKFK)
+	wl, _ := workload.Get("imdb")
+	pkfk, err := wl.BuildIndexes(db, index.PKFK)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,15 +46,6 @@ func (q *Query) RelIndex(alias string) int {
 	return -1
 }
 
-// NumPreds returns the total number of base-table predicates.
-func (q *Query) NumPreds() int {
-	n := 0
-	for _, r := range q.Rels {
-		n += len(r.Preds)
-	}
-	return n
-}
-
 // SQL renders the query as SQL text (for documentation and EXPLAIN output).
 func (q *Query) SQL() string {
 	var b strings.Builder

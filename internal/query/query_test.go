@@ -455,9 +455,6 @@ func TestQueryValidate(t *testing.T) {
 	if got := good.NumJoins(); got != 1 {
 		t.Fatalf("NumJoins = %d", got)
 	}
-	if got := good.NumPreds(); got != 1 {
-		t.Fatalf("NumPreds = %d", got)
-	}
 	if !strings.Contains(good.SQL(), "mi.movie_id = t.id") {
 		t.Fatalf("SQL rendering broken:\n%s", good.SQL())
 	}

@@ -102,10 +102,6 @@ type Config struct {
 	// MaxReplans bounds re-optimizations per query (non-positive selects
 	// DefaultMaxReplans).
 	MaxReplans int
-
-	// Runner optionally supplies a scratch-owning engine runner to reuse
-	// across calls; nil uses a private one.
-	Runner *engine.Runner
 }
 
 // Step records one probe: a plan subtree executed to observe its true
@@ -176,10 +172,6 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 	maxReplans := cfg.MaxReplans
 	if maxReplans <= 0 {
 		maxReplans = DefaultMaxReplans
-	}
-	runner := cfg.Runner
-	if runner == nil {
-		runner = engine.NewRunner()
 	}
 
 	overrides := make(map[query.BitSet]float64)
@@ -255,7 +247,7 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 			pcfg.WorkLimit = budget
 		}
 		probeSpan := trace.StartSpan(ctx, "reopt.probe")
-		pr, perr := runner.RunSubtree(cfg.DB, cfg.Indexes, g, node, pcfg)
+		pr, perr := engine.Run(cfg.DB, cfg.Indexes, g, node, pcfg)
 		probeSpan.End(trace.Int64("rels", int64(node.S.Count())),
 			trace.Int64("work", pr.Work), trace.Int64("rows", pr.Rows),
 			trace.Bool("aborted", perr != nil))
@@ -336,7 +328,7 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 		res.Steps = append(res.Steps, step)
 	}
 
-	final, ferr := runner.Run(cfg.DB, cfg.Indexes, g, cur, ecfg)
+	final, ferr := engine.Run(cfg.DB, cfg.Indexes, g, cur, ecfg)
 	res.FinalWork = final.Work
 	res.Rows = final.Rows
 	res.Plan = cur
@@ -369,7 +361,7 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 				if rec.sig == signature(n) {
 					return rec.work
 				}
-				m, err := runner.RunSubtree(cfg.DB, cfg.Indexes, g, n, engine.Config{Rehash: cfg.Rehash, Ctx: ctx})
+				m, err := engine.Run(cfg.DB, cfg.Indexes, g, n, engine.Config{Rehash: cfg.Rehash, Ctx: ctx})
 				if err != nil {
 					rerr = err
 					return 0

@@ -6,11 +6,13 @@ import (
 	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
 	"jobench/internal/imdb"
+	"jobench/internal/index"
 	"jobench/internal/job"
 	"jobench/internal/optimizer"
 	"jobench/internal/plan"
 	"jobench/internal/query"
 	"jobench/internal/stats"
+	"jobench/internal/workload"
 )
 
 // TestGatePricesSamePlanAlike: Run's replan gate weighs plan.Cost of the
@@ -24,7 +26,8 @@ import (
 func TestGatePricesSamePlanAlike(t *testing.T) {
 	db := imdb.Generate(imdb.Config{Scale: 0.05, Seed: 11})
 	sdb := stats.AnalyzeDatabase(db, stats.Options{SampleSize: 2000, Seed: 1})
-	idx, err := imdb.BuildIndexes(db, imdb.PKOnly)
+	wl, _ := workload.Get("imdb")
+	idx, err := wl.BuildIndexes(db, index.PKOnly)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,15 @@ import (
 	"testing"
 
 	"jobench/internal/imdb"
+	"jobench/internal/index"
+	"jobench/internal/workload"
 )
 
 func TestIndexesRoundTrip(t *testing.T) {
 	db := imdb.Generate(imdb.Config{Scale: 0.05, Seed: 7})
-	for _, cfg := range []imdb.IndexConfig{imdb.NoIndexes, imdb.PKOnly, imdb.PKFK} {
-		set, err := imdb.BuildIndexes(db, cfg)
+	wl, _ := workload.Get("imdb")
+	for _, cfg := range wl.IndexConfigs() {
+		set, err := wl.BuildIndexes(db, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +56,8 @@ func TestIndexesRoundTrip(t *testing.T) {
 
 func TestIndexesDeterministicEncoding(t *testing.T) {
 	db := imdb.Generate(imdb.Config{Scale: 0.05, Seed: 7})
-	set, err := imdb.BuildIndexes(db, imdb.PKFK)
+	wl, _ := workload.Get("imdb")
+	set, err := wl.BuildIndexes(db, index.PKFK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +76,8 @@ func TestIndexesDeterministicEncoding(t *testing.T) {
 
 func TestIndexesDecodeRejectsCorruption(t *testing.T) {
 	db := imdb.Generate(imdb.Config{Scale: 0.05, Seed: 7})
-	set, err := imdb.BuildIndexes(db, imdb.PKOnly)
+	wl, _ := workload.Get("imdb")
+	set, err := wl.BuildIndexes(db, index.PKOnly)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,31 +1,21 @@
-// Package tpch implements a miniature TPC-H data generator and JOB-style
-// SPJ renderings of ten TPC-H query families. Its original purpose in the
-// paper is Figure 4: TPC-H data is generated under exactly the uniformity
-// and independence assumptions that cardinality estimators make, so
-// estimates are nearly perfect on it — unlike on the correlated IMDB data.
-// The generator therefore deliberately draws every attribute independently
-// and uniformly (within the value distributions of the TPC-H
-// specification). As a first-class workload (internal/workload) the full
-// ten-family set exercises the optimizer; Fig4Queries returns the original
-// three used by the figure-4 experiment.
-package tpch
+package workload
+
+// The mini TPC-H world: a generator and JOB-style SPJ renderings of ten
+// TPC-H query families. Its original purpose in the paper is Figure 4:
+// TPC-H data is generated under exactly the uniformity and independence
+// assumptions that cardinality estimators make, so estimates are nearly
+// perfect on it — unlike on the correlated IMDB data. The generator
+// therefore deliberately draws every attribute independently and uniformly
+// (within the value distributions of the TPC-H specification). Scale 1.0 is
+// a 1/100 TPC-H SF1: 15,000 orders, 60,000 lineitems.
 
 import (
 	"fmt"
 	"math/rand"
 
-	"jobench/internal/index"
 	"jobench/internal/query"
 	"jobench/internal/storage"
 )
-
-// Config controls generation. Scale 1.0 is a 1/100 TPC-H SF1:
-// 15,000 orders, 60,000 lineitems. Zero values default like the facade:
-// Scale 0 means 1.0, Seed 0 means 42.
-type Config struct {
-	Scale float64
-	Seed  int64
-}
 
 var regions = []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
 
@@ -50,14 +40,9 @@ var typeSyllable1 = []string{"STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", 
 var typeSyllable2 = []string{"ANODIZED", "BURNISHED", "PLATED", "POLISHED", "BRUSHED"}
 var typeSyllable3 = []string{"TIN", "NICKEL", "BRASS", "STEEL", "COPPER"}
 
-// Generate builds the 7-table mini TPC-H database.
-func Generate(cfg Config) *storage.Database {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
+// tpchGenerate builds the 7-table mini TPC-H database from a normalized
+// config.
+func tpchGenerate(cfg Config) *storage.Database {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nOrders := int(15000 * cfg.Scale)
 	if nOrders < 500 {
@@ -187,76 +172,24 @@ func Generate(cfg Config) *storage.Database {
 	return db
 }
 
-// FK describes one foreign-key relationship of the mini TPC-H schema.
-type FK struct {
-	Table     string
-	Column    string
-	RefTable  string
-	RefColumn string
+// tpchFKs are the foreign-key columns of the mini schema, which the PK+FK
+// design indexes.
+var tpchFKs = []column{
+	{"nation", "region_id"},
+	{"supplier", "nation_id"},
+	{"customer", "nation_id"},
+	{"orders", "customer_id"},
+	{"lineitem", "order_id"},
+	{"lineitem", "part_id"},
+	{"lineitem", "supplier_id"},
 }
 
-// ForeignKeys returns every FK of the mini schema. It drives the PK+FK
-// index configuration.
-func ForeignKeys() []FK {
-	return []FK{
-		{"nation", "region_id", "region", "id"},
-		{"supplier", "nation_id", "nation", "id"},
-		{"customer", "nation_id", "nation", "id"},
-		{"orders", "customer_id", "customer", "id"},
-		{"lineitem", "order_id", "orders", "id"},
-		{"lineitem", "part_id", "part", "id"},
-		{"lineitem", "supplier_id", "supplier", "id"},
-	}
-}
-
-// TableNames lists the 7 tables of the mini schema.
-func TableNames() []string {
-	return []string{
-		"region", "nation", "supplier", "customer", "part", "orders",
-		"lineitem",
-	}
-}
-
-// BuildIndexes constructs the index set for the chosen physical design,
-// mirroring imdb.BuildIndexes: PKOnly hashes every id column, PKFK
-// additionally hashes every foreign-key column.
-func BuildIndexes(db *storage.Database, cfg index.Config) (*index.Set, error) {
-	set := index.NewSet()
-	if cfg == index.NoIndexes {
-		return set, nil
-	}
-	for _, name := range TableNames() {
-		if err := set.BuildHashOn(db, name, "id", true); err != nil {
-			return nil, err
-		}
-	}
-	if cfg == index.PKOnly {
-		return set, nil
-	}
-	for _, fk := range ForeignKeys() {
-		if err := set.BuildHashOn(db, fk.Table, fk.Column, false); err != nil {
-			return nil, err
-		}
-	}
-	return set, nil
-}
-
-// Queries returns SPJ renderings of ten TPC-H query families over the mini
-// schema (aggregations dropped, like the JOB queries), in family order.
-// The three figure-4 families (Q5, Q8, Q10) are byte-identical to the
-// original appendix versions; Fig4Queries returns just those.
-func Queries() []*query.Query {
-	qs := []*query.Query{q3(), q4()}
-	qs = append(qs, q5(), q7(), q8(), q9(), q10(), q12(), q14(), q19())
-	return qs
-}
-
-// Fig4Queries returns the original three TPC-H renderings (Q5, Q8, Q10)
-// that the figure-4 experiment measures, unchanged from when they were the
-// whole workload — the experiment's report bytes depend on exactly this
-// set.
-func Fig4Queries() []*query.Query {
-	return []*query.Query{q5(), q8(), q10()}
+// tpchQueries returns SPJ renderings of ten TPC-H query families over the
+// mini schema (aggregations dropped, like the JOB queries), in family
+// order. The three figure-4 families (Q5, Q8, Q10) are byte-identical to
+// the original appendix versions.
+func tpchQueries() []*query.Query {
+	return []*query.Query{q3(), q4(), q5(), q7(), q8(), q9(), q10(), q12(), q14(), q19()}
 }
 
 // q3 is TPC-H Q3: shipping priority — customers of one market segment with
@@ -386,7 +319,7 @@ func q19() *query.Query {
 // q5 is TPC-H Q5: local supplier volume, unchanged from the figure-4
 // appendix rendering.
 func q5() *query.Query {
-	q5 := &query.Query{
+	return &query.Query{
 		ID: "tpch5",
 		Rels: []query.Rel{
 			{Alias: "c", Table: "customer"},
@@ -405,13 +338,12 @@ func q5() *query.Query {
 			{LeftAlias: "n", LeftCol: "region_id", RightAlias: "r", RightCol: "id"},
 		},
 	}
-	return q5
 }
 
 // q8 is TPC-H Q8: national market share, unchanged from the figure-4
 // appendix rendering.
 func q8() *query.Query {
-	q8 := &query.Query{
+	return &query.Query{
 		ID: "tpch8",
 		Rels: []query.Rel{
 			{Alias: "p", Table: "part", Preds: []*query.Pred{query.EqStr("type", "ECONOMY ANODIZED STEEL")}},
@@ -433,13 +365,12 @@ func q8() *query.Query {
 			{LeftAlias: "s", LeftCol: "nation_id", RightAlias: "n2", RightCol: "id"},
 		},
 	}
-	return q8
 }
 
 // q10 is TPC-H Q10: returned item reporting, unchanged from the figure-4
 // appendix rendering.
 func q10() *query.Query {
-	q10 := &query.Query{
+	return &query.Query{
 		ID: "tpch10",
 		Rels: []query.Rel{
 			{Alias: "c", Table: "customer"},
@@ -453,5 +384,4 @@ func q10() *query.Query {
 			{LeftAlias: "c", LeftCol: "nation_id", RightAlias: "n", RightCol: "id"},
 		},
 	}
-	return q10
 }

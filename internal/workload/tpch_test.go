@@ -1,14 +1,24 @@
-package tpch
+package workload_test
 
 import (
 	"math"
 	"testing"
 
-	"jobench/internal/query"
+	"jobench/internal/storage"
+	"jobench/internal/workload"
 )
 
-func TestGenerateShape(t *testing.T) {
-	db := Generate(Config{Scale: 0.2, Seed: 3})
+func tpchDB(t *testing.T, scale float64, seed int64) *storage.Database {
+	t.Helper()
+	w, err := workload.Get("tpch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Generate(workload.Config{Scale: scale, Seed: seed})
+}
+
+func TestTPCHGenerateShape(t *testing.T) {
+	db := tpchDB(t, 0.2, 3)
 	for _, name := range []string{"region", "nation", "supplier", "customer", "part", "orders", "lineitem"} {
 		if db.Table(name) == nil || db.Table(name).NumRows() == 0 {
 			t.Fatalf("table %q missing or empty", name)
@@ -27,8 +37,8 @@ func TestGenerateShape(t *testing.T) {
 	}
 }
 
-func TestReferentialIntegrity(t *testing.T) {
-	db := Generate(Config{Scale: 0.1, Seed: 5})
+func TestTPCHReferentialIntegrity(t *testing.T) {
+	db := tpchDB(t, 0.1, 5)
 	fks := []struct{ tbl, col, ref string }{
 		{"nation", "region_id", "region"},
 		{"supplier", "nation_id", "nation"},
@@ -49,11 +59,11 @@ func TestReferentialIntegrity(t *testing.T) {
 	}
 }
 
-// TestUniformityAndIndependence verifies the property the paper relies on in
-// §3.3: TPC-H attributes are uniform and independent, so multiplying
+// TestTPCHUniformityAndIndependence verifies the property the paper relies
+// on in §3.3: TPC-H attributes are uniform and independent, so multiplying
 // selectivities is a good model of reality.
-func TestUniformityAndIndependence(t *testing.T) {
-	db := Generate(Config{Scale: 1, Seed: 7})
+func TestTPCHUniformityAndIndependence(t *testing.T) {
+	db := tpchDB(t, 1, 7)
 	li := db.MustTable("lineitem")
 	ret := li.MustColumn("returnflag")
 	disc := li.MustColumn("discount")
@@ -90,9 +100,10 @@ func TestUniformityAndIndependence(t *testing.T) {
 	}
 }
 
-func TestQueriesValidate(t *testing.T) {
-	db := Generate(Config{Scale: 0.1, Seed: 1})
-	qs := Queries()
+func TestTPCHQueriesValidate(t *testing.T) {
+	db := tpchDB(t, 0.1, 1)
+	w, _ := workload.Get("tpch")
+	qs := w.Queries()
 	if len(qs) != 10 {
 		t.Fatalf("want 10 TPC-H query families, got %d", len(qs))
 	}
@@ -105,37 +116,15 @@ func TestQueriesValidate(t *testing.T) {
 		if err := q.Validate(db); err != nil {
 			t.Errorf("%s: %v", q.ID, err)
 		}
+		// Q5 must include the customer-supplier nation cycle.
+		if q.ID == "tpch5" && q.NumJoins() != 6 {
+			t.Errorf("tpch5 has %d joins, want 6", q.NumJoins())
+		}
 	}
-	// Fig4Queries is the original 3-query subset the figure-4 report is
-	// rendered from, in its historical order.
-	fig4 := Fig4Queries()
-	if len(fig4) != 3 || fig4[0].ID != "tpch5" || fig4[1].ID != "tpch8" || fig4[2].ID != "tpch10" {
-		t.Fatalf("Fig4Queries = %v, want [tpch5 tpch8 tpch10]", ids(fig4))
-	}
-	// Q5 must include the customer-supplier nation cycle.
-	if fig4[0].NumJoins() != 6 {
-		t.Errorf("tpch5 has %d joins, want 6", fig4[0].NumJoins())
-	}
-}
-
-func ids(qs []*query.Query) []string {
-	out := make([]string, len(qs))
-	for i, q := range qs {
-		out[i] = q.ID
-	}
-	return out
-}
-
-func TestDeterminism(t *testing.T) {
-	a := Generate(Config{Scale: 0.1, Seed: 9})
-	b := Generate(Config{Scale: 0.1, Seed: 9})
-	if a.Table("lineitem").NumRows() != b.Table("lineitem").NumRows() {
-		t.Fatal("lineitem count differs for same seed")
-	}
-	ca, cb := a.MustTable("lineitem").MustColumn("part_id"), b.MustTable("lineitem").MustColumn("part_id")
-	for i := range ca.Ints {
-		if ca.Ints[i] != cb.Ints[i] {
-			t.Fatal("values differ for same seed")
+	// The figure-4 experiment names these three families.
+	for _, id := range []string{"tpch5", "tpch8", "tpch10"} {
+		if !seen[id] {
+			t.Errorf("figure-4 query %s missing", id)
 		}
 	}
 }

@@ -1,24 +1,25 @@
 // Package workload makes the benchmark world a first-class dimension of
-// the system. A Workload bundles a deterministic data generator, a query
-// set, and the index-building recipe for one benchmark (IMDB/JOB, mini
-// TPC-H, skewed IMDB); a small fixed registry maps names to
-// implementations. Every layer that used to hardwire the IMDB world — the
-// jobench facade, the snapshot store, the service pool, the router's
-// affinity hashing, the load generator — now keys on Key, the
-// (workload, seed, scale) triple.
+// the system. A Workload is a value: a deterministic data generator, a
+// query set, and the foreign-key columns of one benchmark (IMDB/JOB, mini
+// TPC-H, skewed IMDB). The index recipe and the list of physical designs
+// are written once, on the type, for every workload; a small fixed
+// registry maps names to values. Every layer that used to hardwire the
+// IMDB world — the jobench facade, the snapshot store, the service pool,
+// the router's affinity hashing, the load generator — now keys on Key,
+// the (workload, seed, scale) triple.
 package workload
 
 import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"jobench/internal/imdb"
 	"jobench/internal/index"
 	"jobench/internal/job"
 	"jobench/internal/query"
 	"jobench/internal/storage"
-	"jobench/internal/tpch"
 )
 
 // DefaultName is the workload every layer falls back to when none is
@@ -47,18 +48,58 @@ func (c Config) Normalize() Config {
 
 // Workload is one benchmark world: a named deterministic generator plus
 // the queries and physical designs that run against it.
-type Workload interface {
-	// Name is the registry name ("imdb", "tpch", "imdb-skew").
-	Name() string
-	// Generate deterministically builds the database for the config.
-	Generate(cfg Config) *storage.Database
-	// Queries returns the workload's query set in stable order.
-	Queries() []*query.Query
-	// BuildIndexes constructs the index set for one physical design.
-	BuildIndexes(db *storage.Database, cfg index.Config) (*index.Set, error)
-	// IndexConfigs lists the physical designs the workload supports, in
-	// the order the facade builds them.
-	IndexConfigs() []index.Config
+type Workload struct {
+	name     string
+	generate func(Config) *storage.Database // called with a normalized config
+	queries  func() []*query.Query
+	fks      []column // the foreign-key columns PK+FK indexes
+}
+
+// column names one table.column of a workload's schema.
+type column struct{ table, name string }
+
+// Name is the registry name ("imdb", "tpch", "imdb-skew").
+func (w *Workload) Name() string { return w.name }
+
+// Generate deterministically builds the database for the config.
+func (w *Workload) Generate(cfg Config) *storage.Database { return w.generate(cfg.Normalize()) }
+
+// Queries returns the workload's query set in stable order.
+func (w *Workload) Queries() []*query.Query { return w.queries() }
+
+// IndexConfigs lists the paper's three physical designs (§4, §6.1), in the
+// order the facade builds them. Every workload supports all three.
+func (*Workload) IndexConfigs() []index.Config {
+	return []index.Config{index.NoIndexes, index.PKOnly, index.PKFK}
+}
+
+// BuildIndexes constructs the index set for one physical design by the
+// recipe every workload shares: no indexes at all; PK adds a unique hash
+// on every table's id; PK+FK also adds a non-unique hash on every
+// foreign-key column.
+func (w *Workload) BuildIndexes(db *storage.Database, cfg index.Config) (*index.Set, error) {
+	type key struct {
+		column
+		unique bool
+	}
+	var keys []key
+	if cfg != index.NoIndexes {
+		for _, t := range db.TableNames() {
+			keys = append(keys, key{column{t, "id"}, true})
+		}
+	}
+	if cfg == index.PKFK {
+		for _, c := range w.fks {
+			keys = append(keys, key{c, false})
+		}
+	}
+	set := index.NewSet()
+	for _, k := range keys {
+		if err := set.BuildHashOn(db, k.table, k.name, k.unique); err != nil {
+			return nil, err
+		}
+	}
+	return set, nil
 }
 
 // Key identifies one generated world: which workload, which seed, which
@@ -100,19 +141,19 @@ func (k Key) String() string {
 
 // registry is fixed at init time; no mutation after that, so reads are
 // safe without locking.
-var registry = map[string]Workload{}
+var registry = map[string]*Workload{}
 
-func register(w Workload) { registry[w.Name()] = w }
+func register(w *Workload) { registry[w.name] = w }
 
 // Get looks a workload up by name; empty selects DefaultName. The error
 // lists the known names so CLI and service surfaces can echo it verbatim.
-func Get(name string) (Workload, error) {
+func Get(name string) (*Workload, error) {
 	if name == "" {
 		name = DefaultName
 	}
 	w, ok := registry[name]
 	if !ok {
-		return nil, fmt.Errorf("unknown workload %q (known: %s)", name, nameList())
+		return nil, fmt.Errorf("unknown workload %q (known: %s)", name, strings.Join(Names(), ", "))
 	}
 	return w, nil
 }
@@ -127,45 +168,6 @@ func Names() []string {
 	return names
 }
 
-func nameList() string {
-	s := ""
-	for i, n := range Names() {
-		if i > 0 {
-			s += ", "
-		}
-		s += n
-	}
-	return s
-}
-
-func init() {
-	register(imdbWorkload{})
-	register(tpchWorkload{})
-	register(imdbSkewWorkload{})
-}
-
-// imdbWorkload is the default world: the synthetic IMDB database and the
-// 113-query Join Order Benchmark. It is byte-identical to what the facade
-// generated before workloads existed.
-type imdbWorkload struct{}
-
-func (imdbWorkload) Name() string { return "imdb" }
-
-func (imdbWorkload) Generate(cfg Config) *storage.Database {
-	cfg = cfg.Normalize()
-	return imdb.Generate(imdb.Config{Scale: cfg.Scale, Seed: cfg.Seed})
-}
-
-func (imdbWorkload) Queries() []*query.Query { return job.Workload() }
-
-func (imdbWorkload) BuildIndexes(db *storage.Database, cfg index.Config) (*index.Set, error) {
-	return imdb.BuildIndexes(db, cfg)
-}
-
-func (imdbWorkload) IndexConfigs() []index.Config {
-	return []index.Config{index.NoIndexes, index.PKOnly, index.PKFK}
-}
-
 // SkewZipf and SkewCorrelation are the knob settings of the "imdb-skew"
 // workload: a substantially heavier popularity tail and join-crossing
 // correlations pushed near their ceiling, so the estimator-breaking
@@ -178,50 +180,34 @@ const (
 	SkewCorrelation = 1.35
 )
 
-// imdbSkewWorkload is the IMDB generator with the skew and correlation
-// knobs turned up; it shares the JOB query set and index recipe with the
-// default workload — only the data distribution changes.
-type imdbSkewWorkload struct{}
-
-func (imdbSkewWorkload) Name() string { return "imdb-skew" }
-
-func (imdbSkewWorkload) Generate(cfg Config) *storage.Database {
-	cfg = cfg.Normalize()
-	return imdb.Generate(imdb.Config{
-		Scale:       cfg.Scale,
-		Seed:        cfg.Seed,
-		Skew:        SkewZipf,
-		Correlation: SkewCorrelation,
+func init() {
+	var imdbFKs []column
+	for _, fk := range imdb.ForeignKeys() {
+		imdbFKs = append(imdbFKs, column{fk.Table, fk.Column})
+	}
+	// imdb is the default world: the synthetic IMDB database and the
+	// 113-query Join Order Benchmark.
+	register(&Workload{
+		name: "imdb",
+		generate: func(cfg Config) *storage.Database {
+			return imdb.Generate(imdb.Config{Scale: cfg.Scale, Seed: cfg.Seed})
+		},
+		queries: job.Workload,
+		fks:     imdbFKs,
 	})
-}
-
-func (imdbSkewWorkload) Queries() []*query.Query { return job.Workload() }
-
-func (imdbSkewWorkload) BuildIndexes(db *storage.Database, cfg index.Config) (*index.Set, error) {
-	return imdb.BuildIndexes(db, cfg)
-}
-
-func (imdbSkewWorkload) IndexConfigs() []index.Config {
-	return []index.Config{index.NoIndexes, index.PKOnly, index.PKFK}
-}
-
-// tpchWorkload is the mini TPC-H world: uniform, independent data over 7
-// tables and ten SPJ query families.
-type tpchWorkload struct{}
-
-func (tpchWorkload) Name() string { return "tpch" }
-
-func (tpchWorkload) Generate(cfg Config) *storage.Database {
-	cfg = cfg.Normalize()
-	return tpch.Generate(tpch.Config{Scale: cfg.Scale, Seed: cfg.Seed})
-}
-
-func (tpchWorkload) Queries() []*query.Query { return tpch.Queries() }
-
-func (tpchWorkload) BuildIndexes(db *storage.Database, cfg index.Config) (*index.Set, error) {
-	return tpch.BuildIndexes(db, cfg)
-}
-
-func (tpchWorkload) IndexConfigs() []index.Config {
-	return []index.Config{index.NoIndexes, index.PKOnly, index.PKFK}
+	// imdb-skew is the IMDB generator with the skew and correlation knobs
+	// turned up; only the data distribution differs from imdb.
+	register(&Workload{
+		name: "imdb-skew",
+		generate: func(cfg Config) *storage.Database {
+			return imdb.Generate(imdb.Config{
+				Scale: cfg.Scale, Seed: cfg.Seed, Skew: SkewZipf, Correlation: SkewCorrelation,
+			})
+		},
+		queries: job.Workload,
+		fks:     imdbFKs,
+	})
+	// tpch is the mini TPC-H world: uniform, independent data over 7
+	// tables and ten SPJ query families (tpch.go).
+	register(&Workload{name: "tpch", generate: tpchGenerate, queries: tpchQueries, fks: tpchFKs})
 }

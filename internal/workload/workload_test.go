@@ -66,7 +66,7 @@ func TestKeyNormalization(t *testing.T) {
 // dbHash is the golden-determinism fingerprint: the snapshot encoding of a
 // database is canonical (same rows → same bytes at any worker count), so a
 // hash over it pins the generated world bit-for-bit.
-func dbHash(t *testing.T, w workload.Workload, cfg workload.Config, workers int) string {
+func dbHash(t *testing.T, w *workload.Workload, cfg workload.Config, workers int) string {
 	t.Helper()
 	db := w.Generate(cfg)
 	data, err := snapshot.EncodeDatabase(db, "golden", workers)

@@ -70,7 +70,7 @@ func CountHooks(t *testing.T) *HookCounts {
 	t.Helper()
 	c := &HookCounts{}
 	origGen, origAnalyze, origBuild, origCompute := generateDB, analyzeDB, buildIndexes, computeTruth
-	generateDB = func(w workload.Workload, cfg workload.Config) *storage.Database {
+	generateDB = func(w *workload.Workload, cfg workload.Config) *storage.Database {
 		c.Generations.Add(1)
 		db := origGen(w, cfg)
 		c.mu.Lock()
@@ -82,7 +82,7 @@ func CountHooks(t *testing.T) *HookCounts {
 		c.Analyzes.Add(1)
 		return origAnalyze(db, opts)
 	}
-	buildIndexes = func(w workload.Workload, db *storage.Database, cfg index.Config) (*index.Set, error) {
+	buildIndexes = func(w *workload.Workload, db *storage.Database, cfg index.Config) (*index.Set, error) {
 		c.IndexBuilds.Add(1)
 		return origBuild(w, db, cfg)
 	}

@@ -56,9 +56,9 @@ type Options struct {
 // The expensive steps sit behind indirection points so tests can prove a
 // warm open performs none of them and a shared world each exactly once.
 var (
-	generateDB   = workload.Workload.Generate
+	generateDB   = (*workload.Workload).Generate
 	analyzeDB    = stats.AnalyzeDatabase
-	buildIndexes = workload.Workload.BuildIndexes
+	buildIndexes = (*workload.Workload).BuildIndexes
 	computeTruth = truecard.ComputeContext
 )
 
@@ -77,7 +77,7 @@ type World struct {
 	Queries []*query.Query
 	Graphs  map[string]*query.Graph
 
-	wl   workload.Workload
+	wl   *workload.Workload
 	snap *snapshot.Store // nil when Options.CacheDir was empty
 
 	stats   parallel.KeyedOnce[stats.Options, *stats.DB]

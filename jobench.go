@@ -21,7 +21,6 @@ import (
 	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
 	"jobench/internal/engine"
-	"jobench/internal/imdb"
 	"jobench/internal/index"
 	"jobench/internal/optimizer"
 	"jobench/internal/plan"
@@ -67,13 +66,13 @@ type Options struct {
 }
 
 // IndexConfig selects a physical design (§4 of the paper).
-type IndexConfig = imdb.IndexConfig
+type IndexConfig = index.Config
 
 // The three physical designs.
 const (
-	NoIndexes = imdb.NoIndexes
-	PKOnly    = imdb.PKOnly
-	PKFK      = imdb.PKFK
+	NoIndexes = index.NoIndexes
+	PKOnly    = index.PKOnly
+	PKFK      = index.PKFK
 )
 
 // Estimator names accepted by PlanOptions.Estimator.

@@ -100,6 +100,20 @@ func TestTPCHUniformityAndIndependence(t *testing.T) {
 	}
 }
 
+func TestTPCHDeterminism(t *testing.T) {
+	a := tpchDB(t, 0.1, 9)
+	b := tpchDB(t, 0.1, 9)
+	if a.Table("lineitem").NumRows() != b.Table("lineitem").NumRows() {
+		t.Fatal("lineitem count differs for same seed")
+	}
+	ca, cb := a.MustTable("lineitem").MustColumn("part_id"), b.MustTable("lineitem").MustColumn("part_id")
+	for i := range ca.Ints {
+		if ca.Ints[i] != cb.Ints[i] {
+			t.Fatal("values differ for same seed")
+		}
+	}
+}
+
 func TestTPCHQueriesValidate(t *testing.T) {
 	db := tpchDB(t, 0.1, 1)
 	w, _ := workload.Get("tpch")

@@ -12,19 +12,9 @@ SNAPSHOT_SCALE ?= 0.3
 # Where `make serve` listens.
 SERVE_ADDR ?= :8080
 
-.PHONY: build test test-short race-short fuzz-short bench bench-smoke bench-service benchmark-check chaos chaos-short chaos-fleet fmt fmt-check vet docs-check loc ci snapshot serve smoke-serve
+.PHONY: build test test-short race-short fuzz-short bench bench-smoke benchmark-check chaos chaos-short chaos-fleet fmt fmt-check vet docs-check loc ci snapshot serve smoke-serve
 
-# bench-service knobs: how long the mixed load runs, how many concurrent
-# workers fire it, which scale the replica fleet serves, and which worlds
-# (workloads and generator seeds) the load spreads across — distinct worlds
-# are what make the consistent-hash router involve every replica.
-LOAD_DURATION ?= 10s
-LOAD_CONCURRENCY ?= 8
-BENCH_SERVICE_SCALE ?= 0.1
-BENCH_SERVICE_SEEDS ?= 42,43,44
-BENCH_SERVICE_WORKLOADS ?= imdb,tpch
-
-# Where bench-service and chaos-fleet drop their JSON artifacts.
+# Where chaos-fleet drops its JSON artifact.
 BENCH_DIR ?= bench
 
 build:
@@ -107,59 +97,6 @@ smoke-serve:
 	wait $$server; \
 	echo "smoke-serve: OK"
 
-# Macro service benchmark: 3 serve replicas + 1 router on random ports,
-# a short mixed load (optimize/execute/estimate/experiment) through the
-# router, and the BENCH_service.json artifact with throughput and
-# p50/p90/p99/p999 per request class. jsoncheck validates the artifact
-# shape; all four processes must exit cleanly on SIGTERM. CI uploads
-# $(BENCH_DIR)/BENCH_service.json, so every later PR's macro-level
-# speedup (or regression) shows up as a diffable series.
-bench-service:
-	@set -e; \
-	mkdir -p $(BENCH_DIR) .smoke; \
-	$(GO) build -o .smoke/jobench ./cmd/jobench; \
-	$(GO) build -o .smoke/jsoncheck ./cmd/jsoncheck; \
-	base=$$(( 21000 + $$$$ % 20000 )); \
-	replicas="http://127.0.0.1:$$base,http://127.0.0.1:$$((base+1)),http://127.0.0.1:$$((base+2))"; \
-	rport=$$((base+3)); \
-	pids=""; \
-	for i in 0 1 2; do \
-		port=$$((base+i)); \
-		.smoke/jobench serve -addr 127.0.0.1:$$port -scale $(BENCH_SERVICE_SCALE) \
-			-cache-dir $(CACHE_DIR) -pool 4 -replica-id replica-$$i & \
-		pids="$$pids $$!"; \
-	done; \
-	.smoke/jobench router -addr 127.0.0.1:$$rport -replicas "$$replicas" & \
-	pids="$$pids $$!"; \
-	trap 'kill $$pids 2>/dev/null || true' EXIT; \
-	ok=0; \
-	for i in $$(seq 1 90); do \
-		if curl -fsS "http://127.0.0.1:$$rport/healthz" >/dev/null 2>&1; then ok=1; break; fi; \
-		sleep 1; \
-	done; \
-	test $$ok -eq 1 || { echo "bench-service: router never became healthy"; exit 1; }; \
-	.smoke/jobench loadgen -target "http://127.0.0.1:$$rport" \
-		-duration $(LOAD_DURATION) -concurrency $(LOAD_CONCURRENCY) \
-		-workload $(BENCH_SERVICE_WORKLOADS) \
-		-scale $(BENCH_SERVICE_SCALE) -world-seeds $(BENCH_SERVICE_SEEDS) \
-		-mix optimize=4,execute=2,estimate=3,experiment=1,reopt=2 \
-		-out $(BENCH_DIR)/BENCH_service.json; \
-	.smoke/jsoncheck schema=jobench-loadgen/v1 concurrency=$(LOAD_CONCURRENCY) \
-		total.requests total.throughput_rps \
-		total.latency_ms.p50 total.latency_ms.p90 total.latency_ms.p99 total.latency_ms.p999 \
-		classes.optimize.throughput_rps classes.optimize.latency_ms.p50 \
-		classes.execute.latency_ms.p50 classes.estimate.latency_ms.p50 \
-		classes.experiment.latency_ms.p50 classes.reopt.latency_ms.p50 \
-		< $(BENCH_DIR)/BENCH_service.json; \
-	curl -fsS "http://127.0.0.1:$$rport/metrics" | grep -q '^jobench_router_replica_up' \
-		|| { echo "bench-service: router metrics missing replica gauges"; exit 1; }; \
-	for pid in $$pids; do kill -TERM $$pid 2>/dev/null || true; done; \
-	rc=0; \
-	for pid in $$pids; do wait $$pid || { echo "bench-service: pid $$pid exited uncleanly"; rc=1; }; done; \
-	trap - EXIT; \
-	test $$rc -eq 0; \
-	echo "bench-service: OK ($(BENCH_DIR)/BENCH_service.json)"
-
 # Chaos knobs: how long the faulted load runs, how many workers fire it,
 # the fleet's scale (0.1 matches the CI snapshot cache so opens are warm),
 # and the fault spec every replica misbehaves under — injected 500s and
@@ -186,9 +123,10 @@ chaos-short:
 # Real-process chaos: 3 faulted replicas behind the router (retries,
 # deadlines and breakers on), a classified load through it, and jsoncheck
 # asserting the resilience contract on $(BENCH_DIR)/BENCH_chaos.json —
-# bounded client-visible error rate, zero deadline overruns — plus metrics
-# proving faults were actually injected and accounted for. All four
-# processes must still exit cleanly on SIGTERM.
+# bounded client-visible error rate, zero deadline overruns — plus one
+# adaptive execution through the router, and metrics proving faults were
+# actually injected and accounted for. All four processes must still exit
+# cleanly on SIGTERM.
 chaos-fleet:
 	@set -e; \
 	mkdir -p $(BENCH_DIR) .smoke; \
@@ -237,6 +175,8 @@ chaos-fleet:
 		'total.requests>=10' 'total.error_rate<=0.1' 'total.deadline_overruns<=0' \
 		classes.optimize.latency_ms.p50 classes.execute.latency_ms.p50 \
 		< $(BENCH_DIR)/BENCH_chaos.json; \
+	curl -fsS -X POST "http://127.0.0.1:$$rport/v1/execute" -d '{"query":"13d","adaptive":true}' \
+		| .smoke/jsoncheck workload=imdb query=13d replans; \
 	curl -fsS "http://127.0.0.1:$$base/metrics" | grep -q '^jobench_fault_injected_total' \
 		|| { echo "chaos-fleet: replica metrics missing injected-fault counters"; exit 1; }; \
 	routermetrics=$$(curl -fsS "http://127.0.0.1:$$rport/metrics"); \

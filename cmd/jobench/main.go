@@ -20,7 +20,7 @@
 //	jobench router     -replicas URL,URL,... [-addr :8070]
 //	                   [-slow-query-ms N] [-log-level info] [-pprof 127.0.0.1:6070]
 //	jobench loadgen    [-target http://localhost:8070] [-duration 10s] [-concurrency 8]
-//	                   [-mix optimize=4,execute=2,estimate=3,experiment=1] [-out BENCH_service.json]
+//	                   [-mix optimize=4,execute=2,estimate=3] [-seed 42] [-scale 0.3] [-out BENCH_load.json]
 //
 // "jobench serve" runs the benchmark-as-a-service layer: warm System
 // instances stay resident in an LRU pool and answer /v1/optimize,
@@ -40,17 +40,18 @@
 // (workload, seed, scale) so each replica's system pool stays hot; it health-checks
 // replicas, marks them down on consecutive failures, fails transport
 // errors over to the next live candidate, and serves its own /healthz and
-// /metrics. "jobench loadgen" replays a mixed optimize/execute/estimate/
-// experiment workload against a router (or single replica) and writes
-// throughput plus latency percentiles to a JSON artifact. See
-// docs/OPERATIONS.md for the full three-process topology.
+// /metrics. "jobench loadgen" is the chaos and smoke client: it replays
+// mixed optimize/execute/estimate traffic for one world against a router
+// (or single replica) and writes throughput, latency percentiles, failure
+// classes and deadline overruns to a JSON artifact. See docs/OPERATIONS.md
+// for the full three-process topology.
 //
-// Every command accepts -parallel N to size the worker pool that fans
-// experiment cells out across cores (0 = all cores, 1 = serial); the same
-// setting parallelizes the per-subexpression work inside each
-// true-cardinality computation, so "snapshot build" and single-query
-// warmups scale with cores too. Reports are byte-identical at any
-// setting. Every command also accepts
+// Every command that opens a world (all but router and loadgen) accepts
+// -parallel N to size the worker pool that fans experiment cells out
+// across cores (0 = all cores, 1 = serial); the same setting parallelizes
+// the per-subexpression work inside each true-cardinality computation, so
+// "snapshot build" and single-query warmups scale with cores too. Reports
+// are byte-identical at any setting. Those commands also accept
 // -cache-dir DIR to load the generated database, statistics, and true
 // cardinalities from the persistent snapshot store (and persist whatever
 // this run computes); "jobench snapshot build" fills that store up front.
@@ -78,6 +79,7 @@ import (
 	"jobench"
 	"jobench/internal/experiments"
 	"jobench/internal/fault"
+	"jobench/internal/index"
 	"jobench/internal/loadgen"
 	"jobench/internal/router"
 	"jobench/internal/service"
@@ -142,23 +144,24 @@ Commands:
   snapshot    manage the persistent snapshot store (build|inspect|clear)
   serve       run the benchmark HTTP service (system pool + report cache)
   router      front N serve replicas with consistent hashing on (workload, seed, scale)
-  loadgen     replay mixed traffic, write latency histograms + throughput JSON
+  loadgen     replay mixed traffic at one world, write latencies + failure classes JSON
   help        print this synopsis
 
 Examples:
   jobench serve   -addr :8081 -cache-dir .jobench-cache
   jobench router  -addr :8070 -replicas http://127.0.0.1:8081,http://127.0.0.1:8082
-  jobench loadgen -target http://127.0.0.1:8070 -duration 10s -out BENCH_service.json
+  jobench loadgen -target http://127.0.0.1:8070 -duration 10s -seed 42 -out BENCH_load.json
 
-Run "jobench <command> -h" for command flags. Every command accepts
--workload NAME (imdb|tpch|imdb-skew), -parallel N (worker-pool size;
-0 = all cores) and -cache-dir DIR (the persistent snapshot store).
+Run "jobench <command> -h" for command flags. Every command that opens a
+world (all but router and loadgen) accepts -workload NAME
+(imdb|tpch|imdb-skew), -parallel N (worker-pool size; 0 = all cores) and
+-cache-dir DIR (the persistent snapshot store).
 `, strings.Join(experiments.Names(), "|"))
 }
 
 func openFlags(fs *flag.FlagSet) (*string, *float64, *int64, *int, *string) {
 	wl := fs.String("workload", "", "benchmark workload: imdb|tpch|imdb-skew (empty = imdb)")
-	scale := fs.Float64("scale", 0.3, "data scale factor (1.0 ~ 450k rows)")
+	scale := fs.Float64("scale", 0.3, "data scale factor (1.0 ~ 10k titles, ~245k rows)")
 	seed := fs.Int64("seed", 42, "generator seed")
 	parallel := fs.Int("parallel", 0, "worker-pool size for experiment sweeps and the truecard DP (0 = all cores, 1 = serial)")
 	cacheDir := fs.String("cache-dir", "", "snapshot cache directory (empty = no caching)")
@@ -168,7 +171,7 @@ func openFlags(fs *flag.FlagSet) (*string, *float64, *int64, *int, *string) {
 func planFlags(fs *flag.FlagSet) (est, model, idx *string, noNLJ *bool, shape, algo *string) {
 	est = fs.String("est", "postgres", "estimator: postgres|dbms-a|dbms-b|dbms-c|hyper|true")
 	model = fs.String("model", "simple", "cost model: simple|postgres|tuned")
-	idx = fs.String("idx", "pkfk", "index config: none|pk|pkfk")
+	idx = fs.String("idx", "pkfk", "index config: "+index.Labels())
 	noNLJ = fs.Bool("no-nlj", true, "disable non-indexed nested-loop joins")
 	shape = fs.String("shape", "bushy", "tree shape: bushy|leftdeep|rightdeep|zigzag")
 	algo = fs.String("algo", "dp", "enumeration: dp|quickpick|goo")
@@ -482,17 +485,15 @@ func cmdLoadgen(args []string) error {
 	target := fs.String("target", "http://127.0.0.1:8070", "router or replica base URL")
 	duration := fs.Duration("duration", 10*time.Second, "how long the workers fire")
 	concurrency := fs.Int("concurrency", 8, "number of concurrent request loops")
-	mixSpec := fs.String("mix", "optimize=4,execute=2,estimate=3,experiment=1",
-		"request-class weights, class=weight comma-separated (classes: optimize|execute|estimate|experiment|reopt)")
-	out := fs.String("out", "BENCH_service.json", "result artifact path (- for stdout)")
-	loadSeed := fs.Int64("load-seed", 1, "seed for the generator's random choices")
-	queries := fs.String("queries", "", "comma-separated workload ids (default: fetch from target)")
-	expNames := fs.String("experiments", "fig3", "comma-separated experiment names for the experiment class")
-	worldSeeds := fs.String("world-seeds", "", "comma-separated generator seeds to spread the load across (overrides -seed; the experiment class always uses the first)")
+	mixSpec := fs.String("mix", "optimize=4,execute=2,estimate=3",
+		"request-class weights, class=weight comma-separated (classes: optimize|execute|estimate)")
+	out := fs.String("out", "BENCH_load.json", "result artifact path (- for stdout)")
+	queries := fs.String("queries", "", "comma-separated query ids (default: fetch from target)")
 	requestTimeout := fs.Duration("request-timeout", 0, "per-request deadline, enforced client-side and sent as X-Jobench-Deadline (0 = none)")
 	deadlineGrace := fs.Duration("deadline-grace", 0, "slack over -request-timeout before a request counts as a deadline overrun (default 500ms)")
+	scale := fs.Float64("scale", 0.3, "data scale factor of the one world the requests ask for")
+	seed := fs.Int64("seed", 42, "generator seed of the one world the requests ask for")
 	logLevel := logFlags(fs)
-	wl, scale, seed, _, _ := openFlags(fs)
 	fs.Parse(args)
 
 	mix, err := parseMix(*mixSpec)
@@ -503,14 +504,6 @@ func cmdLoadgen(args []string) error {
 	if err != nil {
 		return fmt.Errorf("loadgen: %w", err)
 	}
-	var seeds []int64
-	for _, s := range splitList(*worldSeeds) {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return fmt.Errorf("loadgen: invalid world seed %q", s)
-		}
-		seeds = append(seeds, v)
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	res, err := loadgen.Run(ctx, loadgen.Config{
@@ -518,13 +511,9 @@ func cmdLoadgen(args []string) error {
 		Duration:       *duration,
 		Concurrency:    *concurrency,
 		Mix:            mix,
-		Seed:           *loadSeed,
-		Workloads:      splitList(*wl),
 		WorldSeed:      *seed,
-		WorldSeeds:     seeds,
 		Scale:          *scale,
 		Queries:        splitList(*queries),
-		Experiments:    splitList(*expNames),
 		RequestTimeout: *requestTimeout,
 		DeadlineGrace:  *deadlineGrace,
 		Logger:         logger,
@@ -562,7 +551,8 @@ func splitList(s string) []string {
 	return out
 }
 
-// parseMix parses "class=weight,class=weight" into a loadgen mix.
+// parseMix parses "class=weight,class=weight" into a loadgen mix;
+// loadgen.Run rejects unknown class names.
 func parseMix(spec string) (map[string]int, error) {
 	mix := make(map[string]int)
 	for _, part := range splitList(spec) {
@@ -573,12 +563,6 @@ func parseMix(spec string) (map[string]int, error) {
 		w, err := strconv.Atoi(val)
 		if err != nil || w < 0 {
 			return nil, fmt.Errorf("loadgen: invalid weight in %q", part)
-		}
-		switch name {
-		case loadgen.ClassOptimize, loadgen.ClassExecute, loadgen.ClassEstimate,
-			loadgen.ClassExperiment, loadgen.ClassReopt:
-		default:
-			return nil, fmt.Errorf("loadgen: unknown class %q (optimize|execute|estimate|experiment|reopt)", name)
 		}
 		mix[name] = w
 	}

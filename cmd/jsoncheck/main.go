@@ -1,7 +1,7 @@
 // Command jsoncheck asserts that stdin is a JSON object containing the
-// given keys. It exists so the service and bench-service smoke tests in
-// the Makefile and CI can validate responses and artifacts without
-// depending on jq being installed.
+// given keys. It exists so the service smoke and chaos-fleet runs in the
+// Makefile and CI can validate responses and artifacts without depending
+// on jq being installed.
 //
 // Each argument is either key=value (the key must be present and its
 // value, rendered with fmt.Sprint, must equal the string), key<=value /
@@ -14,8 +14,8 @@
 // Usage:
 //
 //	curl -fsS http://localhost:8080/healthz | jsoncheck status=ok
-//	jsoncheck schema=jobench-loadgen/v1 total.requests classes.optimize.latency_ms.p50 < BENCH_service.json
-//	jsoncheck 'total.error_rate<=0.25' 'total.deadline_overruns<=0' 'total.requests>=10' < BENCH_service.json
+//	jsoncheck schema=jobench-loadgen/v1 total.requests classes.optimize.latency_ms.p50 < BENCH_chaos.json
+//	jsoncheck 'total.error_rate<=0.25' 'total.deadline_overruns<=0' 'total.requests>=10' < BENCH_chaos.json
 //	curl -fsS -d '{"query":"1a"}' http://localhost:8080/v1/explain | jsoncheck nodes.0.actual_rows
 package main
 

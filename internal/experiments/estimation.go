@@ -7,6 +7,7 @@ import (
 
 	"jobench/internal/cardest"
 	"jobench/internal/metrics"
+	"jobench/internal/parallel"
 	"jobench/internal/query"
 	"jobench/internal/stats"
 	"jobench/internal/truecard"
@@ -212,7 +213,7 @@ type Figure4Panel struct {
 func (l *Lab) Figure4(ctx context.Context) (*Figure4Result, error) {
 	// One panel per query: PostgreSQL's estimates against a world's truth.
 	panels := func(w *world.World, pg cardest.Estimator, label string, qids []string) ([]Figure4Panel, error) {
-		return RunCells(ctx, l.W.Options.Parallel, qids,
+		return parallel.RunCells(ctx, l.W.Options.Parallel, qids,
 			func(ctx context.Context, qid string) (Figure4Panel, error) {
 				g := w.Graphs[qid]
 				st, err := w.Truth(ctx, g)

@@ -24,7 +24,7 @@ type Config struct {
 	// Workload names the benchmark world ("imdb", "tpch", "imdb-skew");
 	// empty selects the default IMDB/JOB world. See internal/workload.
 	Workload string
-	// Scale is the data scale (for IMDB, 1.0 ~ 10k titles, ~450k rows).
+	// Scale is the data scale (for IMDB, 1.0 ~ 10k titles, ~245k rows).
 	Scale float64
 	// Seed drives all generation and sampling. Zero defaults to 42.
 	Seed int64

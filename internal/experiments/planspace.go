@@ -13,6 +13,7 @@ import (
 	"jobench/internal/index"
 	"jobench/internal/metrics"
 	"jobench/internal/optimizer"
+	"jobench/internal/parallel"
 	"jobench/internal/plan"
 	"jobench/internal/query"
 )
@@ -93,7 +94,7 @@ func (l *Lab) Figure9(ctx context.Context, samples int) (*Figure9Result, error) 
 	}
 	// The normaliser of every panel is the query's optimal plan with FK
 	// indexes; compute it once per query, not once per (query, config).
-	fkOpts, err := RunCells(ctx, l.W.Options.Parallel, qids,
+	fkOpts, err := parallel.RunCells(ctx, l.W.Options.Parallel, qids,
 		func(ctx context.Context, qid string) (*plan.Node, error) {
 			st, err := l.Truth(ctx, qid)
 			if err != nil {
@@ -119,7 +120,7 @@ func (l *Lab) Figure9(ctx context.Context, samples int) (*Figure9Result, error) 
 			cells = append(cells, panelCell{qid: qid, qIdx: qi, cfgIdx: ci})
 		}
 	}
-	panels, err := RunCells(ctx, l.W.Options.Parallel, cells,
+	panels, err := parallel.RunCells(ctx, l.W.Options.Parallel, cells,
 		func(ctx context.Context, c panelCell) (Figure9Panel, error) {
 			st, err := l.Truth(ctx, c.qid)
 			if err != nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"jobench/internal/query"
@@ -102,17 +101,4 @@ func TestRunQueriesPreservesWorkloadOrder(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestRunCellsSurfacesDriverErrors(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := RunCells(context.Background(), 4, []int{1, 2, 3}, func(_ context.Context, c int) (int, error) {
-		if c == 2 {
-			return 0, boom
-		}
-		return c, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("driver error lost: %v", err)
-	}
 }

@@ -11,9 +11,9 @@ import (
 
 // Config controls data generation.
 type Config struct {
-	// Scale scales every table; 1.0 produces ~10,000 titles and ~450,000
-	// rows total, preserving the real data set's relative table sizes
-	// (cast_info ~14x title, movie_info ~6x, ...).
+	// Scale scales every table; 1.0 produces ~10,000 titles and ~245,000
+	// rows total, with the real data set's two largest tables largest here
+	// too (movie_info ~8.7x title, cast_info ~8.2x).
 	Scale float64
 	// Seed makes generation fully deterministic.
 	Seed int64

@@ -1,6 +1,9 @@
 package index
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Config selects one of the paper's three physical designs (§4, §6.1).
 // It lives in the index package so every workload (IMDB, TPC-H, ...) can
@@ -15,6 +18,20 @@ const (
 	// PKFK additionally indexes every foreign-key column.
 	PKFK
 )
+
+// Designs lists the three physical designs in the order the facade builds
+// them. Every workload supports all three.
+func Designs() []Config { return []Config{NoIndexes, PKOnly, PKFK} }
+
+// Labels joins every design's Label with "|": the vocabulary of the CLI's
+// -idx flag and the service's "indexes" field.
+func Labels() string {
+	labels := make([]string, 0, 3)
+	for _, c := range Designs() {
+		labels = append(labels, c.Label())
+	}
+	return strings.Join(labels, "|")
+}
 
 // Label returns the short filename-safe name of the configuration, used by
 // the snapshot store and the CLI/service flag surface.

@@ -1,11 +1,13 @@
-// Package loadgen replays mixed jobench traffic — optimize, execute,
-// estimate, and experiment requests at configurable ratios — against a
-// router or a single serve replica, from a fixed number of concurrent
-// workers for a fixed duration. Each worker records per-class latencies
-// into its own log-bucketed Histogram (no shared counters on the hot
-// path); the merged result reports throughput and p50/p90/p99/p999 per
-// request class and overall, and marshals to the BENCH_service.json
-// artifact CI archives.
+// Package loadgen is the chaos and smoke client of the serving tier: it
+// replays optimize, execute and estimate requests for one world at
+// configurable ratios against a router or a single serve replica, from a
+// fixed number of concurrent workers for a fixed duration. Each worker
+// records per-class latencies into its own log-bucketed Histogram (no
+// shared counters on the hot path) and classifies every failure; the
+// merged result reports throughput, p50/p90/p99/p999, failure classes and
+// deadline overruns per request class and overall, and marshals to the
+// JSON artifact `make chaos-fleet` gates on. The serving tier's latency
+// benchmark is benchmark/'s serve workloads, not this package.
 package loadgen
 
 import (
@@ -30,15 +32,17 @@ import (
 
 // Class names accepted in a Mix.
 const (
-	ClassOptimize   = "optimize"
-	ClassExecute    = "execute"
-	ClassEstimate   = "estimate"
-	ClassExperiment = "experiment"
-	// ClassReopt is an adaptive execution (/v1/execute with adaptive:true):
-	// probes and mid-run re-optimization on top of execution. Every request
-	// plans cold, so repeats of one query cost the same.
-	ClassReopt = "reopt"
+	ClassOptimize = "optimize"
+	ClassExecute  = "execute"
+	ClassEstimate = "estimate"
 )
+
+// classPaths maps each class to the endpoint its requests POST to.
+var classPaths = map[string]string{
+	ClassOptimize: "/v1/optimize",
+	ClassExecute:  "/v1/execute",
+	ClassEstimate: "/v1/estimate",
+}
 
 // Failure class names in ClassResult.Failures. Lumping everything into
 // one error count hides exactly the distinction chaos runs exist to make:
@@ -89,33 +93,17 @@ type Config struct {
 	// Seed drives every random choice (class and query selection), so a
 	// run is reproducible given the same config (default 1).
 	Seed int64
-	// Workloads are the workload names the requests ask for; empty means
-	// one workload, the target's default. With more than one, each request
-	// draws a workload uniformly — mixed-workload traffic that exercises a
-	// fleet's per-workload pools — except the experiment class, which pins
-	// to the first name (its sweeps want the primed snapshots).
-	Workloads []string
-	// WorldSeed and Scale select the (seed, scale) world the requests ask
-	// for; they ride in every request body, so the router's affinity key
-	// is the same for the whole run. Zero values let the server defaults
-	// apply.
+	// WorldSeed and Scale select the one (seed, scale) world of the
+	// target's default workload the requests ask for; they ride in every
+	// request body, so the router's affinity key is the same for the whole
+	// run and it all lands on that world's one owner replica. Zero values
+	// let the server defaults apply.
 	WorldSeed int64
 	Scale     float64
-	// WorldSeeds, when set, spreads the load across several worlds (each
-	// at Scale): per request one seed is drawn uniformly, which is what
-	// makes a consistent-hash router distribute the run across replicas —
-	// a single world by construction all lands on its one owner. The
-	// experiment class always uses WorldSeeds[0] (or WorldSeed), so the
-	// paper-grade sweeps stay on the world whose snapshots are primed.
-	WorldSeeds []int64
-	// Queries are the query ids optimize/execute/estimate pick from, used
-	// for every configured workload. Empty means fetch each workload's own
-	// list from Target's /v1/queries before the clock starts (which also
-	// warms the target's system pool).
+	// Queries are the query ids every request picks from. Empty means
+	// fetch the world's list from Target's /v1/queries before the clock
+	// starts (which also warms the target's system pool).
 	Queries []string
-	// Experiments are the names the experiment class picks from (default
-	// fig3, the cheapest estimation sweep).
-	Experiments []string
 	// RequestTimeout, when positive, bounds every request client-side AND
 	// rides along as an absolute X-Jobench-Deadline header, so the target
 	// tier can enforce the same deadline internally. Latencies beyond
@@ -125,20 +113,16 @@ type Config struct {
 	// DeadlineGrace is the slack allowed over RequestTimeout before a
 	// request counts as a deadline overrun (default 500ms).
 	DeadlineGrace time.Duration
-	// Client is the HTTP client used for every request (default: one
-	// client with sensible connection reuse).
-	Client *http.Client
 	// Logger receives progress diagnostics (default: discard).
 	Logger *slog.Logger
 }
 
 // DefaultMix is the standing traffic shape: mostly plan-only requests,
-// some executions and estimates, the occasional full experiment report.
+// some executions and estimates.
 var DefaultMix = map[string]int{
-	ClassOptimize:   4,
-	ClassExecute:    2,
-	ClassEstimate:   3,
-	ClassExperiment: 1,
+	ClassOptimize: 4,
+	ClassExecute:  2,
+	ClassEstimate: 3,
 }
 
 // ClassResult is the measured outcome for one request class.
@@ -198,15 +182,13 @@ type LatencyMS struct {
 	Max  float64 `json:"max"`
 }
 
-// Result is one load run's report — the BENCH_service.json shape.
+// Result is one load run's report, the JSON artifact chaos-fleet checks.
 type Result struct {
 	Schema          string                 `json:"schema"`
 	Target          string                 `json:"target"`
 	DurationSeconds float64                `json:"duration_seconds"`
 	Concurrency     int                    `json:"concurrency"`
 	Mix             map[string]int         `json:"mix"`
-	Workloads       []string               `json:"workloads"`
-	WorldSeeds      []int64                `json:"world_seeds"`
 	Scale           float64                `json:"scale"`
 	Total           ClassResult            `json:"total"`
 	Classes         map[string]ClassResult `json:"classes"`
@@ -218,8 +200,8 @@ const Schema = "jobench-loadgen/v1"
 
 // Run fires the configured load and reports the merged result. It returns
 // an error only when the run could not start (bad config, unreachable
-// target while fetching the workload); request failures during the run are
-// counted per class, not fatal.
+// target while fetching the query list); request failures during the run
+// are counted per class, not fatal.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Target == "" {
 		return nil, fmt.Errorf("loadgen: no target")
@@ -237,18 +219,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if len(cfg.Mix) == 0 {
 		cfg.Mix = DefaultMix
 	}
-	if len(cfg.Experiments) == 0 {
-		cfg.Experiments = []string{"fig3"}
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
-	if len(cfg.WorldSeeds) == 0 {
-		cfg.WorldSeeds = []int64{cfg.WorldSeed}
-	}
-	if len(cfg.Workloads) == 0 {
-		cfg.Workloads = []string{""}
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -261,28 +231,20 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if totalWeight == 0 {
 		return nil, fmt.Errorf("loadgen: mix has no positive weights")
 	}
-	needQueries := false
-	for _, c := range classes {
-		if c != ClassExperiment {
-			needQueries = true
+	for c := range cfg.Mix {
+		if classPaths[c] == "" {
+			return nil, fmt.Errorf("loadgen: unknown class %q (optimize|execute|estimate)", c)
 		}
 	}
-	// Query ids are workload-specific ("13d" vs "tpch5"), so the picker
-	// keys its lists by workload name; an explicit Queries list applies to
-	// every configured workload.
-	queries := make(map[string][]string, len(cfg.Workloads))
-	for _, w := range cfg.Workloads {
-		queries[w] = cfg.Queries
-	}
-	if needQueries && len(cfg.Queries) == 0 {
+	client := &http.Client{}
+	queries := cfg.Queries
+	if len(queries) == 0 {
 		var err error
-		queries, err = fetchQueries(ctx, cfg)
+		queries, err = fetchQueries(ctx, client, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("loadgen: fetching workload from %s: %w", cfg.Target, err)
+			return nil, fmt.Errorf("loadgen: fetching queries from %s: %w", cfg.Target, err)
 		}
-		for _, w := range cfg.Workloads {
-			logf("loadgen: fetched %d queries for workload %q from %s", len(queries[w]), w, cfg.Target)
-		}
+		logf("loadgen: fetched %d queries from %s", len(queries), cfg.Target)
 	}
 
 	if cfg.DeadlineGrace <= 0 {
@@ -331,7 +293,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				if cfg.RequestTimeout > 0 {
 					reqCtx, reqCancel = context.WithTimeout(runCtx, cfg.RequestTimeout)
 				}
-				req, err := buildRequest(reqCtx, cfg, queries, rng, class)
+				req, err := buildRequest(reqCtx, cfg, classPaths[class], queries[rng.Intn(len(queries))])
 				if err != nil {
 					reqCancel()
 					return // only fails on a broken config; don't spin
@@ -344,7 +306,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				tid := trace.NewID()
 				req.Header.Set(trace.Header, tid.String())
 				t0 := time.Now()
-				resp, err := cfg.Client.Do(req)
+				resp, err := client.Do(req)
 				elapsed := time.Since(t0)
 				status := 0
 				if err == nil {
@@ -384,8 +346,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		DurationSeconds: elapsed.Seconds(),
 		Concurrency:     cfg.Concurrency,
 		Mix:             cfg.Mix,
-		Workloads:       cfg.Workloads,
-		WorldSeeds:      cfg.WorldSeeds,
 		Scale:           cfg.Scale,
 		Classes:         make(map[string]ClassResult, len(classes)),
 	}
@@ -477,154 +437,51 @@ func pickClass(rng *rand.Rand, classes []string, weights []int, total int) strin
 	return classes[len(classes)-1]
 }
 
-// buildRequest constructs one request of the given class against the
-// target, with the world's (workload, seed, scale) in the body or query
-// string so the router's affinity hashing sees it.
-func buildRequest(ctx context.Context, cfg Config, queries map[string][]string, rng *rand.Rand, class string) (*http.Request, error) {
-	// The experiment class pins to the first world (its sweeps want the
-	// primed snapshots); everything else spreads uniformly.
-	wl := cfg.Workloads[0]
-	seed := cfg.WorldSeeds[0]
-	if class != ClassExperiment {
-		if len(cfg.Workloads) > 1 {
-			wl = cfg.Workloads[rng.Intn(len(cfg.Workloads))]
-		}
-		if len(cfg.WorldSeeds) > 1 {
-			seed = cfg.WorldSeeds[rng.Intn(len(cfg.WorldSeeds))]
-		}
+// buildRequest constructs one POST of query q to path, with the world's
+// (seed, scale) in the body so the router's affinity hashing sees it.
+func buildRequest(ctx context.Context, cfg Config, path, q string) (*http.Request, error) {
+	body := map[string]any{"query": q}
+	if cfg.WorldSeed != 0 {
+		body["seed"] = cfg.WorldSeed
 	}
-	world := func(m map[string]any) map[string]any {
-		if wl != "" {
-			m["workload"] = wl
-		}
-		if seed != 0 {
-			m["seed"] = seed
-		}
-		if cfg.Scale > 0 {
-			m["scale"] = cfg.Scale
-		}
-		return m
+	if cfg.Scale > 0 {
+		body["scale"] = cfg.Scale
 	}
-	post := func(path string, body map[string]any) (*http.Request, error) {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.Target+path, bytes.NewReader(buf))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	}
-	pickQuery := func() (string, error) {
-		qs := queries[wl]
-		if len(qs) == 0 {
-			return "", fmt.Errorf("loadgen: class %q needs a query list for workload %q", class, wl)
-		}
-		return qs[rng.Intn(len(qs))], nil
-	}
-	switch class {
-	case ClassOptimize:
-		q, err := pickQuery()
-		if err != nil {
-			return nil, err
-		}
-		return post("/v1/optimize", world(map[string]any{"query": q}))
-	case ClassExecute:
-		q, err := pickQuery()
-		if err != nil {
-			return nil, err
-		}
-		return post("/v1/execute", world(map[string]any{"query": q}))
-	case ClassReopt:
-		q, err := pickQuery()
-		if err != nil {
-			return nil, err
-		}
-		return post("/v1/execute", world(map[string]any{"query": q, "adaptive": true}))
-	case ClassEstimate:
-		q, err := pickQuery()
-		if err != nil {
-			return nil, err
-		}
-		return post("/v1/estimate", world(map[string]any{"query": q}))
-	case ClassExperiment:
-		name := cfg.Experiments[rng.Intn(len(cfg.Experiments))]
-		url := cfg.Target + "/v1/experiment/" + name + worldQuery(wl, seed, cfg.Scale)
-		return http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	default:
-		return nil, fmt.Errorf("loadgen: unknown class %q", class)
-	}
-}
-
-func worldQuery(wl string, seed int64, scale float64) string {
-	var parts []string
-	if wl != "" {
-		parts = append(parts, "workload="+url.QueryEscape(wl))
-	}
-	if seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", seed))
-	}
-	if scale > 0 {
-		parts = append(parts, fmt.Sprintf("scale=%g", scale))
-	}
-	if len(parts) == 0 {
-		return ""
-	}
-	return "?" + strings.Join(parts, "&")
-}
-
-// fetchQueries asks the target for each workload's query ids (GET
-// /v1/queries), once per configured (workload, world) pair, concurrently —
-// this happens before the measured window opens, so it doubles as a warmup
-// of every world's system pool (each on its owning replica when a router
-// is the target). The query list depends only on the workload, not the
-// seed; each workload's first world supplies its list.
-func fetchQueries(ctx context.Context, cfg Config) (map[string][]string, error) {
-	fctx, cancel := context.WithTimeout(ctx, 5*time.Minute)
-	defer cancel()
-	type pair struct {
-		wl   string
-		seed int64
-	}
-	var pairs []pair
-	for _, w := range cfg.Workloads {
-		for _, seed := range cfg.WorldSeeds {
-			pairs = append(pairs, pair{w, seed})
-		}
-	}
-	results := make([][]string, len(pairs))
-	errs := make([]error, len(pairs))
-	var wg sync.WaitGroup
-	for i, pr := range pairs {
-		wg.Add(1)
-		go func(i int, pr pair) {
-			defer wg.Done()
-			results[i], errs[i] = fetchQueriesWorld(fctx, cfg, pr.wl, pr.seed)
-		}(i, pr)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make(map[string][]string, len(cfg.Workloads))
-	for i, pr := range pairs {
-		if _, ok := out[pr.wl]; !ok {
-			out[pr.wl] = results[i]
-		}
-	}
-	return out, nil
-}
-
-func fetchQueriesWorld(ctx context.Context, cfg Config, wl string, seed int64) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.Target+"/v1/queries"+worldQuery(wl, seed, cfg.Scale), nil)
+	buf, err := json.Marshal(body)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := cfg.Client.Do(req)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.Target+path, bytes.NewReader(buf))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return req, nil
+}
+
+// fetchQueries asks the target for the world's query ids (GET
+// /v1/queries). It runs before the measured window opens, so it doubles
+// as a warmup of the world's system pool (on its owning replica when a
+// router is the target).
+func fetchQueries(ctx context.Context, client *http.Client, cfg Config) ([]string, error) {
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Minute)
+	defer cancel()
+	q := url.Values{}
+	if cfg.WorldSeed != 0 {
+		q.Set("seed", fmt.Sprint(cfg.WorldSeed))
+	}
+	if cfg.Scale > 0 {
+		q.Set("scale", fmt.Sprintf("%g", cfg.Scale))
+	}
+	u := cfg.Target + "/v1/queries"
+	if len(q) > 0 {
+		u += "?" + q.Encode()
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}

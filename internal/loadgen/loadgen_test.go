@@ -29,49 +29,65 @@ func (w testWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// fakeService mimics the /v1 surface well enough to load-test: it lists a
-// workload, answers every class, and counts requests per path.
-func fakeService(t *testing.T) (*httptest.Server, *atomic.Int64, *atomic.Int64) {
+// fakeService mimics the /v1 surface well enough to load-test: it lists
+// the queries of the world seed=7, scale=0.1, answers every class for that
+// world only, and counts requests per path.
+func fakeService(t *testing.T) (*httptest.Server, map[string]*atomic.Int64) {
 	t.Helper()
-	var posts, experiments atomic.Int64
+	counts := map[string]*atomic.Int64{}
+	for _, path := range classPaths {
+		counts[path] = &atomic.Int64{}
+	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/v1/queries":
+		if r.URL.Path == "/v1/queries" {
+			if r.URL.RawQuery != "scale=0.1&seed=7" {
+				http.Error(w, "wrong world "+r.URL.RawQuery, http.StatusBadRequest)
+				return
+			}
 			_ = json.NewEncoder(w).Encode(map[string]any{
 				"count": 3, "queries": []string{"1a", "13d", "6f"},
 			})
-		case r.URL.Path == "/v1/optimize", r.URL.Path == "/v1/execute", r.URL.Path == "/v1/estimate":
-			var body struct {
-				Query string `json:"query"`
-			}
-			if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Query == "" {
-				http.Error(w, "bad body", http.StatusBadRequest)
-				return
-			}
-			posts.Add(1)
-			fmt.Fprint(w, `{"ok":true}`)
-		default: // /v1/experiment/{name}
-			experiments.Add(1)
-			fmt.Fprint(w, "report text")
+			return
 		}
+		n, ok := counts[r.URL.Path]
+		if !ok {
+			http.Error(w, "unexpected path "+r.URL.Path, http.StatusNotFound)
+			return
+		}
+		var body struct {
+			Query string  `json:"query"`
+			Seed  int64   `json:"seed"`
+			Scale float64 `json:"scale"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Query == "" ||
+			body.Seed != 7 || body.Scale != 0.1 {
+			http.Error(w, "bad body", http.StatusBadRequest)
+			return
+		}
+		n.Add(1)
+		fmt.Fprint(w, `{"ok":true}`)
 	}))
 	t.Cleanup(srv.Close)
-	return srv, &posts, &experiments
+	return srv, counts
 }
 
-// TestRunMixedLoad drives a short real run: every weighted class is
-// issued, results aggregate, and the class counts sum to the total.
+// TestRunMixedLoad drives a short real run against one world: the query
+// list is fetched for that world, every weighted class is issued with the
+// world in its body, results aggregate, and the class counts sum to the
+// total.
 func TestRunMixedLoad(t *testing.T) {
-	srv, posts, experiments := fakeService(t)
+	srv, counts := fakeService(t)
 	res, err := Run(context.Background(), Config{
 		Target:      srv.URL,
 		Duration:    300 * time.Millisecond,
 		Concurrency: 4,
 		Seed:        7,
 		Mix: map[string]int{
-			ClassOptimize: 3, ClassExecute: 1, ClassEstimate: 2, ClassExperiment: 1,
+			ClassOptimize: 3, ClassExecute: 1, ClassEstimate: 2,
 		},
-		Logger: testLogger(t),
+		WorldSeed: 7,
+		Scale:     0.1,
+		Logger:    testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,14 +127,15 @@ func TestRunMixedLoad(t *testing.T) {
 	if sum != res.Total.Requests {
 		t.Fatalf("class requests sum %d != total %d", sum, res.Total.Requests)
 	}
-	if posts.Load() == 0 || experiments.Load() == 0 {
-		t.Fatalf("backend saw posts=%d experiments=%d; every class must fire",
-			posts.Load(), experiments.Load())
+	for path, n := range counts {
+		if n.Load() == 0 {
+			t.Errorf("backend saw no %s requests; every class must fire", path)
+		}
 	}
 	if res.Total.ThroughputRPS <= 0 {
 		t.Fatal("throughput not computed")
 	}
-	// The report must marshal (it becomes BENCH_service.json).
+	// The report must marshal (it becomes the chaos-fleet artifact).
 	if _, err := json.Marshal(res); err != nil {
 		t.Fatal(err)
 	}
@@ -170,76 +187,22 @@ func TestRunDeterministicChoices(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadConfig: no target and an all-zero mix are startup
-// errors, not runtime surprises.
+// TestRunRejectsBadConfig: no target, an all-zero mix and an unknown
+// class are startup errors, not runtime surprises.
 func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(context.Background(), Config{}); err == nil {
 		t.Fatal("empty target must fail")
 	}
-	srv, _, _ := fakeService(t)
+	srv, _ := fakeService(t)
 	if _, err := Run(context.Background(), Config{
 		Target: srv.URL, Mix: map[string]int{ClassOptimize: 0},
 	}); err == nil {
 		t.Fatal("zero-weight mix must fail")
 	}
-}
-
-// TestReoptClass: the reopt class hits /v1/execute with adaptive:true set,
-// and its latencies land in their own histogram.
-func TestReoptClass(t *testing.T) {
-	var adaptive, plain atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/queries" {
-			_ = json.NewEncoder(w).Encode(map[string]any{"count": 1, "queries": []string{"13d"}})
-			return
-		}
-		if r.URL.Path != "/v1/execute" {
-			http.Error(w, "unexpected path "+r.URL.Path, http.StatusNotFound)
-			return
-		}
-		var body struct {
-			Query    string `json:"query"`
-			Adaptive bool   `json:"adaptive"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			http.Error(w, "bad body", http.StatusBadRequest)
-			return
-		}
-		if body.Adaptive {
-			adaptive.Add(1)
-		} else {
-			plain.Add(1)
-		}
-		fmt.Fprint(w, `{"ok":true}`)
-	}))
-	t.Cleanup(srv.Close)
-	res, err := Run(context.Background(), Config{
-		Target:      srv.URL,
-		Duration:    200 * time.Millisecond,
-		Concurrency: 2,
-		Seed:        3,
-		Mix:         map[string]int{ClassReopt: 1, ClassExecute: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total.Errors != 0 {
-		t.Fatalf("%d errors", res.Total.Errors)
-	}
-	if adaptive.Load() == 0 || plain.Load() == 0 {
-		t.Fatalf("backend saw %d adaptive / %d plain executes; both classes must fire",
-			adaptive.Load(), plain.Load())
-	}
-	// A request in flight at the deadline is counted by the backend but
-	// dropped by its worker, so the backend may be ahead by up to one
-	// request per worker.
-	cr, ok := res.Classes[ClassReopt]
-	if !ok || cr.Requests == 0 || adaptive.Load() < cr.Requests ||
-		adaptive.Load()-cr.Requests > 2 {
-		t.Fatalf("reopt class result %+v, backend counted %d", cr, adaptive.Load())
-	}
-	if cr.Latency.P50 <= 0 {
-		t.Fatalf("reopt histogram empty: %+v", cr.Latency)
+	if _, err := Run(context.Background(), Config{
+		Target: srv.URL, Mix: map[string]int{"experiment": 1},
+	}); err == nil {
+		t.Fatal("unknown class must fail")
 	}
 }
 

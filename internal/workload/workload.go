@@ -69,9 +69,7 @@ func (w *Workload) Queries() []*query.Query { return w.queries() }
 
 // IndexConfigs lists the paper's three physical designs (§4, §6.1), in the
 // order the facade builds them. Every workload supports all three.
-func (*Workload) IndexConfigs() []index.Config {
-	return []index.Config{index.NoIndexes, index.PKOnly, index.PKFK}
-}
+func (*Workload) IndexConfigs() []index.Config { return index.Designs() }
 
 // BuildIndexes constructs the index set for one physical design by the
 // recipe every workload shares: no indexes at all; PK adds a unique hash

@@ -32,24 +32,33 @@ import (
 
 // Options configure Open.
 type Options struct {
-	// Workload names the benchmark world ("imdb", "tpch", "imdb-skew");
-	// empty selects the default IMDB/JOB world. See internal/workload.
+	// Workload names the benchmark world to open: "imdb" (the default —
+	// the 21-table IMDB data set and the 113-query JOB workload), "tpch"
+	// (the mini TPC-H world), or "imdb-skew" (IMDB with the skew and
+	// correlation knobs turned up). See internal/workload.
 	Workload string
-	// Scale sizes the data set (zero means 1.0); Seed makes everything
-	// deterministic (zero means 42).
+	// Scale sizes the data set; for IMDB, 1.0 generates ~10,000 movies and
+	// ~245,000 rows across the 21 tables. Zero means 1.0.
 	Scale float64
-	Seed  int64
-	// Parallel is the worker-pool size for snapshot encode/decode, Warm's
-	// sweep, and the fan-out inside each true-cardinality DP. 0 means
-	// GOMAXPROCS; 1 is fully serial. Results are identical at any setting.
+	// Seed makes everything deterministic. Zero means 42.
+	Seed int64
+	// Parallel is the worker-pool size for snapshot encode/decode, index
+	// builds, Warm's true-cardinality sweep, and the per-subset fan-out
+	// inside each single query's true-cardinality DP (truecard.Options.
+	// Parallel). 0 means GOMAXPROCS; 1 is fully serial. Results are
+	// identical at any setting.
 	Parallel int
-	// CacheDir enables the persistent snapshot store: every artifact is
-	// persisted beneath it and reloaded by the next Open of the same
-	// world. Snapshots are versioned and checksummed; a corrupted,
-	// truncated, or version-bumped one is regenerated with a warning
-	// through Logf, never trusted and never fatal. Empty disables caching.
+	// CacheDir enables the persistent snapshot store: the generated
+	// database, its statistics, the three index sets, and every computed
+	// true-cardinality store are persisted beneath this directory and
+	// reloaded by the next Open of the same (workload, seed, scale) world,
+	// skipping generation and truth computation. Snapshots are versioned
+	// and checksummed; a corrupted, truncated, or version-bumped one is
+	// regenerated with a warning through Logf, never trusted and never
+	// fatal. Empty disables caching.
 	CacheDir string
-	// Logf receives snapshot warnings. Nil means log.Printf.
+	// Logf receives cache diagnostics (snapshot load/save warnings). Nil
+	// means log.Printf.
 	Logf func(format string, args ...any)
 }
 

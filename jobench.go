@@ -32,38 +32,9 @@ import (
 	"jobench/internal/world"
 )
 
-// Options configure Open.
-type Options struct {
-	// Workload names the benchmark world to open: "imdb" (the default —
-	// the 21-table IMDB data set and the 113-query JOB workload), "tpch"
-	// (the mini TPC-H world), or "imdb-skew" (IMDB with the skew and
-	// correlation knobs turned up). See internal/workload.
-	Workload string
-	// Scale sizes the data set; 1.0 generates ~10,000 movies and ~450,000
-	// rows across the 21 IMDB tables. Zero defaults to 1.0.
-	Scale float64
-	// Seed makes everything deterministic. Zero defaults to 42.
-	Seed int64
-	// Parallel is the worker-pool size for Open's index builds, for
-	// Warmup's true-cardinality sweep, and for the per-subset fan-out
-	// inside each single query's true-cardinality DP (truecard.Options.
-	// Parallel). 0 means GOMAXPROCS; 1 is fully serial. Results are
-	// identical at any setting.
-	Parallel int
-	// CacheDir enables the persistent snapshot store: the generated
-	// database, its statistics, the three index sets, and every computed
-	// true-cardinality store
-	// are persisted beneath this directory and reloaded by the next Open
-	// with the same Scale, Seed, and workload, skipping generation and
-	// truth computation entirely. Snapshots are versioned and checksummed;
-	// a corrupted, truncated, or version-bumped snapshot is regenerated
-	// with a warning through Logf, never trusted and never fatal. Empty
-	// disables caching.
-	CacheDir string
-	// Logf receives cache diagnostics (snapshot load/save warnings).
-	// Nil means the standard library's log.Printf.
-	Logf func(format string, args ...any)
-}
+// Options configure Open: the workload, scale and seed of the world to
+// open, and how to build it (see world.Options for every field).
+type Options = world.Options
 
 // IndexConfig selects a physical design (§4 of the paper).
 type IndexConfig = index.Config
@@ -117,16 +88,17 @@ type PlanOptions struct {
 // (postgres estimates, simple cost model, PK+FK indexes, bushy trees,
 // exhaustive DP).
 func MakePlanOptions(estimator, costModel, indexes string, disableNLJ bool, shape, algorithm string) (PlanOptions, error) {
-	opts := PlanOptions{Estimator: estimator, CostModel: costModel, DisableNestedLoops: disableNLJ}
-	switch indexes {
-	case "none":
-		opts.Indexes = NoIndexes
-	case "pk":
-		opts.Indexes = PKOnly
-	case "pkfk", "":
-		opts.Indexes = PKFK
-	default:
-		return opts, fmt.Errorf("jobench: unknown index config %q (none|pk|pkfk)", indexes)
+	opts := PlanOptions{Estimator: estimator, CostModel: costModel, DisableNestedLoops: disableNLJ, Indexes: PKFK}
+	if indexes != "" {
+		found := false
+		for _, cfg := range index.Designs() {
+			if cfg.Label() == indexes {
+				opts.Indexes, found = cfg, true
+			}
+		}
+		if !found {
+			return opts, fmt.Errorf("jobench: unknown index config %q (%s)", indexes, index.Labels())
+		}
 	}
 	switch shape {
 	case "bushy", "":
@@ -203,10 +175,7 @@ type System struct {
 // statistics, index sets, and all previously computed true cardinalities
 // load from the snapshot store instead of being regenerated.
 func Open(opts Options) (*System, error) {
-	w, err := world.Open(world.Options{
-		Workload: opts.Workload, Scale: opts.Scale, Seed: opts.Seed,
-		Parallel: opts.Parallel, CacheDir: opts.CacheDir, Logf: opts.Logf,
-	})
+	w, err := world.Open(opts)
 	if err != nil {
 		return nil, err
 	}

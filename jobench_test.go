@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jobench"
+	"jobench/internal/index"
 )
 
 var (
@@ -139,6 +140,32 @@ func TestPlanOptionsValidation(t *testing.T) {
 	}
 	if _, err := s.Execute("nope", jobench.RunOptions{}); err == nil {
 		t.Fatal("unknown query accepted")
+	}
+}
+
+// TestMakePlanOptionsIndexLabels: every design's Label parses back to that
+// design, "" means PK+FK, and an unknown label is an error naming the
+// vocabulary.
+func TestMakePlanOptionsIndexLabels(t *testing.T) {
+	want := map[string]jobench.IndexConfig{"": jobench.PKFK}
+	for _, cfg := range index.Designs() {
+		want[cfg.Label()] = cfg
+	}
+	if len(want) != 4 {
+		t.Fatalf("labels %v: want the paper's three designs plus \"\"", want)
+	}
+	for label, cfg := range want {
+		opts, err := jobench.MakePlanOptions("", "", label, false, "", "")
+		if err != nil {
+			t.Fatalf("label %q: %v", label, err)
+		}
+		if opts.Indexes != cfg {
+			t.Errorf("label %q gave %v, want %v", label, opts.Indexes, cfg)
+		}
+	}
+	_, err := jobench.MakePlanOptions("", "", "fk", false, "", "")
+	if err == nil || !strings.Contains(err.Error(), "none|pk|pkfk") {
+		t.Fatalf("unknown label: err = %v, want one listing none|pk|pkfk", err)
 	}
 }
 

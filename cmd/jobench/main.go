@@ -123,7 +123,8 @@ func main() {
 		os.Exit(2)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "jobench:", err)
+		// The facade's own errors already name the program.
+		fmt.Fprintln(os.Stderr, "jobench:", strings.TrimPrefix(err.Error(), "jobench: "))
 		os.Exit(1)
 	}
 }

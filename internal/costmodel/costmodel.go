@@ -22,7 +22,18 @@ type Model interface {
 	// (following the textbook convention the paper adopts in §6.2),
 	// probes with the right child, and emits out tuples.
 	HashJoinCost(build, probe, out float64) float64
-	// SortMergeJoinCost prices sorting both inputs and merging them.
+	// SortMergeJoinCost prices sorting both inputs and merging them. Under
+	// every model here it is strictly above HashJoinCost(left, right, out)
+	// for all left, right, out >= 0, which is why the enumerator does not
+	// price it (the engine still runs it in forced plans). With sort(n) =
+	// c for n < 2 and c·n·log2(n) otherwise:
+	//   - C_mm (c = τ): sort(l) + sort(r) + out >= 2τ + out > out.
+	//   - PostgreSQL and tuned (c = cpu_operator_cost, t = cpu_tuple_cost
+	//     = 4c): the difference is [sort(l) − c·l] + [sort(r) − c·r] + t·r.
+	//     sort(n) − c·n is c·(1 − n) > −c below 2 and c·n·(log2(n) − 1)
+	//     >= 0 from 2 on, so the first bracket is above −c, and the
+	//     second plus t·r is at least c: c·(1 + 3r) below 2, 8c from 2 on.
+	// TestSortMergeAboveHashJoin checks it.
 	SortMergeJoinCost(left, right, out float64) float64
 	// NestedLoopJoinCost prices a classic (non-indexed) nested-loop join.
 	NestedLoopJoinCost(outer, inner, out float64) float64
@@ -141,8 +152,10 @@ func (s *Simple) ScanCost(rows, width float64) float64 { return s.Tau * rows }
 func (s *Simple) HashJoinCost(build, probe, out float64) float64 { return out }
 
 // SortMergeJoinCost implements Model. C_mm has no sort-merge case; we price
-// it as sorting both inputs at τ·n·log2(n) plus the output, which keeps it
-// dominated by hash joins, as in the paper's engine configuration.
+// it as sorting both inputs at τ·n·log2(n) (τ below two rows) plus the
+// output, at least 2τ above the hash join's |T|, so hash joins dominate it
+// as in the paper's engine configuration and the enumerator does not try
+// it.
 func (s *Simple) SortMergeJoinCost(left, right, out float64) float64 {
 	sort := func(n float64) float64 {
 		if n < 2 {

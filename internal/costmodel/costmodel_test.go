@@ -101,11 +101,35 @@ func TestCostProperties(t *testing.T) {
 			if m.NestedLoopJoinCost(l+1000, r, out) < m.NestedLoopJoinCost(l, r, out) {
 				return false
 			}
+			if m.SortMergeJoinCost(l, r, out) <= m.HashJoinCost(l, r, out) {
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSortMergeAboveHashJoin: the enumerator never prices sort-merge
+// because, under every model, it costs strictly more than a hash join of
+// the same inputs (Model.SortMergeJoinCost gives the derivation). The grid
+// covers the sort's n < 2 branch and its edge at 2, where the margin is
+// smallest, and sizes far beyond any JOB intermediate.
+func TestSortMergeAboveHashJoin(t *testing.T) {
+	sizes := []float64{0, 0.5, 1, 1.5, 1.999, 2, 3, 1e6, 1e12}
+	for _, m := range models() {
+		for _, l := range sizes {
+			for _, r := range sizes {
+				for _, out := range []float64{0, 1, 1e9} {
+					sm, hj := m.SortMergeJoinCost(l, r, out), m.HashJoinCost(l, r, out)
+					if !(sm > hj) {
+						t.Errorf("%s: sort-merge(%g, %g, %g) = %v, not above hash join %v", m.Name(), l, r, out, sm, hj)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -31,28 +31,40 @@ type Space struct {
 	Indexes    plan.IndexChecker
 	DisableNLJ bool
 	Shape      plan.Shape
+
+	// Set by prepared: the pricer, which holds each relation's unselected
+	// size and width, and per relation the incident edges whose column on
+	// that relation has an index (the index-nested-loop keys it offers).
+	pricer *plan.Pricer
+	inl    []query.EdgeSet
 }
 
-func (sp *Space) indexes() plan.IndexChecker {
-	if sp.Indexes == nil {
-		return plan.NoIndexes{}
+// prepared returns a copy of sp that holds what pricing needs of each
+// relation, computed once per call of an enumeration algorithm; every
+// algorithm starts with it. The caller's Space is not written, so one Space
+// may be shared across goroutines.
+func (sp *Space) prepared() *Space {
+	c := *sp
+	c.pricer = plan.NewPricer(sp.G, sp.DB, sp.Cards, sp.Model)
+	c.inl = make([]query.EdgeSet, sp.G.N)
+	if sp.Indexes != nil {
+		for ei, e := range sp.G.Edges {
+			for _, r := range [2]int{e.U, e.V} {
+				if sp.Indexes.Has(sp.G.Q.Rels[r].Table, e.ColFor(sp.G.Q, r)) {
+					c.inl[r] = c.inl[r].Add(ei)
+				}
+			}
+		}
 	}
-	return sp.Indexes
+	return &c
 }
 
 // leafFor builds an annotated scan node.
 func (sp *Space) leafFor(r int) *plan.Node {
 	n := plan.Leaf(r)
-	pr := sp.pricer()
 	n.ECard = sp.Cards.Card(n.S)
-	n.ECost = pr.Scan(r)
+	n.ECost = sp.pricer.Scan(r)
 	return n
-}
-
-// pricer returns the space's plan.Pricer, the routine plan.Cost re-prices
-// a finished plan with.
-func (sp *Space) pricer() plan.Pricer {
-	return plan.Pricer{G: sp.G, DB: sp.DB, Cards: sp.Cards, Model: sp.Model}
 }
 
 // joinOf builds the cheapest join of (left, right) in this orientation, or
@@ -68,7 +80,8 @@ func (sp *Space) joinOf(left, right *plan.Node) *plan.Node {
 	if !ok {
 		return nil
 	}
-	return newJoin(left, right, edges, out, cost, algo)
+	n := join(left, right, edges, nil, out, cost, algo)
+	return &n
 }
 
 // price returns the cheapest algorithm, and its total cost, for joining
@@ -77,43 +90,50 @@ func (sp *Space) joinOf(left, right *plan.Node) *plan.Node {
 // an earlier one only if strictly cheaper. Index-nested-loop needs a leaf
 // inner with an index on the inner's column of the lowest edge, the key
 // plan.Node.RightKeyColumn reads back from the built node.
+//
+// Sort-merge is not tried: under every model its local cost is strictly
+// above the hash join's for the same inputs (costmodel.Model's
+// SortMergeJoinCost says why, and the costmodel tests check it), and
+// adding the same children's costs to both keeps that order, so it could
+// never beat the hash join tried first. plan.Pricer still prices it, for
+// plans built outside the enumerator.
 func (sp *Space) price(left, right *plan.Node, edges query.EdgeSet, out float64) (cost float64, algo plan.JoinAlgo, ok bool) {
-	pr := sp.pricer()
 	l := plan.Priced{S: left.S, Card: left.ECard, Cost: left.ECost}
 	r := plan.Priced{S: right.S, Card: right.ECard, Cost: right.ECost}
 	cost = math.Inf(1)
 	try := func(a plan.JoinAlgo) {
-		if c := pr.Join(a, l, r, out); c < cost {
+		if c := sp.pricer.Join(a, l, r, out); c < cost {
 			cost, algo, ok = c, a, true
 		}
 	}
 
 	try(plan.HashJoin)
-	try(plan.SortMergeJoin)
 	if !sp.DisableNLJ {
 		try(plan.NestedLoopJoin)
 	}
-	if right.IsLeaf() {
-		r := right.Rel
-		if sp.indexes().Has(sp.G.Q.Rels[r].Table, sp.G.Edges[edges.First()].ColFor(sp.G.Q, r)) {
-			try(plan.IndexNLJoin)
-		}
+	if right.IsLeaf() && sp.inl[right.Rel].Has(edges.First()) {
+		try(plan.IndexNLJoin)
 	}
 	return cost, algo, ok
 }
 
-// newJoin allocates the join node price chose.
-func newJoin(left, right *plan.Node, edges query.EdgeSet, out, cost float64, algo plan.JoinAlgo) *plan.Node {
-	return &plan.Node{
+// join returns the join node price chose, its edge indexes appended to
+// idxs.
+func join(left, right *plan.Node, edges query.EdgeSet, idxs []int, out, cost float64, algo plan.JoinAlgo) plan.Node {
+	return plan.Node{
 		S: left.S.Union(right.S), Rel: -1, Algo: algo, Left: left, Right: right,
-		EdgeIdxs: edges.Elems(), ECard: out, ECost: cost,
+		EdgeIdxs: edges.AppendTo(idxs), ECard: out, ECost: cost,
 	}
 }
 
 // emit offers the csg-cmp pair (s1, s2) to the DP table in both
 // orientations. The union's cardinality is asked of the provider once per
-// set: once the set has a plan, its ECard is that answer. A node is
-// allocated only for an orientation that beats the plan so far.
+// set: once the set has a plan, its ECard is that answer. Each set gets one
+// node: a later pair or orientation that beats it overwrites it in place,
+// reusing its EdgeIdxs array. That is safe because DP emits the pairs in
+// ascending order of union size, so every pair whose union is s is emitted
+// before any larger set is joined, and no node holds a pointer to s's node
+// while it may still change.
 func (sp *Space) emit(table map[query.BitSet]*plan.Node, s1, s2 query.BitSet) {
 	l, r := table[s1], table[s2]
 	edges := sp.G.EdgesBetween(s1, s2)
@@ -135,10 +155,15 @@ func (sp *Space) emit(table map[query.BitSet]*plan.Node, s1, s2 query.BitSet) {
 		if !known {
 			out, known = sp.Cards.Card(s), true
 		}
-		if cost, algo, ok := sp.price(left, right, edges, out); ok && beats(cost, left.S, right.S, cur) {
-			cur = newJoin(left, right, edges, out, cost, algo)
+		cost, algo, ok := sp.price(left, right, edges, out)
+		if !ok || !beats(cost, left.S, right.S, cur) {
+			continue
+		}
+		if cur == nil {
+			cur = new(plan.Node)
 			table[s] = cur
 		}
+		*cur = join(left, right, edges, cur.EdgeIdxs[:0], out, cost, algo)
 	}
 }
 
@@ -172,6 +197,7 @@ func beats(cost float64, left, right query.BitSet, cur *plan.Node) bool {
 // optimal plan for the full query under the space's provider, model and
 // shape restriction.
 func DP(sp *Space) (*plan.Node, error) {
+	sp = sp.prepared()
 	g := sp.G
 	table := make(map[query.BitSet]*plan.Node, 4*g.N)
 	for r := 0; r < g.N; r++ {
@@ -271,6 +297,7 @@ func nextSubset(sub, s query.BitSet) query.BitSet { return (sub - 1) & s }
 // uniformly at random until all relations are connected (§6.1, [40]). Join
 // algorithms are chosen cheapest-first per join.
 func QuickPick(sp *Space, rng *rand.Rand) (*plan.Node, error) {
+	sp = sp.prepared()
 	return quickPickFrom(sp, rng, sp.leaves())
 }
 
@@ -339,6 +366,7 @@ func quickPickFrom(sp *Space, rng *rand.Rand, leaves []*plan.Node) (*plan.Node, 
 // Leaf construction is hoisted out of the loop: all k runs share one set of
 // annotated scan nodes.
 func QuickPickBest(sp *Space, k int, seed int64) (*plan.Node, error) {
+	sp = sp.prepared()
 	rng := rand.New(rand.NewSource(seed))
 	leaves := sp.leaves()
 	var best *plan.Node
@@ -359,6 +387,7 @@ func QuickPickBest(sp *Space, k int, seed int64) (*plan.Node, error) {
 // the smallest estimated cardinality (ties broken by cost), producing a
 // bushy plan in O(n^3) combines.
 func GOO(sp *Space) (*plan.Node, error) {
+	sp = sp.prepared()
 	g := sp.G
 	var trees []*plan.Node
 	for r := 0; r < g.N; r++ {

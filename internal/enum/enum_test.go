@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"jobench/internal/cardest"
@@ -91,6 +92,7 @@ func TestDPProducesValidOptimalPlans(t *testing.T) {
 // edge-linked parts and keeps the first strictly cheaper plan in its visit
 // order. It is correct by construction; DP must return exactly its plan.
 func dpsub(sp *Space) (*plan.Node, error) {
+	sp = sp.prepared()
 	g := sp.G
 	full := query.FullSet(g.N)
 	table := make(map[query.BitSet]*plan.Node, 1<<uint(g.N))
@@ -217,6 +219,100 @@ func TestDPNodeAnnotations(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRecostEveryAlgorithm: GOO, QuickPick-100 and DP under each of the
+// three cost models, with PK and PK+FK indexes and nested-loop joins
+// allowed, annotate every node as TestDPNodeAnnotations requires, and
+// plan.Cost re-prices each root to its ECost bit for bit, so the pricer the
+// enumerators build once per call and the re-coster agree on every path.
+// -short checks every 10th query.
+func TestRecostEveryAlgorithm(t *testing.T) {
+	l := lab(t)
+	algos := []struct {
+		name string
+		run  func(*Space) (*plan.Node, error)
+	}{
+		{"GOO", GOO},
+		{"QuickPick-100", func(sp *Space) (*plan.Node, error) { return QuickPickBest(sp, 100, 7) }},
+		{"DP", DP},
+	}
+	models := []costmodel.Model{costmodel.NewSimple(), costmodel.NewPostgres(), costmodel.NewTuned()}
+	for qi, q := range job.Workload() {
+		if testing.Short() && qi%10 != 0 {
+			continue
+		}
+		g := query.MustBuildGraph(q)
+		cards := l.pg.ForQuery(g)
+		for _, model := range models {
+			for di, idx := range []*index.Set{l.pk, l.pkfk} {
+				sp := &Space{G: g, DB: l.db, Cards: cards, Model: model, Indexes: idx}
+				for _, a := range algos {
+					label := fmt.Sprintf("%s/%s/%s/design%d", q.ID, a.name, model.Name(), di)
+					root, err := a.run(sp)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					checkAnnotations(t, label, g, cards, root)
+					if c := plan.Cost(root, g, l.db, cards, model); c != root.ECost {
+						t.Errorf("%s: re-costed plan %v, %s says %v", label, c, a.name, root.ECost)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDPAllocatesOneNodePerSet: DP keeps one node per relation set, so on
+// 29a, the workload's largest query, it allocates at most three objects
+// per connected subset (a node, its edge list and a share of the table).
+func TestDPAllocatesOneNodePerSet(t *testing.T) {
+	sp := lab(t).space(t, "29a", plan.Bushy)
+	bound := 3 * float64(sp.G.CountConnectedSubsets())
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := DP(sp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > bound {
+		t.Errorf("DP on 29a allocates %.0f objects, want at most %.0f", allocs, bound)
+	}
+}
+
+// TestSpaceSharedAcrossGoroutines: every algorithm prepares its own copy
+// of the Space it is given and never writes the original, so concurrent
+// calls on one Space each return the plan a lone call returns.
+func TestSpaceSharedAcrossGoroutines(t *testing.T) {
+	sp := lab(t).space(t, "13d", plan.Bushy)
+	algos := []func(*Space) (*plan.Node, error){
+		DP, GOO, func(sp *Space) (*plan.Node, error) { return QuickPickBest(sp, 20, 3) },
+	}
+	want := make([]string, len(algos))
+	for i, run := range algos {
+		root, err := run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = plan.Explain(root, sp.G)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, run := range algos {
+				root, err := run(sp)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := plan.Explain(root, sp.G); got != want[i] {
+					t.Errorf("algorithm %d: concurrent plan\n%s differs from\n%s", i, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // checkAnnotations walks a plan checking each node's ECard against cards

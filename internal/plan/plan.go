@@ -135,12 +135,6 @@ type IndexChecker interface {
 	Has(table, column string) bool
 }
 
-// NoIndexes is an IndexChecker with no indexes.
-type NoIndexes struct{}
-
-// Has implements IndexChecker.
-func (NoIndexes) Has(string, string) bool { return false }
-
 // RightKeyColumn returns the table and column of the physical join key on
 // the right child (the index side for IndexNLJoin).
 func (n *Node) RightKeyColumn(g *query.Graph) (table, col string) {
@@ -156,13 +150,26 @@ func (n *Node) RightKeyColumn(g *query.Graph) (table, col string) {
 // model. It is the only place a plan's cost is computed: the enumerator
 // prices each candidate join with it while building plans bottom-up, and
 // Cost re-prices a finished plan with it, so a plan re-costed under the
-// provider that built it reproduces its ECost bit for bit. Widths come from
-// the database schema, sizes of base relations from the provider.
+// provider that built it reproduces its ECost bit for bit. NewPricer reads
+// what depends on one relation only once: its width from the database
+// schema and its unselected size from the provider.
 type Pricer struct {
-	G     *query.Graph
-	DB    *storage.Database
-	Cards cardest.Provider
-	Model costmodel.Model
+	cards cardest.Provider
+	model costmodel.Model
+	// rows[r] is relation r's size before its selection, |R|;
+	// width[r] its tuple width in bytes.
+	rows  []float64
+	width []float64
+}
+
+// NewPricer builds the pricer of graph g under cards and model.
+func NewPricer(g *query.Graph, db *storage.Database, cards cardest.Provider, model costmodel.Model) *Pricer {
+	p := &Pricer{cards: cards, model: model, rows: make([]float64, g.N), width: make([]float64, g.N)}
+	for r := range g.N {
+		p.rows[r] = cards.SansSelection(query.Bit(r), r)
+		p.width[r] = float64(db.MustTable(g.Q.Rels[r].Table).TupleWidth())
+	}
+	return p
 }
 
 // Priced is what pricing a join needs of one child: its relation set,
@@ -175,8 +182,7 @@ type Priced struct {
 
 // Scan returns the cost of scanning relation r, which reads all of |R|.
 func (p *Pricer) Scan(r int) float64 {
-	t := p.DB.MustTable(p.G.Q.Rels[r].Table)
-	return p.Model.ScanCost(p.Cards.SansSelection(query.Bit(r), r), float64(t.TupleWidth()))
+	return p.model.ScanCost(p.rows[r], p.width[r])
 }
 
 // Join returns the total cost of joining left and right with algo into out
@@ -187,17 +193,15 @@ func (p *Pricer) Join(algo JoinAlgo, left, right Priced, out float64) float64 {
 	var local float64
 	switch algo {
 	case HashJoin:
-		local = p.Model.HashJoinCost(left.Card, right.Card, out)
+		local = p.model.HashJoinCost(left.Card, right.Card, out)
 	case SortMergeJoin:
-		local = p.Model.SortMergeJoinCost(left.Card, right.Card, out)
+		local = p.model.SortMergeJoinCost(left.Card, right.Card, out)
 	case NestedLoopJoin:
-		local = p.Model.NestedLoopJoinCost(left.Card, right.Card, out)
+		local = p.model.NestedLoopJoinCost(left.Card, right.Card, out)
 	case IndexNLJoin:
 		r := right.S.First()
-		t := p.DB.MustTable(p.G.Q.Rels[r].Table)
-		lookups := p.Cards.SansSelection(left.S.Union(right.S), r)
-		innerRows := p.Cards.SansSelection(right.S, r)
-		return left.Cost + p.Model.IndexJoinCost(left.Card, lookups, out, innerRows, float64(t.TupleWidth()))
+		lookups := p.cards.SansSelection(left.S.Union(right.S), r)
+		return left.Cost + p.model.IndexJoinCost(left.Card, lookups, out, p.rows[r], p.width[r])
 	default:
 		panic(fmt.Sprintf("plan: unknown join algorithm %v", algo))
 	}
@@ -208,17 +212,16 @@ func (p *Pricer) Join(algo JoinAlgo, left, right Priced, out float64) float64 {
 // whatever provider built it: the §6 methodology of re-costing a plan with
 // true cardinalities.
 func Cost(n *Node, g *query.Graph, db *storage.Database, cards cardest.Provider, m costmodel.Model) float64 {
-	p := Pricer{G: g, DB: db, Cards: cards, Model: m}
-	return p.price(n).Cost
+	return NewPricer(g, db, cards, m).price(n).Cost
 }
 
 // price re-prices the subtree at n bottom-up.
 func (p *Pricer) price(n *Node) Priced {
 	if n.IsLeaf() {
 		cost := p.Scan(n.Rel)
-		return Priced{S: n.S, Card: p.Cards.Card(n.S), Cost: cost}
+		return Priced{S: n.S, Card: p.cards.Card(n.S), Cost: cost}
 	}
-	out := p.Cards.Card(n.S)
+	out := p.cards.Card(n.S)
 	left, right := p.price(n.Left), Priced{S: n.Right.S}
 	if n.Algo != IndexNLJoin {
 		right = p.price(n.Right)

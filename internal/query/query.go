@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"jobench/internal/storage"
@@ -187,8 +188,22 @@ func (e EdgeSet) Count() int { return BitSet(e).Count() }
 // First returns the smallest edge index of a non-empty set.
 func (e EdgeSet) First() int { return BitSet(e).First() }
 
+// Has reports whether edge index ei is in the set.
+func (e EdgeSet) Has(ei int) bool { return BitSet(e).Has(ei) }
+
+// Add returns e with edge index ei added.
+func (e EdgeSet) Add(ei int) EdgeSet { return EdgeSet(BitSet(e).Add(ei)) }
+
 // Elems returns the edge indexes in ascending order.
 func (e EdgeSet) Elems() []int { return BitSet(e).Elems() }
+
+// AppendTo appends the edge indexes to dst in ascending order.
+func (e EdgeSet) AppendTo(dst []int) []int {
+	for t := e; t != 0; t &= t - 1 {
+		dst = append(dst, bits.TrailingZeros64(uint64(t)))
+	}
+	return dst
+}
 
 // ForEach calls f for every edge index in ascending order.
 func (e EdgeSet) ForEach(f func(ei int)) { BitSet(e).ForEach(f) }

@@ -202,15 +202,11 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Godoc gate: every exported identifier in the packages other code
-# programs against must carry a doc comment (cmd/docscheck, ~100 lines of
+# Godoc gate: every exported identifier of the root package and of every
+# internal package must carry a doc comment (cmd/docscheck, ~100 lines of
 # go/ast — no external linter needed).
 docs-check:
-	$(GO) run ./cmd/docscheck ./internal/hashtab ./internal/service ./internal/engine \
-		./internal/parallel ./internal/router ./internal/loadgen ./internal/reopt \
-		./internal/workload ./internal/index ./internal/trace \
-		./internal/fault ./internal/deadline ./internal/world ./internal/serving \
-		./internal/query ./internal/enum ./internal/cardest ./internal/optimizer
+	$(GO) run ./cmd/docscheck $$($(GO) list -f '{{.Dir}}' . ./internal/...)
 
 # The perf ledger (benchmark/) is its own module, outside `go build ./...`
 # and tier-1 — so without this gate a root API change breaks it silently.

@@ -41,25 +41,12 @@ func (s *System) ExecuteAdaptive(queryID string, opts AdaptiveOptions) (Adaptive
 // ExecuteAdaptiveContext is ExecuteAdaptive with cancellation; see
 // OptimizeContext.
 func (s *System) ExecuteAdaptiveContext(ctx context.Context, queryID string, opts AdaptiveOptions) (AdaptiveResult, error) {
-	g, err := s.graph(queryID)
+	sp, err := s.space(ctx, queryID, opts.PlanOptions)
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
-	prov, err := s.provider(ctx, queryID, opts.Estimator)
-	if err != nil {
-		return AdaptiveResult{}, err
-	}
-	model, err := s.model(opts.CostModel)
-	if err != nil {
-		return AdaptiveResult{}, err
-	}
-	sp := trace.StartSpan(ctx, "execute.adaptive")
-	rres, err := reopt.Run(ctx, g, prov, reopt.Config{
-		DB:            s.w.DB,
-		Indexes:       s.idx[s.indexConfig(opts.Indexes)],
-		Model:         model,
-		DisableNLJ:    opts.DisableNestedLoops,
-		Shape:         opts.Shape,
+	span := trace.StartSpan(ctx, "execute.adaptive")
+	rres, err := reopt.Run(ctx, sp, reopt.Config{
 		Algorithm:     opts.Algorithm,
 		Seed:          opts.Seed,
 		Rehash:        opts.Rehash,
@@ -67,7 +54,7 @@ func (s *System) ExecuteAdaptiveContext(ctx context.Context, queryID string, opt
 		QErrThreshold: opts.QErrThreshold,
 		MaxReplans:    opts.MaxReplans,
 	})
-	sp.End(trace.String("query", queryID), trace.Int64("replans", int64(rres.Replans)),
+	span.End(trace.String("query", queryID), trace.Int64("replans", int64(rres.Replans)),
 		trace.Int64("probes", int64(len(rres.Steps))), trace.Int64("work", rres.Work))
 	if err != nil {
 		return AdaptiveResult{}, err
@@ -77,7 +64,7 @@ func (s *System) ExecuteAdaptiveContext(ctx context.Context, queryID string, opt
 			Rows:     rres.Rows,
 			Work:     rres.Work,
 			TimedOut: rres.TimedOut,
-			Plan:     plan.Explain(rres.Plan, g),
+			Plan:     plan.Explain(rres.Plan, sp.G),
 		},
 		Replans: rres.Replans,
 		Probes:  len(rres.Steps),

@@ -1,13 +1,12 @@
 // Command docscheck fails when a package exports an undocumented
 // identifier: a package without a package comment, or an exported
 // function, method, type, constant, or variable without a doc comment.
-// It is the `make docs-check` CI gate over the packages whose exported
-// surface other packages program against; being ~100 lines of go/ast it
-// needs no linter binary the container doesn't have.
+// It is the `make docs-check` CI gate over the root package and every
+// internal package; being ~100 lines of go/ast it needs no linter binary.
 //
 // Usage:
 //
-//	docscheck ./internal/hashtab ./internal/service ...
+//	docscheck $(go list -f '{{.Dir}}' . ./internal/...)
 //
 // Exits 1 listing every violation as file:line: message.
 package main

@@ -79,9 +79,7 @@ func main() {
 
 		// How do the heuristics fare here?
 		for _, alg := range []optimizer.Algorithm{optimizer.DP, optimizer.QuickPick1000, optimizer.GOO} {
-			o := &optimizer.Optimizer{DB: db, Model: costmodel.NewSimple(), Indexes: idx,
-				DisableNLJ: true, Algorithm: alg, Seed: 1}
-			p, err := o.Optimize(g, truth)
+			p, err := optimizer.Optimize(sp, alg, 1)
 			if err != nil {
 				log.Fatal(err)
 			}

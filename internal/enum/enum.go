@@ -14,6 +14,7 @@ import (
 
 	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
+	"jobench/internal/index"
 	"jobench/internal/plan"
 	"jobench/internal/query"
 	"jobench/internal/storage"
@@ -22,13 +23,18 @@ import (
 // Space bundles everything a plan enumeration needs: the join graph, a
 // cardinality provider (estimates, injected values or truth), a cost model,
 // the physical design, and engine-level rules (the §4.1 nested-loop switch
-// and the §6.2 shape restriction).
+// and the §6.2 shape restriction). It is the one value that says how a
+// query is planned: optimizer.Optimize adds the choice of algorithm, and
+// reopt.Run re-plans on copies of it with observed cardinalities.
 type Space struct {
-	G          *query.Graph
-	DB         *storage.Database
-	Cards      cardest.Provider
-	Model      costmodel.Model
-	Indexes    plan.IndexChecker
+	G     *query.Graph
+	DB    *storage.Database
+	Cards cardest.Provider
+	Model costmodel.Model
+	// Indexes is the physical design (§4.3): a join may use an
+	// index-nested-loop join only into a relation whose join column has an
+	// index here. Nil means no indexes.
+	Indexes    *index.Set
 	DisableNLJ bool
 	Shape      plan.Shape
 

@@ -137,11 +137,7 @@ func (l *Lab) RehashAblation(ctx context.Context, qid string, factors []float64)
 		return nil, err
 	}
 	truth := cardest.True{Store: st}
-	sp := &enum.Space{
-		G: g, DB: l.DB, Cards: truth, Model: costmodel.NewSimple(),
-		Indexes: l.IdxPK, DisableNLJ: true,
-	}
-	optimal, err := enum.DP(sp)
+	optimal, err := enum.DP(l.spaceFor(qid, l.IdxPK, truth, plan.Bushy))
 	if err != nil {
 		return nil, err
 	}

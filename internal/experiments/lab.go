@@ -63,7 +63,6 @@ type Lab struct {
 	Stats   *stats.DB
 	Queries []*query.Query
 	Graphs  map[string]*query.Graph
-	IdxNone *index.Set
 	IdxPK   *index.Set
 	IdxPKFK *index.Set
 
@@ -118,8 +117,7 @@ func NewLabOver(w *world.World, maxQueries int) (*Lab, error) {
 		return nil, err
 	}
 	l.Stats = w.Stats(sopts)
-	l.IdxNone, _ = w.Indexes(index.NoIndexes) // resolved above, like the next two
-	l.IdxPK, _ = w.Indexes(index.PKOnly)
+	l.IdxPK, _ = w.Indexes(index.PKOnly) // resolved above, like the next one
 	l.IdxPKFK, _ = w.Indexes(index.PKFK)
 	l.Postgres = cardest.NewPostgres(l.DB, l.Stats)
 	l.PostgresTD = cardest.NewPostgres(l.DB, w.Stats(topts))

@@ -21,33 +21,25 @@ import (
 // figure9Queries are the five representative queries of Fig. 9.
 var figure9Queries = []string{"6a", "13a", "16d", "17b", "25c"}
 
-// indexConfigs enumerates the paper's three physical designs in order.
-func (l *Lab) indexConfigs() []struct {
-	Label string
-	Idx   *index.Set
-} {
-	return []struct {
-		Label string
-		Idx   *index.Set
-	}{
-		{"no indexes", l.IdxNone},
-		{"PK indexes", l.IdxPK},
-		{"PK + FK indexes", l.IdxPKFK},
+// space builds qid's bushy plan space over the Lab's database.
+func (l *Lab) space(qid string, prov cardest.Provider, model costmodel.Model, idx *index.Set, disableNLJ bool) *enum.Space {
+	return &enum.Space{
+		G: l.Graphs[qid], DB: l.DB, Cards: prov, Model: model, Indexes: idx, DisableNLJ: disableNLJ,
 	}
 }
 
-// spaceFor builds the §6 standalone-optimizer space: true cardinalities,
-// the simple cost model, nested-loop joins disabled.
+// spaceFor builds the §6 standalone-optimizer space: the simple cost model,
+// nested-loop joins disabled.
 func (l *Lab) spaceFor(qid string, idx *index.Set, prov cardest.Provider, shape plan.Shape) *enum.Space {
-	return &enum.Space{
-		G:          l.Graphs[qid],
-		DB:         l.DB,
-		Cards:      prov,
-		Model:      costmodel.NewSimple(),
-		Indexes:    idx,
-		DisableNLJ: true,
-		Shape:      shape,
-	}
+	sp := l.space(qid, prov, costmodel.NewSimple(), idx, true)
+	sp.Shape = shape
+	return sp
+}
+
+// design returns the Lab's index set for one of the three physical designs.
+func (l *Lab) design(cfg index.Config) *index.Set {
+	idx, _ := l.W.Indexes(cfg) // NewLabOver resolved every design
+	return idx
 }
 
 // Figure9Result holds the random-plan cost distributions.
@@ -116,7 +108,7 @@ func (l *Lab) Figure9(ctx context.Context, samples int) (*Figure9Result, error) 
 	}
 	var cells []panelCell
 	for qi, qid := range qids {
-		for ci := range l.indexConfigs() {
+		for ci := range index.Designs() {
 			cells = append(cells, panelCell{qid: qid, qIdx: qi, cfgIdx: ci})
 		}
 	}
@@ -128,13 +120,13 @@ func (l *Lab) Figure9(ctx context.Context, samples int) (*Figure9Result, error) 
 			}
 			truth := cardest.True{Store: st}
 			fkOpt := fkOpts[c.qIdx]
-			cfg := l.indexConfigs()[c.cfgIdx]
-			sp := l.spaceFor(c.qid, cfg.Idx, truth, plan.Bushy)
+			cfg := index.Designs()[c.cfgIdx]
+			sp := l.spaceFor(c.qid, l.design(cfg), truth, plan.Bushy)
 			opt, err := enum.DP(sp)
 			if err != nil {
 				return Figure9Panel{}, err
 			}
-			rng := rand.New(rand.NewSource(l.W.Options.Seed + int64(c.qIdx*len(l.indexConfigs())+c.cfgIdx)))
+			rng := rand.New(rand.NewSource(l.W.Options.Seed + int64(c.qIdx*len(index.Designs())+c.cfgIdx)))
 			costs := make([]float64, 0, samples)
 			for i := 0; i < samples; i++ {
 				p, err := enum.QuickPick(sp, rng)
@@ -144,7 +136,7 @@ func (l *Lab) Figure9(ctx context.Context, samples int) (*Figure9Result, error) 
 				costs = append(costs, p.ECost/fkOpt.ECost)
 			}
 			return Figure9Panel{
-				Query: c.qid, Config: cfg.Label,
+				Query: c.qid, Config: cfg.String(),
 				Box:     metrics.NewBoxplot(costs),
 				Optimal: opt.ECost / fkOpt.ECost,
 			}, nil
@@ -159,7 +151,7 @@ func (l *Lab) Figure9(ctx context.Context, samples int) (*Figure9Result, error) 
 	if wlSamples < 200 {
 		wlSamples = 200
 	}
-	for _, cfg := range l.indexConfigs() {
+	for _, cfg := range index.Designs() {
 		type aggCell struct {
 			within, total int
 			ratio         float64
@@ -170,7 +162,7 @@ func (l *Lab) Figure9(ctx context.Context, samples int) (*Figure9Result, error) 
 				return aggCell{}, err
 			}
 			truth := cardest.True{Store: st}
-			sp := l.spaceFor(q.ID, cfg.Idx, truth, plan.Bushy)
+			sp := l.spaceFor(q.ID, l.design(cfg), truth, plan.Bushy)
 			opt, err := enum.DP(sp)
 			if err != nil {
 				return aggCell{}, err
@@ -208,8 +200,8 @@ func (l *Lab) Figure9(ctx context.Context, samples int) (*Figure9Result, error) 
 			total += c.total
 			ratios[i] = c.ratio
 		}
-		res.Frac15[cfg.Label] = float64(within) / float64(total)
-		res.MeanWorstBest[cfg.Label] = metrics.Mean(ratios)
+		res.Frac15[cfg.String()] = float64(within) / float64(total)
+		res.MeanWorstBest[cfg.String()] = metrics.Mean(ratios)
 	}
 	return res, nil
 }
@@ -225,9 +217,9 @@ func (r *Figure9Result) Render() string {
 			p.Query, p.Config, p.Box.MinValue, p.Box.P5, p.Box.P50, p.Box.P95, p.Box.MaxValue, p.Optimal)
 	}
 	b.WriteString("\nSection 6.1 workload aggregates:\n")
-	for _, cfg := range []string{"no indexes", "PK indexes", "PK + FK indexes"} {
+	for _, cfg := range index.Designs() {
 		fmt.Fprintf(&b, "  %-18s %5.1f%% of random plans within 1.5x of optimal; mean worst/best ratio %.0fx\n",
-			cfg, 100*r.Frac15[cfg], r.MeanWorstBest[cfg])
+			cfg, 100*r.Frac15[cfg.String()], r.MeanWorstBest[cfg.String()])
 	}
 	return b.String()
 }
@@ -248,20 +240,20 @@ type Table2Row struct {
 // (true cardinalities, both index configurations), like the paper's Table 2.
 func (l *Lab) Table2(ctx context.Context) (*Table2Result, error) {
 	res := &Table2Result{}
-	configs := l.indexConfigs()[1:] // PK, PK+FK
 	for _, shape := range []plan.Shape{plan.ZigZag, plan.LeftDeep, plan.RightDeep} {
-		for _, cfg := range configs {
+		for _, cfg := range index.Designs()[1:] { // PK, PK+FK
+			idx := l.design(cfg)
 			slowdowns, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (float64, error) {
 				st, err := l.Truth(ctx, q.ID)
 				if err != nil {
 					return 0, err
 				}
 				truth := cardest.True{Store: st}
-				bushy, err := enum.DP(l.spaceFor(q.ID, cfg.Idx, truth, plan.Bushy))
+				bushy, err := enum.DP(l.spaceFor(q.ID, idx, truth, plan.Bushy))
 				if err != nil {
 					return 0, err
 				}
-				restricted, err := enum.DP(l.spaceFor(q.ID, cfg.Idx, truth, shape))
+				restricted, err := enum.DP(l.spaceFor(q.ID, idx, truth, shape))
 				if err != nil {
 					return 0, err
 				}
@@ -272,7 +264,7 @@ func (l *Lab) Table2(ctx context.Context) (*Table2Result, error) {
 			}
 			res.Rows = append(res.Rows, Table2Row{
 				Shape:  shape,
-				Config: cfg.Label,
+				Config: cfg.String(),
 				Median: metrics.Median(slowdowns),
 				P95:    metrics.Percentile(slowdowns, 95),
 				Max:    metrics.Max(slowdowns),
@@ -314,7 +306,8 @@ type Table3Row struct {
 func (l *Lab) Table3(ctx context.Context) (*Table3Result, error) {
 	res := &Table3Result{}
 	algos := []optimizer.Algorithm{optimizer.DP, optimizer.QuickPick1000, optimizer.GOO}
-	for _, cfg := range l.indexConfigs()[1:] { // PK, PK+FK
+	for _, cfg := range index.Designs()[1:] { // PK, PK+FK
+		idx := l.design(cfg)
 		for _, useTrue := range []bool{false, true} {
 			cardsLabel := "PostgreSQL estimates"
 			if useTrue {
@@ -327,24 +320,20 @@ func (l *Lab) Table3(ctx context.Context) (*Table3Result, error) {
 					if err != nil {
 						return 0, err
 					}
-					truth := cardest.True{Store: st}
-					var prov cardest.Provider = truth
+					truth := l.spaceFor(q.ID, idx, cardest.True{Store: st}, plan.Bushy)
+					sp := truth
 					if !useTrue {
-						prov = l.Postgres.ForQuery(g)
+						sp = l.spaceFor(q.ID, idx, l.Postgres.ForQuery(g), plan.Bushy)
 					}
-					opt := &optimizer.Optimizer{
-						DB: l.DB, Model: costmodel.NewSimple(), Indexes: cfg.Idx,
-						DisableNLJ: true, Algorithm: alg, Seed: l.W.Options.Seed,
-					}
-					p, err := opt.Optimize(g, prov)
+					p, err := optimizer.Optimize(sp, alg, l.W.Options.Seed)
 					if err != nil {
 						return 0, err
 					}
-					baseline, err := enum.DP(l.spaceFor(q.ID, cfg.Idx, truth, plan.Bushy))
+					baseline, err := enum.DP(truth)
 					if err != nil {
 						return 0, err
 					}
-					return plan.Cost(p, g, l.DB, truth, opt.Model) / baseline.ECost, nil
+					return plan.Cost(p, g, l.DB, truth.Cards, sp.Model) / baseline.ECost, nil
 				})
 				if err != nil {
 					return nil, err
@@ -352,7 +341,7 @@ func (l *Lab) Table3(ctx context.Context) (*Table3Result, error) {
 				res.Rows = append(res.Rows, Table3Row{
 					Algorithm: alg.String(),
 					Cards:     cardsLabel,
-					Config:    cfg.Label,
+					Config:    cfg.String(),
 					Median:    metrics.Median(factors),
 					P95:       metrics.Percentile(factors, 95),
 					Max:       metrics.Max(factors),

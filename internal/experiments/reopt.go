@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
 
-	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
-	"jobench/internal/engine"
 	"jobench/internal/metrics"
-	"jobench/internal/optimizer"
 	"jobench/internal/query"
 	"jobench/internal/reopt"
 )
@@ -65,56 +61,28 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 	// model, PK indexes, no non-indexed nested loops, runtime rehashing.
 	model := costmodel.NewTuned()
 	rules := engineRules{DisableNLJ: true, Rehash: true}
-	idx := l.IdxPK
 	perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (reoptCell, error) {
-		g := l.Graphs[q.ID]
-		st, err := l.Truth(ctx, q.ID)
-		if err != nil {
-			return reoptCell{}, err
-		}
-		truth := cardest.True{Store: st}
-		opt := &optimizer.Optimizer{DB: l.DB, Model: model, Indexes: idx, DisableNLJ: rules.DisableNLJ}
-		basePlan, err := opt.Optimize(g, truth)
-		if err != nil {
-			return reoptCell{}, err
-		}
-		baseRes, err := engine.Run(l.DB, idx, g, basePlan, engine.Config{Rehash: rules.Rehash})
-		if err != nil {
-			return reoptCell{}, fmt.Errorf("%s baseline: %w", q.ID, err)
-		}
-		baseWork := baseRes.Work
-		if baseWork == 0 {
-			baseWork = 1
-		}
-		limit := int64(timeoutFactor) * baseWork
-		prov := l.Postgres.ForQuery(g)
+		sp := l.space(q.ID, l.Postgres.ForQuery(l.Graphs[q.ID]), model, l.IdxPK, rules.DisableNLJ)
 		cell := reoptCell{family: familyOf(q.ID)}
 
 		// Static: the paper's baseline — plan once on estimates, run to the
 		// timeout.
-		staticPlan, err := opt.Optimize(g, prov)
+		st, err := l.runOne(ctx, sp, rules.Rehash)
 		if err != nil {
 			return reoptCell{}, err
 		}
-		staticRes, err := engine.Run(l.DB, idx, g, staticPlan, engine.Config{Rehash: rules.Rehash, WorkLimit: limit})
-		switch {
-		case err != nil && errors.Is(err, engine.ErrWorkLimit):
+		if st.timedOut {
 			cell.static, cell.toStatic = timeoutFactor, true
-		case err != nil:
-			return reoptCell{}, fmt.Errorf("%s static: %w", q.ID, err)
-		default:
-			cell.static = slowdownOf(staticRes.Work, baseWork)
+		} else {
+			cell.static = slowdownOf(st.work, st.baseWork)
 		}
 
-		// Re-optimized: adaptive execution from a cold start. The adaptive
-		// work accounting (final plan + non-reused probes) maps onto the
-		// same timeout rule: past the limit it counts exactly like a static
-		// timeout.
-		rres, err := reopt.Run(ctx, g, prov, reopt.Config{
-			DB: l.DB, Indexes: idx, Model: model,
-			DisableNLJ: rules.DisableNLJ, Rehash: rules.Rehash,
-			WorkLimit: limit,
-		})
+		// Re-optimized: adaptive execution from a cold start in the same
+		// space. The adaptive work accounting (final plan + non-reused
+		// probes) maps onto the same timeout rule: past the limit it counts
+		// exactly like a static timeout.
+		limit := timeoutFactor * st.baseWork
+		rres, err := reopt.Run(ctx, sp, reopt.Config{Rehash: rules.Rehash, WorkLimit: limit})
 		if err != nil {
 			return reoptCell{}, fmt.Errorf("%s adaptive: %w", q.ID, err)
 		}
@@ -122,10 +90,10 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 		if rres.TimedOut || rres.Work >= limit {
 			cell.adaptive, cell.toAdaptive = timeoutFactor, true
 		} else {
-			if rres.Rows != baseRes.Rows {
-				return reoptCell{}, fmt.Errorf("%s adaptive: returned %d rows, baseline %d", q.ID, rres.Rows, baseRes.Rows)
+			if rres.Rows != st.baseRows {
+				return reoptCell{}, fmt.Errorf("%s adaptive: returned %d rows, baseline %d", q.ID, rres.Rows, st.baseRows)
 			}
-			cell.adaptive = slowdownOf(rres.Work, baseWork)
+			cell.adaptive = slowdownOf(rres.Work, st.baseWork)
 		}
 		return cell, nil
 	})

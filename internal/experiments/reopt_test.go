@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,10 +56,6 @@ func TestReoptExperiment(t *testing.T) {
 func TestReoptNoReplanMatchesStatic(t *testing.T) {
 	l := sharedLab(t)
 	model := costmodel.NewTuned()
-	designs := []struct {
-		name string
-		idx  *index.Set
-	}{{"none", l.IdxNone}, {"PK", l.IdxPK}, {"PK+FK", l.IdxPKFK}}
 	mismatches, err := runQueries(context.Background(), l, func(ctx context.Context, qi int, q *query.Query) ([]string, error) {
 		if testing.Short() && qi%10 != 0 {
 			return nil, nil
@@ -66,26 +63,24 @@ func TestReoptNoReplanMatchesStatic(t *testing.T) {
 		g := l.Graphs[q.ID]
 		prov := l.Postgres.ForQuery(g)
 		var bad []string
-		for _, d := range designs {
-			opt := &optimizer.Optimizer{DB: l.DB, Model: model, Indexes: d.idx, DisableNLJ: true}
-			static, err := opt.Optimize(g, prov)
+		for _, cfg := range index.Designs() {
+			idx := l.design(cfg)
+			sp := l.space(q.ID, prov, model, idx, true)
+			static, err := optimizer.Optimize(sp, optimizer.DP, 0)
 			if err != nil {
 				return nil, err
 			}
-			want, err := engine.Run(l.DB, d.idx, g, static, engine.Config{Rehash: true})
+			want, err := engine.Run(l.DB, idx, g, static, engine.Config{Rehash: true})
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s static: %w", q.ID, d.name, err)
+				return nil, fmt.Errorf("%s/%s static: %w", q.ID, cfg.Label(), err)
 			}
-			got, err := reopt.Run(ctx, g, prov, reopt.Config{
-				DB: l.DB, Indexes: d.idx, Model: model, DisableNLJ: true, Rehash: true,
-				QErrThreshold: math.Inf(1),
-			})
+			got, err := reopt.Run(ctx, sp, reopt.Config{Rehash: true, QErrThreshold: math.Inf(1)})
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s adaptive: %w", q.ID, d.name, err)
+				return nil, fmt.Errorf("%s/%s adaptive: %w", q.ID, cfg.Label(), err)
 			}
 			if got.Replans != 0 || got.Work != want.Work || got.Rows != want.Rows {
 				bad = append(bad, fmt.Sprintf("%s/%s: adaptive work %d rows %d replans %d, static work %d rows %d",
-					q.ID, d.name, got.Work, got.Rows, got.Replans, want.Work, want.Rows))
+					q.ID, cfg.Label(), got.Work, got.Rows, got.Replans, want.Work, want.Rows))
 			}
 		}
 		return bad, nil
@@ -97,5 +92,31 @@ func TestReoptNoReplanMatchesStatic(t *testing.T) {
 		for _, m := range bad {
 			t.Error(m)
 		}
+	}
+}
+
+// TestPlanningLeavesSpaceUnwritten: optimizer.Optimize and reopt.Run only
+// read the caller's Space — a replan plans in a copy whose provider carries
+// the observations — so one Space may be planned in again or shared across
+// goroutines. 20a replans at QuickConfig under the reopt report's settings.
+func TestPlanningLeavesSpaceUnwritten(t *testing.T) {
+	l := sharedLab(t)
+	sp := l.space("20a", l.Postgres.ForQuery(l.Graphs["20a"]), costmodel.NewTuned(), l.IdxPK, true)
+	want := *sp
+	if _, err := optimizer.Optimize(sp, optimizer.DP, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*sp, want) {
+		t.Errorf("optimizer.Optimize wrote the Space: %+v, was %+v", *sp, want)
+	}
+	res, err := reopt.Run(context.Background(), sp, reopt.Config{Rehash: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replans == 0 {
+		t.Fatal("20a did not replan, so nothing a replan could write was exercised")
+	}
+	if !reflect.DeepEqual(*sp, want) {
+		t.Errorf("reopt.Run wrote the Space (%d replans): %+v, was %+v", res.Replans, *sp, want)
 	}
 }

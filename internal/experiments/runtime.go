@@ -10,6 +10,7 @@ import (
 	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
 	"jobench/internal/engine"
+	"jobench/internal/enum"
 	"jobench/internal/index"
 	"jobench/internal/metrics"
 	"jobench/internal/optimizer"
@@ -27,49 +28,57 @@ type engineRules struct {
 // timeouts.
 const timeoutFactor = 500
 
-// runOne optimizes a query under the given provider and executes it,
-// returning the slowdown relative to the true-cardinality plan's work.
-func (l *Lab) runOne(ctx context.Context, qid string, prov cardest.Provider, idx *index.Set, rules engineRules, model costmodel.Model) (slowdown float64, timedOut bool, err error) {
-	g := l.Graphs[qid]
+// staticRun is one query planned once under its estimates and executed to
+// the timeout, next to the plan chosen under true cardinalities.
+type staticRun struct {
+	baseWork int64 // the true-cardinality plan's work, at least 1
+	baseRows int64 // its result size, which every plan must return
+	work     int64 // the estimate plan's work
+	timedOut bool  // the estimate plan ran past timeoutFactor x baseWork
+}
+
+// runOne plans sp's query under true cardinalities and executes it (the
+// baseline), then plans it under sp's provider and executes that plan, cut
+// off at timeoutFactor times the baseline's work. Both plans come from the
+// same space, so only the cardinalities differ.
+func (l *Lab) runOne(ctx context.Context, sp *enum.Space, rehash bool) (staticRun, error) {
+	qid := sp.G.Q.ID
 	st, err := l.Truth(ctx, qid)
 	if err != nil {
-		return 0, false, err
+		return staticRun{}, err
 	}
-	truth := cardest.True{Store: st}
-	opt := &optimizer.Optimizer{
-		DB: l.DB, Model: model, Indexes: idx, DisableNLJ: rules.DisableNLJ,
-	}
-	optPlan, err := opt.Optimize(g, truth)
+	truth := *sp
+	truth.Cards = cardest.True{Store: st}
+	optPlan, err := optimizer.Optimize(&truth, optimizer.DP, 0)
 	if err != nil {
-		return 0, false, err
+		return staticRun{}, err
 	}
-	baseRes, err := engine.Run(l.DB, idx, g, optPlan, engine.Config{Rehash: rules.Rehash})
+	baseRes, err := engine.Run(sp.DB, sp.Indexes, sp.G, optPlan, engine.Config{Rehash: rehash})
 	if err != nil {
-		return 0, false, fmt.Errorf("%s baseline: %w", qid, err)
+		return staticRun{}, fmt.Errorf("%s baseline: %w", qid, err)
 	}
-	baseWork := baseRes.Work
-	if baseWork == 0 {
-		baseWork = 1
-	}
+	r := staticRun{baseWork: max(1, baseRes.Work), baseRows: baseRes.Rows}
 
-	estPlan, err := opt.Optimize(g, prov)
+	estPlan, err := optimizer.Optimize(sp, optimizer.DP, 0)
 	if err != nil {
-		return 0, false, err
+		return staticRun{}, err
 	}
-	res, err := engine.Run(l.DB, idx, g, estPlan, engine.Config{
-		Rehash:    rules.Rehash,
-		WorkLimit: timeoutFactor * baseWork,
+	res, err := engine.Run(sp.DB, sp.Indexes, sp.G, estPlan, engine.Config{
+		Rehash:    rehash,
+		WorkLimit: timeoutFactor * r.baseWork,
 	})
 	if err != nil {
 		if errors.Is(err, engine.ErrWorkLimit) {
-			return timeoutFactor, true, nil
+			r.timedOut = true
+			return r, nil
 		}
-		return 0, false, err
+		return staticRun{}, fmt.Errorf("%s static: %w", qid, err)
 	}
 	if res.Rows != baseRes.Rows {
-		return 0, false, fmt.Errorf("%s: estimate plan returned %d rows, baseline %d", qid, res.Rows, baseRes.Rows)
+		return staticRun{}, fmt.Errorf("%s: estimate plan returned %d rows, baseline %d", qid, res.Rows, baseRes.Rows)
 	}
-	return float64(res.Work) / float64(baseWork), false, nil
+	r.work = res.Work
+	return r, nil
 }
 
 // Section41Result is the §4.1 table: slowdown distribution per estimator.
@@ -111,16 +120,12 @@ func (l *Lab) Section41(ctx context.Context) (*Section41Result, error) {
 }
 
 // runWorkload executes every workload query with runOne in parallel,
-// returning the slowdowns in workload order plus the timeout count. It is
-// the shared sweep of §4.1, Fig. 6, Fig. 7 and the hedging extension.
+// returning the slowdowns relative to the true-cardinality plans in
+// workload order plus the timeout count. It is the shared sweep of §4.1,
+// Fig. 6, Fig. 7 and the hedging extension.
 func (l *Lab) runWorkload(ctx context.Context, provFor func(q *query.Query) cardest.Provider, idx *index.Set, rules engineRules, model costmodel.Model) ([]float64, int, error) {
-	type cellResult struct {
-		slowdown float64
-		timedOut bool
-	}
-	perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (cellResult, error) {
-		s, timedOut, err := l.runOne(ctx, q.ID, provFor(q), idx, rules, model)
-		return cellResult{s, timedOut}, err
+	perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (staticRun, error) {
+		return l.runOne(ctx, l.space(q.ID, provFor(q), model, idx, rules.DisableNLJ), rules.Rehash)
 	})
 	if err != nil {
 		return nil, 0, err
@@ -128,9 +133,11 @@ func (l *Lab) runWorkload(ctx context.Context, provFor func(q *query.Query) card
 	slowdowns := make([]float64, len(perQuery))
 	timeouts := 0
 	for i, r := range perQuery {
-		slowdowns[i] = r.slowdown
 		if r.timedOut {
+			slowdowns[i] = timeoutFactor
 			timeouts++
+		} else {
+			slowdowns[i] = float64(r.work) / float64(r.baseWork)
 		}
 	}
 	return slowdowns, timeouts, nil
@@ -291,8 +298,7 @@ func (l *Lab) Figure8(ctx context.Context) (*Figure8Result, error) {
 				if !useTrue {
 					prov = l.Postgres.ForQuery(g)
 				}
-				opt := &optimizer.Optimizer{DB: l.DB, Model: m, Indexes: l.IdxPKFK, DisableNLJ: rules.DisableNLJ}
-				p, err := opt.Optimize(g, prov)
+				p, err := optimizer.Optimize(l.space(q.ID, prov, m, l.IdxPKFK, rules.DisableNLJ), optimizer.DP, 0)
 				if err != nil {
 					return cellResult{}, err
 				}

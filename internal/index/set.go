@@ -8,9 +8,10 @@ import (
 )
 
 // Set is a registry of indexes keyed by (table, column). It doubles as the
-// optimizer's physical-design oracle: a join side can use an index-nested-
-// loop join only if Has(table, column) is true, which is how the paper's
-// three index configurations (none / PK / PK+FK) are expressed.
+// optimizer's physical design (enum.Space.Indexes): a join side can use an
+// index-nested-loop join only if Has(table, column) is true, which is how
+// the paper's three index configurations (none / PK / PK+FK) are
+// expressed.
 type Set struct {
 	m map[setKey]*Hash
 }
@@ -30,8 +31,7 @@ func (s *Set) Get(table, column string) *Hash {
 	return s.m[setKey{table, column}]
 }
 
-// Has reports whether an index exists on (table, column). It implements the
-// optimizer's IndexChecker interface.
+// Has reports whether an index exists on (table, column).
 func (s *Set) Has(table, column string) bool {
 	_, ok := s.m[setKey{table, column}]
 	return ok

@@ -1,20 +1,18 @@
 // Package optimizer is the facade tying the query optimizer together:
-// given a join graph, a cardinality provider (an estimator, injected
-// values, or the truth), a cost model, a physical design and one of the
-// §6 enumeration algorithms (the exhaustive DP, QuickPick-1000 or GOO), it
-// produces a physical plan. It is the programmatic equivalent of the
-// paper's modified PostgreSQL plus its standalone optimizer (§2.4, §6).
+// given a plan space (a join graph, a cardinality provider — an estimator,
+// injected values, or the truth — a cost model, a physical design and the
+// engine rules, all in one enum.Space) and one of the §6 enumeration
+// algorithms (the exhaustive DP, QuickPick-1000 or GOO), it produces a
+// physical plan. It is the programmatic equivalent of the paper's modified
+// PostgreSQL plus its standalone optimizer (§2.4, §6).
 package optimizer
 
 import (
 	"fmt"
 
-	"jobench/internal/cardest"
-	"jobench/internal/costmodel"
 	"jobench/internal/enum"
 	"jobench/internal/plan"
 	"jobench/internal/query"
-	"jobench/internal/storage"
 )
 
 // Algorithm selects the plan enumeration strategy.
@@ -43,55 +41,31 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Optimizer holds the fixed configuration; Optimize may be called for many
-// queries.
-type Optimizer struct {
-	DB      *storage.Database
-	Model   costmodel.Model
-	Indexes plan.IndexChecker
-
-	// DisableNLJ removes the risky non-indexed nested-loop joins (§4.1).
-	DisableNLJ bool
-	// Shape restricts the tree shapes every enumerator builds (§6.2).
-	Shape plan.Shape
-	// Algorithm selects the enumerator.
-	Algorithm Algorithm
-	// Seed drives QuickPick.
-	Seed int64
-}
-
-// Optimize computes a plan for g using the given cardinality provider.
-func (o *Optimizer) Optimize(g *query.Graph, cards cardest.Provider) (*plan.Node, error) {
-	if o.Model == nil {
+// Optimize plans sp's query with alg (seed drives QuickPick) and checks
+// that the plan joins every relation exactly once. sp is not written, so
+// one Space may be shared across goroutines.
+func Optimize(sp *enum.Space, alg Algorithm, seed int64) (*plan.Node, error) {
+	if sp.Model == nil {
 		return nil, fmt.Errorf("optimizer: no cost model")
-	}
-	sp := &enum.Space{
-		G:          g,
-		DB:         o.DB,
-		Cards:      cards,
-		Model:      o.Model,
-		Indexes:    o.Indexes,
-		DisableNLJ: o.DisableNLJ,
-		Shape:      o.Shape,
 	}
 	var (
 		root *plan.Node
 		err  error
 	)
-	switch o.Algorithm {
+	switch alg {
 	case DP:
 		root, err = enum.DP(sp)
 	case QuickPick1000:
-		root, err = enum.QuickPickBest(sp, 1000, o.Seed)
+		root, err = enum.QuickPickBest(sp, 1000, seed)
 	case GOO:
 		root, err = enum.GOO(sp)
 	default:
-		return nil, fmt.Errorf("optimizer: unknown algorithm %v", o.Algorithm)
+		return nil, fmt.Errorf("optimizer: unknown algorithm %v", alg)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := plan.Validate(root, g, query.FullSet(g.N)); err != nil {
+	if err := plan.Validate(root, sp.G, query.FullSet(sp.G.N)); err != nil {
 		return nil, fmt.Errorf("optimizer: produced invalid plan: %w", err)
 	}
 	return root, nil

@@ -6,6 +6,7 @@ import (
 
 	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
+	"jobench/internal/enum"
 	"jobench/internal/imdb"
 	"jobench/internal/index"
 	"jobench/internal/job"
@@ -17,11 +18,18 @@ import (
 	"jobench/internal/workload"
 )
 
+// space is the standalone §6 configuration the tests plan in: the simple
+// cost model, PK+FK indexes, nested-loop joins disabled.
+func (l *olab) space(g *query.Graph, cards cardest.Provider, shape plan.Shape) *enum.Space {
+	return &enum.Space{G: g, DB: l.db, Cards: cards, Model: costmodel.NewSimple(),
+		Indexes: l.pkfk, DisableNLJ: true, Shape: shape}
+}
+
 type olab struct {
 	db   *storage.Database
 	sdb  *stats.DB
 	pg   cardest.Estimator
-	pkfk plan.IndexChecker
+	pkfk *index.Set
 }
 
 var cached *olab
@@ -48,11 +56,7 @@ func TestOptimizeAllAlgorithms(t *testing.T) {
 	cards := l.pg.ForQuery(g)
 	var dpCost float64
 	for _, alg := range []Algorithm{DP, QuickPick1000, GOO} {
-		o := &Optimizer{
-			DB: l.db, Model: costmodel.NewSimple(), Indexes: l.pkfk,
-			DisableNLJ: true, Algorithm: alg, Seed: 1,
-		}
-		root, err := o.Optimize(g, cards)
+		root, err := Optimize(l.space(g, cards, plan.Bushy), alg, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -85,18 +89,17 @@ func TestTrueCostRecosting(t *testing.T) {
 			t.Fatal(err)
 		}
 		truth := cardest.True{Store: st}
-		o := &Optimizer{DB: l.db, Model: costmodel.NewSimple(), Indexes: l.pkfk, DisableNLJ: true}
-
-		estPlan, err := o.Optimize(g, l.pg.ForQuery(g))
+		estSpace := l.space(g, l.pg.ForQuery(g), plan.Bushy)
+		estPlan, err := Optimize(estSpace, DP, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		truePlan, err := o.Optimize(g, truth)
+		truePlan, err := Optimize(l.space(g, truth, plan.Bushy), DP, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		estCost := plan.Cost(estPlan, g, l.db, truth, o.Model)
-		optCost := plan.Cost(truePlan, g, l.db, truth, o.Model)
+		estCost := plan.Cost(estPlan, g, l.db, truth, estSpace.Model)
+		optCost := plan.Cost(truePlan, g, l.db, truth, estSpace.Model)
 		if optCost != truePlan.ECost {
 			t.Errorf("%s: re-costing the true-card plan under truth gives %v, the optimizer priced it %v", qid, optCost, truePlan.ECost)
 		}
@@ -113,9 +116,7 @@ func TestShapeRestrictionRespected(t *testing.T) {
 	l := lab(t)
 	g := query.MustBuildGraph(job.ByID("13d"))
 	for _, shape := range []plan.Shape{plan.LeftDeep, plan.RightDeep, plan.ZigZag} {
-		o := &Optimizer{DB: l.db, Model: costmodel.NewSimple(), Indexes: l.pkfk,
-			DisableNLJ: true, Shape: shape}
-		root, err := o.Optimize(g, l.pg.ForQuery(g))
+		root, err := Optimize(l.space(g, l.pg.ForQuery(g), shape), DP, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", shape, err)
 		}
@@ -126,9 +127,11 @@ func TestShapeRestrictionRespected(t *testing.T) {
 }
 
 func TestMissingModelError(t *testing.T) {
-	o := &Optimizer{DB: lab(t).db}
+	l := lab(t)
 	g := query.MustBuildGraph(job.ByID("1a"))
-	if _, err := o.Optimize(g, lab(t).pg.ForQuery(g)); err == nil {
+	sp := l.space(g, l.pg.ForQuery(g), plan.Bushy)
+	sp.Model = nil
+	if _, err := Optimize(sp, DP, 0); err == nil {
 		t.Fatal("no error without a cost model")
 	}
 }

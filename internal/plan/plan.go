@@ -36,6 +36,7 @@ const (
 	SortMergeJoin
 )
 
+// String returns the operator's name as EXPLAIN prints it.
 func (a JoinAlgo) String() string {
 	switch a {
 	case HashJoin:
@@ -90,6 +91,7 @@ const (
 	ZigZag
 )
 
+// String returns the shape's name as the reports print it.
 func (s Shape) String() string {
 	switch s {
 	case Bushy:
@@ -126,13 +128,6 @@ func Conforms(n *Node, s Shape) bool {
 		return true
 	}
 	return s.Allows(n.Left, n.Right) && Conforms(n.Left, s) && Conforms(n.Right, s)
-}
-
-// IndexChecker answers whether an index exists on (table, column); the
-// index.Set type implements it. It is how physical design (§4.3) reaches
-// the optimizer.
-type IndexChecker interface {
-	Has(table, column string) bool
 }
 
 // RightKeyColumn returns the table and column of the physical join key on

@@ -21,9 +21,8 @@ import (
 	"strings"
 
 	"jobench/internal/cardest"
-	"jobench/internal/costmodel"
 	"jobench/internal/engine"
-	"jobench/internal/index"
+	"jobench/internal/enum"
 	"jobench/internal/metrics"
 	"jobench/internal/optimizer"
 	"jobench/internal/plan"
@@ -72,24 +71,14 @@ const probeBudgetFloor = 4096
 // genuine predicted win.
 const replanMargin = 1.0
 
-// Config fixes the environment for an adaptive execution: the same
-// database, physical design, cost model and enumeration configuration the
-// static optimizer would use, plus the re-optimization policy.
+// Config is what an adaptive execution adds to the plan space it runs in:
+// the enumeration algorithm, the execution settings and the
+// re-optimization policy.
 type Config struct {
-	// DB is the database to execute against.
-	DB *storage.Database
-	// Indexes is the physical design, used both for index-nested-loop
-	// execution and as the optimizer's index checker.
-	Indexes *index.Set
-	// Model is the cost model used by every (re-)optimization.
-	Model costmodel.Model
-
-	// DisableNLJ, Shape, Algorithm and Seed configure the enumerator
-	// exactly as optimizer.Optimizer does.
-	DisableNLJ bool
-	Shape      plan.Shape
-	Algorithm  optimizer.Algorithm
-	Seed       int64
+	// Algorithm and Seed select the enumerator, as optimizer.Optimize
+	// takes them.
+	Algorithm optimizer.Algorithm
+	Seed      int64
 
 	// Rehash and WorkLimit configure execution (probes and the final plan
 	// alike) exactly as engine.Config does.
@@ -156,15 +145,17 @@ type Result struct {
 	Plan *plan.Node
 }
 
-// Run executes g adaptively: optimize under prov, execute plan subtrees
-// bottom-up, and whenever an observed intermediate's q-error exceeds the
-// threshold, re-enter plan enumeration over the whole query with the
-// observation pinned. ctx carries an optional trace (each probe and each
+// Run executes sp's query adaptively: optimize in sp, execute plan subtrees
+// bottom-up against sp's database and indexes, and whenever an observed
+// intermediate's q-error exceeds the threshold, re-enter plan enumeration
+// over the whole query with the observation pinned. A replan plans in a
+// copy of sp whose provider propagates the observations over sp.Cards, so
+// sp itself is never written. ctx carries an optional trace (each probe and each
 // replan decision records a span, so /v1/traces shows *why* an adaptive
 // execution replanned) and bounds execution: a cancelled or
 // deadline-exceeded ctx aborts the current probe or final execution at the
 // next block boundary with ctx's error.
-func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config) (Result, error) {
+func Run(ctx context.Context, sp *enum.Space, cfg Config) (Result, error) {
 	threshold := cfg.QErrThreshold
 	if threshold <= 0 {
 		threshold = DefaultQErrThreshold
@@ -174,20 +165,12 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 		maxReplans = DefaultMaxReplans
 	}
 
+	g, db, idx := sp.G, sp.DB, sp.Indexes
 	overrides := make(map[query.BitSet]float64)
-	opt := &optimizer.Optimizer{
-		DB:         cfg.DB,
-		Model:      cfg.Model,
-		Indexes:    cfg.Indexes,
-		DisableNLJ: cfg.DisableNLJ,
-		Shape:      cfg.Shape,
-		Algorithm:  cfg.Algorithm,
-		Seed:       cfg.Seed,
-	}
 	ecfg := engine.Config{Rehash: cfg.Rehash, WorkLimit: cfg.WorkLimit, Ctx: ctx}
 
 	var res Result
-	cur, err := opt.Optimize(g, prov)
+	cur, err := optimizer.Optimize(sp, cfg.Algorithm, cfg.Seed)
 	if err != nil {
 		return res, fmt.Errorf("reopt: initial plan: %w", err)
 	}
@@ -220,7 +203,7 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 			}
 			if n != root {
 				if rec, ok := probes[n.S]; ok && !rec.aborted {
-					total += plan.Cost(n, g, cfg.DB, inj, cfg.Model)
+					total += plan.Cost(n, g, db, inj, sp.Model)
 					return
 				}
 			}
@@ -237,7 +220,7 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 		}
 		// A probe gets its own work budget scaled off the subtree's expected
 		// work; overrunning it is itself the observation.
-		expected := expectedWork(node, g, cfg.DB)
+		expected := expectedWork(node, g, db)
 		budget := probeOverrunFactor * expected
 		if budget < probeBudgetFloor {
 			budget = probeBudgetFloor
@@ -247,7 +230,7 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 			pcfg.WorkLimit = budget
 		}
 		probeSpan := trace.StartSpan(ctx, "reopt.probe")
-		pr, perr := engine.Run(cfg.DB, cfg.Indexes, g, node, pcfg)
+		pr, perr := engine.Run(db, idx, g, node, pcfg)
 		probeSpan.End(trace.Int64("rels", int64(node.S.Count())),
 			trace.Int64("work", pr.Work), trace.Int64("rows", pr.Rows),
 			trace.Bool("aborted", perr != nil))
@@ -306,15 +289,17 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 		probes[node.S] = probeRec{work: pr.Work, incr: incr, sig: signature(node), aborted: aborted}
 		if q > threshold && res.Replans < maxReplans {
 			replanSpan := trace.StartSpan(ctx, "reopt.replan")
-			inj := NewPropagator(prov, overrides)
-			cand, err := opt.Optimize(g, inj)
+			inj := NewPropagator(sp.Cards, overrides)
+			replan := *sp
+			replan.Cards = inj
+			cand, err := optimizer.Optimize(&replan, cfg.Algorithm, cfg.Seed)
 			if err != nil {
 				return res, fmt.Errorf("reopt: replan %d: %w", res.Replans+1, err)
 			}
 			// Price both plans under the same feedback-corrected estimates,
 			// net of the materialized intermediates each can reuse, and
 			// switch only on a clear predicted win.
-			curCost := plan.Cost(cur, g, cfg.DB, inj, cfg.Model) - reusableCost(cur, inj)
+			curCost := plan.Cost(cur, g, db, inj, sp.Model) - reusableCost(cur, inj)
 			candCost := cand.ECost - reusableCost(cand, inj)
 			step.PredictedGain = candCost / math.Max(1, curCost)
 			if candCost < replanMargin*curCost {
@@ -328,7 +313,7 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 		res.Steps = append(res.Steps, step)
 	}
 
-	final, ferr := engine.Run(cfg.DB, cfg.Indexes, g, cur, ecfg)
+	final, ferr := engine.Run(db, idx, g, cur, ecfg)
 	res.FinalWork = final.Work
 	res.Rows = final.Rows
 	res.Plan = cur
@@ -361,7 +346,7 @@ func Run(ctx context.Context, g *query.Graph, prov cardest.Provider, cfg Config)
 				if rec.sig == signature(n) {
 					return rec.work
 				}
-				m, err := engine.Run(cfg.DB, cfg.Indexes, g, n, engine.Config{Rehash: cfg.Rehash, Ctx: ctx})
+				m, err := engine.Run(db, idx, g, n, engine.Config{Rehash: cfg.Rehash, Ctx: ctx})
 				if err != nil {
 					rerr = err
 					return 0

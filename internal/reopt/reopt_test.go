@@ -5,6 +5,7 @@ import (
 
 	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
+	"jobench/internal/enum"
 	"jobench/internal/imdb"
 	"jobench/internal/index"
 	"jobench/internal/job"
@@ -33,7 +34,6 @@ func TestGatePricesSamePlanAlike(t *testing.T) {
 	}
 	model := costmodel.NewTuned()
 	est := cardest.NewPostgres(db, sdb)
-	opt := &optimizer.Optimizer{DB: db, Model: model, Indexes: idx, DisableNLJ: true}
 	replans, same := 0, 0
 	for qi, q := range job.Workload() {
 		if testing.Short() && qi%10 != 0 {
@@ -41,7 +41,8 @@ func TestGatePricesSamePlanAlike(t *testing.T) {
 		}
 		g := query.MustBuildGraph(q)
 		prov := est.ForQuery(g)
-		cur, err := opt.Optimize(g, prov)
+		sp := &enum.Space{G: g, DB: db, Cards: prov, Model: model, Indexes: idx, DisableNLJ: true}
+		cur, err := optimizer.Optimize(sp, optimizer.DP, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
@@ -61,7 +62,9 @@ func TestGatePricesSamePlanAlike(t *testing.T) {
 		walk(cur)
 		for _, n := range probes {
 			inj := NewPropagator(prov, map[query.BitSet]float64{n.S: 2 * n.ECard})
-			cand, err := opt.Optimize(g, inj)
+			replan := *sp
+			replan.Cards = inj
+			cand, err := optimizer.Optimize(&replan, optimizer.DP, 0)
 			if err != nil {
 				t.Fatalf("%s: replan after %v: %v", q.ID, n.S, err)
 			}

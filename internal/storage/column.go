@@ -21,6 +21,7 @@ const (
 	KindString
 )
 
+// String returns the kind's name ("int" or "string").
 func (k Kind) String() string {
 	switch k {
 	case KindInt:

@@ -21,6 +21,7 @@ import (
 	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
 	"jobench/internal/engine"
+	"jobench/internal/enum"
 	"jobench/internal/index"
 	"jobench/internal/optimizer"
 	"jobench/internal/plan"
@@ -278,16 +279,17 @@ func (s *System) ExplainAnalyze(queryID string, opts RunOptions) (string, error)
 // ExplainAnalyzeContext is ExplainAnalyze with cancellation and the
 // structured result; see OptimizeContext.
 func (s *System) ExplainAnalyzeContext(ctx context.Context, queryID string, opts RunOptions) (ExplainResult, error) {
-	root, g, err := s.optimizeCtx(ctx, queryID, opts.PlanOptions)
+	root, sp, err := s.optimizeCtx(ctx, queryID, opts.PlanOptions)
 	if err != nil {
 		return ExplainResult{}, err
 	}
+	g := sp.G
 	stats := make([]plan.NodeStats, plan.NumNodes(root))
-	sp := trace.StartSpan(ctx, "engine.execute")
-	res, err := engine.Run(s.w.DB, s.idx[s.indexConfig(opts.Indexes)], g, root, engine.Config{
+	span := trace.StartSpan(ctx, "engine.execute")
+	res, err := engine.Run(s.w.DB, sp.Indexes, g, root, engine.Config{
 		Rehash: opts.Rehash, WorkLimit: opts.WorkLimit, Stats: stats, Ctx: ctx,
 	})
-	sp.End(trace.String("query", queryID), trace.Int64("work", res.Work),
+	span.End(trace.String("query", queryID), trace.Int64("work", res.Work),
 		trace.Int64("rows", res.Rows), trace.Bool("analyze", true))
 	if err != nil && !res.TimedOut {
 		return ExplainResult{}, err
@@ -301,15 +303,6 @@ func (s *System) ExplainAnalyzeContext(ctx context.Context, queryID string, opts
 		Work:     res.Work,
 		TimedOut: res.TimedOut,
 	}, nil
-}
-
-// indexConfig clamps a requested physical design to one the system built
-// (unknown configs fall back to PKFK, the paper's default).
-func (s *System) indexConfig(cfg IndexConfig) IndexConfig {
-	if _, ok := s.idx[cfg]; !ok {
-		return PKFK
-	}
-	return cfg
 }
 
 // QueryIDs lists the registered queries in family order (the 113 workload
@@ -477,42 +470,51 @@ func (s *System) Optimize(queryID string, opts PlanOptions) (string, float64, er
 // true-cardinality DP the EstTrue provider may trigger (the service hands
 // the request context in, so a client disconnect or shutdown aborts it).
 func (s *System) OptimizeContext(ctx context.Context, queryID string, opts PlanOptions) (string, float64, error) {
-	root, g, err := s.optimizeCtx(ctx, queryID, opts)
+	root, sp, err := s.optimizeCtx(ctx, queryID, opts)
 	if err != nil {
 		return "", 0, err
 	}
-	return plan.Explain(root, g), root.ECost, nil
+	return plan.Explain(root, sp.G), root.ECost, nil
 }
 
-func (s *System) optimizeCtx(ctx context.Context, queryID string, opts PlanOptions) (*plan.Node, *query.Graph, error) {
+// space resolves what opts name for one query — its join graph, the
+// estimator's provider, the cost model and the physical design — into the
+// plan space every planning path starts from.
+func (s *System) space(ctx context.Context, queryID string, opts PlanOptions) (*enum.Space, error) {
 	g, err := s.graph(queryID)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	idx, ok := s.idx[opts.Indexes]
+	if !ok {
+		return nil, fmt.Errorf("jobench: unknown index config %v", opts.Indexes)
 	}
 	prov, err := s.provider(ctx, queryID, opts.Estimator)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	model, err := s.model(opts.CostModel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	o := &optimizer.Optimizer{
-		DB:         s.w.DB,
-		Model:      model,
-		Indexes:    s.idx[s.indexConfig(opts.Indexes)],
-		DisableNLJ: opts.DisableNestedLoops,
-		Shape:      opts.Shape,
-		Algorithm:  opts.Algorithm,
-		Seed:       opts.Seed,
-	}
-	sp := trace.StartSpan(ctx, "optimize")
-	root, err := o.Optimize(g, prov)
-	sp.End(trace.String("query", queryID))
+	return &enum.Space{
+		G: g, DB: s.w.DB, Cards: prov, Model: model, Indexes: idx,
+		DisableNLJ: opts.DisableNestedLoops, Shape: opts.Shape,
+	}, nil
+}
+
+func (s *System) optimizeCtx(ctx context.Context, queryID string, opts PlanOptions) (*plan.Node, *enum.Space, error) {
+	sp, err := s.space(ctx, queryID, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return root, g, nil
+	span := trace.StartSpan(ctx, "optimize")
+	root, err := optimizer.Optimize(sp, opts.Algorithm, opts.Seed)
+	span.End(trace.String("query", queryID))
+	if err != nil {
+		return nil, nil, err
+	}
+	return root, sp, nil
 }
 
 // Execute optimizes and runs a query.
@@ -522,17 +524,18 @@ func (s *System) Execute(queryID string, opts RunOptions) (Result, error) {
 
 // ExecuteContext is Execute with cancellation; see OptimizeContext.
 func (s *System) ExecuteContext(ctx context.Context, queryID string, opts RunOptions) (Result, error) {
-	root, g, err := s.optimizeCtx(ctx, queryID, opts.PlanOptions)
+	root, sp, err := s.optimizeCtx(ctx, queryID, opts.PlanOptions)
 	if err != nil {
 		return Result{}, err
 	}
-	sp := trace.StartSpan(ctx, "engine.execute")
-	res, err := engine.Run(s.w.DB, s.idx[s.indexConfig(opts.Indexes)], g, root, engine.Config{
+	g := sp.G
+	span := trace.StartSpan(ctx, "engine.execute")
+	res, err := engine.Run(s.w.DB, sp.Indexes, g, root, engine.Config{
 		Rehash:    opts.Rehash,
 		WorkLimit: opts.WorkLimit,
 		Ctx:       ctx,
 	})
-	sp.End(trace.String("query", queryID), trace.Int64("work", res.Work),
+	span.End(trace.String("query", queryID), trace.Int64("work", res.Work),
 		trace.Int64("rows", res.Rows), trace.Bool("timed_out", res.TimedOut))
 	out := Result{
 		Rows:     res.Rows,

@@ -143,6 +143,31 @@ func TestPlanOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestUnknownIndexConfigRejected: a physical design the System did not
+// build is an error on every planning path, not a silent switch to PK+FK.
+func TestUnknownIndexConfigRejected(t *testing.T) {
+	s := system(t)
+	ctx := context.Background()
+	bad := jobench.PlanOptions{Indexes: jobench.IndexConfig(7)}
+	run := jobench.RunOptions{PlanOptions: bad}
+	for name, call := range map[string]func() error{
+		"Optimize": func() error { _, _, err := s.Optimize("1a", bad); return err },
+		"Execute":  func() error { _, err := s.Execute("1a", run); return err },
+		"ExplainAnalyzeContext": func() error {
+			_, err := s.ExplainAnalyzeContext(ctx, "1a", run)
+			return err
+		},
+		"ExecuteAdaptive": func() error {
+			_, err := s.ExecuteAdaptive("1a", jobench.AdaptiveOptions{RunOptions: run})
+			return err
+		},
+	} {
+		if err := call(); err == nil || !strings.Contains(err.Error(), "jobench: unknown index config") {
+			t.Errorf("%s with IndexConfig(7): err = %v, want an unknown index config error", name, err)
+		}
+	}
+}
+
 // TestMakePlanOptionsIndexLabels: every design's Label parses back to that
 // design, "" means PK+FK, and an unknown label is an error naming the
 // vocabulary.

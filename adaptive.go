@@ -33,14 +33,9 @@ type AdaptiveResult struct {
 // executed bottom-up, and observed intermediate cardinalities replace
 // estimates whose q-error exceeds the threshold (re-entering plan
 // enumeration). Every call plans cold from the estimator: observations do
-// not outlive the execution that made them.
-func (s *System) ExecuteAdaptive(queryID string, opts AdaptiveOptions) (AdaptiveResult, error) {
-	return s.ExecuteAdaptiveContext(context.Background(), queryID, opts)
-}
-
-// ExecuteAdaptiveContext is ExecuteAdaptive with cancellation; see
-// OptimizeContext.
-func (s *System) ExecuteAdaptiveContext(ctx context.Context, queryID string, opts AdaptiveOptions) (AdaptiveResult, error) {
+// not outlive the execution that made them. ctx cancels planning and
+// execution; see OptimizeContext.
+func (s *System) ExecuteAdaptive(ctx context.Context, queryID string, opts AdaptiveOptions) (AdaptiveResult, error) {
 	sp, err := s.space(ctx, queryID, opts.PlanOptions)
 	if err != nil {
 		return AdaptiveResult{}, err

@@ -11,8 +11,8 @@
 //	jobench explain    -q 13d [-analyze] [-est postgres] [-model simple] [-idx pkfk] [-scale 0.3]
 //	jobench run        -q 13d [-est postgres] [-model simple] [-idx pkfk] [-rehash] [-no-nlj]
 //	                   [-reopt] [-qerr 2] [-max-replans 4]
-//	jobench experiment -name table1|fig3|fig4|fig5|sec41|fig6|fig7|fig8|fig9|table2|table3|all
-//	                   [-scale 0.3] [-samples 10000] [-max-queries 0] [-parallel N]
+//	jobench experiment -name NAME|all (the names "jobench help" lists)
+//	                   [-scale 0.3] [-samples 10000] [-parallel N]
 //	jobench snapshot   build|inspect|clear [-workload imdb] [-cache-dir .jobench-cache]
 //	                   [-scale 0.3] [-seed 42]
 //	jobench serve      [-addr :8080] [-pool 2] [-workload imdb] [-scale 0.3] [-seed 42] [-cache-dir DIR]
@@ -179,12 +179,6 @@ func planFlags(fs *flag.FlagSet) (est, model, idx *string, noNLJ *bool, shape, a
 	return
 }
 
-// parsePlanOptions delegates to the facade's shared knob vocabulary (the
-// service's JSON API accepts exactly the same strings).
-func parsePlanOptions(est, model, idx string, noNLJ bool, shape, algo string) (jobench.PlanOptions, error) {
-	return jobench.MakePlanOptions(est, model, idx, noNLJ, shape, algo)
-}
-
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	wl, scale, seed, par, cacheDir := openFlags(fs)
@@ -267,18 +261,18 @@ func cmdExplain(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts, err := parsePlanOptions(*est, *model, *idx, *noNLJ, *shape, *algo)
+	opts, err := jobench.MakePlanOptions(*est, *model, *idx, *noNLJ, *shape, *algo)
 	if err != nil {
 		return err
 	}
 	if *analyze {
-		text, err := sys.ExplainAnalyze(*q, jobench.RunOptions{
+		res, err := sys.ExplainAnalyze(context.Background(), *q, jobench.RunOptions{
 			PlanOptions: opts, Rehash: true, WorkLimit: *limit,
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Print(text)
+		fmt.Print(res.Text)
 		return nil
 	}
 	text, cost, err := sys.Optimize(*q, opts)
@@ -305,14 +299,14 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts, err := parsePlanOptions(*est, *model, *idx, *noNLJ, *shape, *algo)
+	opts, err := jobench.MakePlanOptions(*est, *model, *idx, *noNLJ, *shape, *algo)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
 	var res jobench.Result
 	if *adaptive {
-		ares, err := sys.ExecuteAdaptive(*q, jobench.AdaptiveOptions{
+		ares, err := sys.ExecuteAdaptive(context.Background(), *q, jobench.AdaptiveOptions{
 			RunOptions:    jobench.RunOptions{PlanOptions: opts, Rehash: *rehash, WorkLimit: *limit},
 			QErrThreshold: *qerr,
 			MaxReplans:    *maxReplans,
@@ -347,14 +341,13 @@ func cmdRun(args []string) error {
 
 func cmdExperiment(args []string) error {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
-	name := fs.String("name", "all", "experiment: table1|fig3|fig4|fig5|sec41|fig6|fig7|fig8|fig9|table2|table3|ablation-damping|ablation-rehash|hedging|all")
+	name := fs.String("name", "all", "experiment: "+strings.Join(experiments.Names(), "|")+"|all")
 	samples := fs.Int("samples", experiments.DefaultSamples, "random plans per query for fig9")
-	maxQ := fs.Int("max-queries", 0, "limit workload size (0 = all 113)")
 	wl, scale, seed, par, cacheDir := openFlags(fs)
 	fs.Parse(args)
 
 	lab, err := experiments.NewLab(experiments.Config{
-		Workload: *wl, Scale: *scale, Seed: *seed, MaxQueries: *maxQ, Parallel: *par, CacheDir: *cacheDir,
+		Workload: *wl, Scale: *scale, Seed: *seed, Parallel: *par, CacheDir: *cacheDir,
 	})
 	if err != nil {
 		return err

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 	fmt.Printf("static:   %d rows, %12d work units\n", static.Rows, static.Work)
 
 	// Adaptive: probe plan subtrees, replan past q-error 2.
-	adaptive, err := sys.ExecuteAdaptive(qid, jobench.AdaptiveOptions{
+	adaptive, err := sys.ExecuteAdaptive(context.Background(), qid, jobench.AdaptiveOptions{
 		RunOptions: jobench.RunOptions{PlanOptions: plan, Rehash: true},
 	})
 	if err != nil {

@@ -43,7 +43,7 @@ func main() {
 	}
 
 	// Optimize with PostgreSQL-style estimates and execute.
-	res, err := sys.Execute(qid, jobench.RunOptions{
+	run := jobench.RunOptions{
 		PlanOptions: jobench.PlanOptions{
 			Estimator:          jobench.EstPostgres,
 			CostModel:          jobench.ModelSimple,
@@ -51,22 +51,18 @@ func main() {
 			DisableNestedLoops: true,
 		},
 		Rehash: true,
-	})
+	}
+	res, err := sys.Execute(qid, run)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nplan under PostgreSQL estimates:\n%s", res.Plan)
 	fmt.Printf("executed: %d rows, %d work units\n\n", res.Rows, res.Work)
 
-	// The same query planned with true cardinalities: the paper's optimal
-	// baseline.
-	opt, err := sys.Execute(qid, jobench.RunOptions{
-		PlanOptions: jobench.PlanOptions{
-			Estimator:          jobench.EstTrue,
-			DisableNestedLoops: true,
-		},
-		Rehash: true,
-	})
+	// The same query and design planned with true cardinalities: the
+	// paper's optimal baseline.
+	run.Estimator = jobench.EstTrue
+	opt, err := sys.Execute(qid, run)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,11 +22,13 @@ type Model interface {
 	// (following the textbook convention the paper adopts in §6.2),
 	// probes with the right child, and emits out tuples.
 	HashJoinCost(build, probe, out float64) float64
-	// SortMergeJoinCost prices sorting both inputs and merging them. Under
-	// every model here it is strictly above HashJoinCost(left, right, out)
-	// for all left, right, out >= 0, which is why the enumerator does not
-	// price it (the engine still runs it in forced plans). With sort(n) =
-	// c for n < 2 and c·n·log2(n) otherwise:
+	// SortMergeJoinCost prices sorting both inputs and merging them. No
+	// plan operator runs it: under every model here it is strictly above
+	// HashJoinCost(left, right, out) for all left, right, out >= 0, so no
+	// enumerator could choose a sort-merge join, and the engine has none.
+	// The method stays only because the benchmark module's timed model
+	// wrapper forwards it. With sort(n) = c for n < 2 and c·n·log2(n)
+	// otherwise:
 	//   - C_mm (c = τ): sort(l) + sort(r) + out >= 2τ + out > out.
 	//   - PostgreSQL and tuned (c = cpu_operator_cost, t = cpu_tuple_cost
 	//     = 4c): the difference is [sort(l) − c·l] + [sort(r) − c·r] + t·r.
@@ -154,8 +156,7 @@ func (s *Simple) HashJoinCost(build, probe, out float64) float64 { return out }
 // SortMergeJoinCost implements Model. C_mm has no sort-merge case; we price
 // it as sorting both inputs at τ·n·log2(n) (τ below two rows) plus the
 // output, at least 2τ above the hash join's |T|, so hash joins dominate it
-// as in the paper's engine configuration and the enumerator does not try
-// it.
+// as in the paper's engine configuration.
 func (s *Simple) SortMergeJoinCost(left, right, out float64) float64 {
 	sort := func(n float64) float64 {
 		if n < 2 {

@@ -112,9 +112,9 @@ func TestCostProperties(t *testing.T) {
 	}
 }
 
-// TestSortMergeAboveHashJoin: the enumerator never prices sort-merge
-// because, under every model, it costs strictly more than a hash join of
-// the same inputs (Model.SortMergeJoinCost gives the derivation). The grid
+// TestSortMergeAboveHashJoin: no plan has a sort-merge join because,
+// under every model, it costs strictly more than a hash join of the same
+// inputs (Model.SortMergeJoinCost gives the derivation). The grid
 // covers the sort's n < 2 branch and its edge at 2, where the margin is
 // smallest, and sizes far beyond any JOB intermediate.
 func TestSortMergeAboveHashJoin(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package engine executes physical plans over the column store and meters
 // the work they perform. It implements the paper's §2.3 execution model:
 // full table scans, unclustered index lookups, classic nested-loop joins,
-// in-memory hash joins, index-nested-loop joins and sort-merge joins.
+// in-memory hash joins and index-nested-loop joins: exactly the operators
+// an enumerated plan can contain.
 //
 // Two engine behaviours from §4.1 are modelled mechanically, not by
 // formula:
@@ -190,11 +191,9 @@ func (b *batch) colOf(rel int) []int32 {
 // via Runner, across executions. Every buffer is length-reset (never
 // reallocated) when a node claims it.
 type scratch struct {
-	matches []int32 // hash-probe match buffer
-	lIdx    []int32 // left ordinals of the current block's emitted pairs
-	rIdx    []int32 // right ordinals (or base rows, for index joins)
-	keysL   []keyed // sort-merge key arenas
-	keysR   []keyed
+	matches []int32    // hash-probe match buffer
+	lIdx    []int32    // left ordinals of the current block's emitted pairs
+	rIdx    []int32    // right ordinals (or base rows, for index joins)
 	innerV  []int64    // nested-loop: gathered inner key values
 	innerN  []bool     // nested-loop: gathered inner NULL flags
 	fetch   fetchBatch // index join: fetched tuples awaiting the selection
@@ -296,11 +295,6 @@ func (ex *executor) release(b *batch) {
 	}
 }
 
-type keyed struct {
-	key int64
-	i   int32
-}
-
 type executor struct {
 	db    *storage.Database
 	idx   *index.Set
@@ -377,8 +371,6 @@ func (ex *executor) execNode(n *plan.Node, live query.BitSet, id int) (*batch, e
 		return ex.indexJoin(n, live, id)
 	case plan.NestedLoopJoin:
 		return ex.nestedLoop(n, live, id)
-	case plan.SortMergeJoin:
-		return ex.sortMerge(n, live, id)
 	default:
 		return nil, fmt.Errorf("engine: unknown join algorithm %v", n.Algo)
 	}

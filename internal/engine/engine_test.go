@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"jobench/internal/cardest"
@@ -95,14 +96,15 @@ func forceAlgo(n *plan.Node, algo plan.JoinAlgo) {
 	forceAlgo(n.Right, algo)
 }
 
-// TestJoinAlgorithmsAgree: the same plan executed with hash joins,
-// sort-merge joins and nested-loop joins yields identical row counts.
+// TestJoinAlgorithmsAgree: the same plan executed with hash joins and
+// with nested-loop joins yields identical row counts, and a join algorithm
+// the engine has no operator for is an error, not a panic.
 func TestJoinAlgorithmsAgree(t *testing.T) {
 	l := lab(t)
 	for _, qid := range []string{"3b", "1a", "4b", "32a"} {
 		g, root := l.planFor(t, qid, plan.Bushy)
 		var counts []int64
-		for _, algo := range []plan.JoinAlgo{plan.HashJoin, plan.SortMergeJoin, plan.NestedLoopJoin} {
+		for _, algo := range []plan.JoinAlgo{plan.HashJoin, plan.NestedLoopJoin} {
 			forceAlgo(root, algo)
 			res, err := Run(l.db, l.pkfk, g, root, Config{Rehash: true})
 			if err != nil {
@@ -110,9 +112,14 @@ func TestJoinAlgorithmsAgree(t *testing.T) {
 			}
 			counts = append(counts, res.Rows)
 		}
-		if counts[0] != counts[1] || counts[1] != counts[2] {
-			t.Errorf("%s: HJ/SMJ/NLJ disagree: %v", qid, counts)
+		if counts[0] != counts[1] {
+			t.Errorf("%s: HJ/NLJ disagree: %v", qid, counts)
 		}
+	}
+	g, root := l.planFor(t, "3b", plan.Bushy)
+	forceAlgo(root, plan.JoinAlgo(3))
+	if _, err := Run(l.db, l.pkfk, g, root, Config{}); err == nil || !strings.Contains(err.Error(), "engine: unknown join algorithm") {
+		t.Errorf("JoinAlgo(3): err = %v, want unknown join algorithm", err)
 	}
 }
 

@@ -1,15 +1,11 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
-	"math"
-	"slices"
 
 	"jobench/internal/hashtab"
 	"jobench/internal/plan"
 	"jobench/internal/query"
-	"jobench/internal/storage"
 )
 
 // hashJoin builds on the left child (§6.2 convention), probes with the
@@ -291,110 +287,6 @@ func (ex *executor) nestedLoop(n *plan.Node, live query.BitSet, id int) (*batch,
 		}
 	}
 	ex.sc.innerV, ex.sc.innerN = innerV[:0], innerN[:0]
-	ex.sc.lIdx, ex.sc.rIdx = lIdx[:0], rIdx[:0]
-	ex.release(left)
-	ex.release(right)
-	return em.batch(), nil
-}
-
-// sortMerge sorts both inputs on the key and merges.
-func (ex *executor) sortMerge(n *plan.Node, live query.BitSet, id int) (*batch, error) {
-	jc, err := ex.condition(n)
-	if err != nil {
-		return nil, err
-	}
-	leftLive, rightLive := childLive(jc, live)
-	left, err := ex.exec(n.Left, leftLive, plan.LeftChildID(id))
-	if err != nil {
-		return nil, err
-	}
-	right, err := ex.exec(n.Right, rightLive, n.RightChildID(id))
-	if err != nil {
-		return nil, err
-	}
-
-	sortSide := func(buf []keyed, b *batch, rel int, col *storage.Column) ([]keyed, error) {
-		rows := b.colOf(rel)
-		ks := buf[:0]
-		for i, row := range rows {
-			if col.IsNull(int(row)) {
-				continue
-			}
-			ks = append(ks, keyed{col.Ints[row], int32(i)})
-		}
-		n := len(ks)
-		if n > 1 {
-			if err := ex.charge(id, int64(float64(n)*math.Log2(float64(n)))); err != nil {
-				return nil, err
-			}
-		}
-		slices.SortFunc(ks, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
-		return ks, nil
-	}
-	lk, err := sortSide(ex.sc.keysL, left, jc.buildRel, jc.buildCol)
-	if err != nil {
-		return nil, err
-	}
-	rk, err := sortSide(ex.sc.keysR, right, jc.probeRel, jc.probeCol)
-	if err != nil {
-		return nil, err
-	}
-	if err := ex.charge(id, int64(len(lk)+len(rk))); err != nil {
-		return nil, err
-	}
-
-	em := newEmitter(ex.sc, left, right, live, n.ECard)
-	res := bindResiduals(jc, left, right)
-	lIdx, rIdx := ex.sc.lIdx[:0], ex.sc.rIdx[:0]
-	var w int64
-	flush := func() error {
-		em.emitBlock(left, right, lIdx, rIdx)
-		lIdx, rIdx = lIdx[:0], rIdx[:0]
-		err := ex.charge(id, w)
-		w = 0
-		return err
-	}
-	i, j := 0, 0
-	for i < len(lk) && j < len(rk) {
-		switch {
-		case lk[i].key < rk[j].key:
-			i++
-		case lk[i].key > rk[j].key:
-			j++
-		default:
-			key := lk[i].key
-			i2 := i
-			for i2 < len(lk) && lk[i2].key == key {
-				i2++
-			}
-			j2 := j
-			for j2 < len(rk) && rk[j2].key == key {
-				j2++
-			}
-			for a := i; a < i2; a++ {
-				for b := j; b < j2; b++ {
-					w++
-					if !checkResiduals(res, int(lk[a].i), int(rk[b].i)) {
-						continue
-					}
-					lIdx = append(lIdx, lk[a].i)
-					rIdx = append(rIdx, rk[b].i)
-				}
-				// Settle per block of compared pairs, not per pair: the
-				// group cross product is where merge work concentrates.
-				if len(lIdx) >= ex.block || w >= int64(ex.block) {
-					if err := flush(); err != nil {
-						return nil, err
-					}
-				}
-			}
-			i, j = i2, j2
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	ex.sc.keysL, ex.sc.keysR = lk[:0], rk[:0]
 	ex.sc.lIdx, ex.sc.rIdx = lIdx[:0], rIdx[:0]
 	ex.release(left)
 	ex.release(right)

@@ -97,12 +97,11 @@ func (sp *Space) joinOf(left, right *plan.Node) *plan.Node {
 // inner with an index on the inner's column of the lowest edge, the key
 // plan.Node.RightKeyColumn reads back from the built node.
 //
-// Sort-merge is not tried: under every model its local cost is strictly
+// There is no sort-merge join to try: under every model its cost is strictly
 // above the hash join's for the same inputs (costmodel.Model's
 // SortMergeJoinCost says why, and the costmodel tests check it), and
 // adding the same children's costs to both keeps that order, so it could
-// never beat the hash join tried first. plan.Pricer still prices it, for
-// plans built outside the enumerator.
+// never beat the hash join tried first.
 func (sp *Space) price(left, right *plan.Node, edges query.EdgeSet, out float64) (cost float64, algo plan.JoinAlgo, ok bool) {
 	l := plan.Priced{S: left.S, Card: left.ECard, Cost: left.ECost}
 	r := plan.Priced{S: right.S, Card: right.ECard, Cost: right.ECost}

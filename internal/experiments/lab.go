@@ -19,32 +19,9 @@ import (
 	"jobench/internal/world"
 )
 
-// Config controls the experimental setup.
-type Config struct {
-	// Workload names the benchmark world ("imdb", "tpch", "imdb-skew");
-	// empty selects the default IMDB/JOB world. See internal/workload.
-	Workload string
-	// Scale is the data scale (for IMDB, 1.0 ~ 10k titles, ~245k rows).
-	Scale float64
-	// Seed drives all generation and sampling. Zero defaults to 42.
-	Seed int64
-	// MaxQueries truncates the workload for quick runs (0 = all 113).
-	MaxQueries int
-	// Parallel is the worker-pool size for every experiment sweep (lab
-	// setup, Warmup, all drivers, and the per-subset fan-out inside each
-	// true-cardinality computation). 0 means GOMAXPROCS; 1 runs the
-	// serial code path. Reports are byte-identical at any setting.
-	Parallel int
-	// CacheDir enables the persistent snapshot store: the generated
-	// database, both ANALYZE passes, and every computed truth store are
-	// persisted there and reloaded by the next NewLab with the same Scale
-	// and Seed. Corrupted or version-bumped snapshots are regenerated with
-	// a logged warning. Empty disables caching.
-	CacheDir string
-	// Logf receives cache diagnostics (snapshot load/save warnings).
-	// Nil means the standard library's log.Printf.
-	Logf func(format string, args ...any)
-}
+// Config controls the experimental setup: the world a Lab views. Its
+// Parallel also sizes every experiment sweep.
+type Config = world.Options
 
 // QuickConfig is small enough for tests and benchmarks.
 func QuickConfig() Config {
@@ -52,10 +29,9 @@ func QuickConfig() Config {
 }
 
 // Lab bundles everything the experiments share: a view over one
-// world.World (database, index sets, true cardinalities — shared with
-// every other view of that world) plus what is the Lab's own — the
-// MaxQueries truncation of the workload and the estimator profiles built
-// on the Lab's small-sample ANALYZE passes.
+// world.World (database, workload, index sets, true cardinalities — shared
+// with every other view of that world) plus what is the Lab's own, the
+// estimator profiles built on the Lab's small-sample ANALYZE passes.
 type Lab struct {
 	W *world.World
 
@@ -80,29 +56,18 @@ type Lab struct {
 // indexes and (lazily, through Truth) true cardinalities from the
 // snapshot store when Config.CacheDir names one.
 func NewLab(cfg Config) (*Lab, error) {
-	w, err := world.Open(world.Options{
-		Workload: cfg.Workload, Scale: cfg.Scale, Seed: cfg.Seed,
-		Parallel: cfg.Parallel, CacheDir: cfg.CacheDir, Logf: cfg.Logf,
-	})
+	w, err := world.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return NewLabOver(w, cfg.MaxQueries)
+	return NewLabOver(w)
 }
 
 // NewLabOver builds the Lab view over an already-open world (the service
-// pool shares one world between a Lab and a facade System). maxQueries is
-// Config.MaxQueries.
-func NewLabOver(w *world.World, maxQueries int) (*Lab, error) {
+// pool shares one world between a Lab and a facade System).
+func NewLabOver(w *world.World) (*Lab, error) {
 	o := w.Options
-	l := &Lab{W: w, DB: w.DB, Queries: w.Queries}
-	if maxQueries > 0 && maxQueries < len(l.Queries) {
-		l.Queries = l.Queries[:maxQueries]
-	}
-	l.Graphs = make(map[string]*query.Graph, len(l.Queries))
-	for _, q := range l.Queries {
-		l.Graphs[q.ID] = w.Graphs[q.ID]
-	}
+	l := &Lab{W: w, DB: w.DB, Queries: w.Queries, Graphs: w.Graphs}
 
 	// The ANALYZE sample must be small relative to the big tables, like
 	// PostgreSQL's 30,000 rows against IMDB's 36M-row cast_info (~0.1%):

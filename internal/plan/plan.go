@@ -32,8 +32,6 @@ const (
 	// NestedLoopJoin is the classic non-indexed nested loop (the risky
 	// operator §4.1 disables).
 	NestedLoopJoin
-	// SortMergeJoin sorts both inputs and merges.
-	SortMergeJoin
 )
 
 // String returns the operator's name as EXPLAIN prints it.
@@ -45,8 +43,6 @@ func (a JoinAlgo) String() string {
 		return "IndexNLJoin"
 	case NestedLoopJoin:
 		return "NestedLoop"
-	case SortMergeJoin:
-		return "SortMerge"
 	default:
 		return fmt.Sprintf("JoinAlgo(%d)", uint8(a))
 	}
@@ -189,8 +185,6 @@ func (p *Pricer) Join(algo JoinAlgo, left, right Priced, out float64) float64 {
 	switch algo {
 	case HashJoin:
 		local = p.model.HashJoinCost(left.Card, right.Card, out)
-	case SortMergeJoin:
-		local = p.model.SortMergeJoinCost(left.Card, right.Card, out)
 	case NestedLoopJoin:
 		local = p.model.NestedLoopJoinCost(left.Card, right.Card, out)
 	case IndexNLJoin:

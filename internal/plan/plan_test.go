@@ -220,7 +220,7 @@ func TestRightKeyColumn(t *testing.T) {
 }
 
 func TestAlgoAndShapeStrings(t *testing.T) {
-	for _, a := range []JoinAlgo{HashJoin, IndexNLJoin, NestedLoopJoin, SortMergeJoin} {
+	for _, a := range []JoinAlgo{HashJoin, IndexNLJoin, NestedLoopJoin} {
 		if a.String() == "" || strings.HasPrefix(a.String(), "JoinAlgo") {
 			t.Errorf("bad algo string %q", a.String())
 		}

@@ -121,7 +121,7 @@ func (p *Pool) Lab(ctx context.Context, key Key) (*experiments.Lab, error) {
 	e, err := p.resident(ctx, key, "lab.open",
 		func(e *entry) bool { return e.lab != nil },
 		func(_ *Pool, e *entry) (err error) {
-			e.lab, err = experiments.NewLabOver(e.world, 0)
+			e.lab, err = experiments.NewLabOver(e.world)
 			return err
 		})
 	if err != nil {

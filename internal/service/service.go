@@ -312,7 +312,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) (int, err
 		return statusOf(err), err
 	}
 	if req.Adaptive {
-		res, err := sys.ExecuteAdaptiveContext(r.Context(), req.Query, jobench.AdaptiveOptions{
+		res, err := sys.ExecuteAdaptive(r.Context(), req.Query, jobench.AdaptiveOptions{
 			RunOptions:    run,
 			QErrThreshold: req.QErrThreshold,
 			MaxReplans:    req.MaxReplans,
@@ -372,7 +372,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) (int, err
 	if err != nil {
 		return statusOf(err), err
 	}
-	res, err := sys.ExplainAnalyzeContext(r.Context(), req.Query, run)
+	res, err := sys.ExplainAnalyze(r.Context(), req.Query, run)
 	if err != nil {
 		return statusOf(err), err
 	}

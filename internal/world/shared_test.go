@@ -38,7 +38,7 @@ func TestTruthSingleFlightAcrossViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lab, err := experiments.NewLabOver(w, 0)
+	lab, err := experiments.NewLabOver(w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package jobench is a from-scratch Go reproduction of "How Good Are Query
 // Optimizers, Really?" (Leis et al., VLDB 2015): the Join Order Benchmark
 // (JOB) over a synthetic correlated IMDB data set, five cardinality
-// estimator profiles, cardinality injection, three cost models, five plan
+// estimator profiles, cardinality injection, three cost models, three plan
 // enumeration algorithms, and a metered execution engine.
 //
 // This package is the high-level facade. A System owns a generated
@@ -71,7 +71,8 @@ type PlanOptions struct {
 	Estimator string
 	// CostModel is one of the Model* names; empty means ModelSimple.
 	CostModel string
-	// Indexes selects the physical design (default PKFK).
+	// Indexes selects the physical design. Its zero value is NoIndexes;
+	// only MakePlanOptions reads an empty label as PKFK.
 	Indexes IndexConfig
 	// DisableNestedLoops removes non-indexed nested-loop joins (§4.1).
 	DisableNestedLoops bool
@@ -267,18 +268,9 @@ type ExplainResult struct {
 // collection, and renders the plan with the optimizer's estimated
 // cardinality next to the *measured* cardinality of every operator — the
 // classic way to see where estimates collapse, now from real execution
-// rather than the truth store.
-func (s *System) ExplainAnalyze(queryID string, opts RunOptions) (string, error) {
-	res, err := s.ExplainAnalyzeContext(context.Background(), queryID, opts)
-	if err != nil {
-		return "", err
-	}
-	return res.Text, nil
-}
-
-// ExplainAnalyzeContext is ExplainAnalyze with cancellation and the
-// structured result; see OptimizeContext.
-func (s *System) ExplainAnalyzeContext(ctx context.Context, queryID string, opts RunOptions) (ExplainResult, error) {
+// rather than the truth store. ctx cancels planning and execution; see
+// OptimizeContext.
+func (s *System) ExplainAnalyze(ctx context.Context, queryID string, opts RunOptions) (ExplainResult, error) {
 	root, sp, err := s.optimizeCtx(ctx, queryID, opts.PlanOptions)
 	if err != nil {
 		return ExplainResult{}, err
@@ -409,21 +401,13 @@ func (s *System) truthStore(ctx context.Context, queryID string) (*truecard.Stor
 // Everything that consults the truth afterwards — ExplainAnalyze,
 // TrueCardinality, the EstTrue provider — hits the cache.
 func (s *System) Warmup() error {
-	return s.WarmupContext(context.Background())
-}
-
-// WarmupContext is Warmup with cancellation: ctx flows into every
-// true-cardinality DP, so a cancelled warmup (service shutdown, client
-// disconnect) aborts the in-flight computations instead of finishing them
-// orphaned.
-func (s *System) WarmupContext(ctx context.Context) error {
 	s.qmu.RLock()
 	graphs := make([]*query.Graph, len(s.order))
 	for i, id := range s.order {
 		graphs[i] = s.graphs[id]
 	}
 	s.qmu.RUnlock()
-	return s.w.Warm(ctx, graphs)
+	return s.w.Warm(context.Background(), graphs)
 }
 
 // TrueCardinality returns the exact result size of a workload query.

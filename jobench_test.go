@@ -153,12 +153,12 @@ func TestUnknownIndexConfigRejected(t *testing.T) {
 	for name, call := range map[string]func() error{
 		"Optimize": func() error { _, _, err := s.Optimize("1a", bad); return err },
 		"Execute":  func() error { _, err := s.Execute("1a", run); return err },
-		"ExplainAnalyzeContext": func() error {
-			_, err := s.ExplainAnalyzeContext(ctx, "1a", run)
+		"ExplainAnalyze": func() error {
+			_, err := s.ExplainAnalyze(ctx, "1a", run)
 			return err
 		},
 		"ExecuteAdaptive": func() error {
-			_, err := s.ExecuteAdaptive("1a", jobench.AdaptiveOptions{RunOptions: run})
+			_, err := s.ExecuteAdaptive(ctx, "1a", jobench.AdaptiveOptions{RunOptions: run})
 			return err
 		},
 	} {
@@ -252,7 +252,7 @@ func TestAddQueryAndExplainAnalyze(t *testing.T) {
 		t.Fatal("cross product accepted")
 	}
 
-	out, err := s.ExplainAnalyze("custom1", jobench.RunOptions{
+	ex, err := s.ExplainAnalyze(context.Background(), "custom1", jobench.RunOptions{
 		PlanOptions: jobench.PlanOptions{DisableNestedLoops: true},
 		Rehash:      true,
 	})
@@ -260,8 +260,8 @@ func TestAddQueryAndExplainAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"est", "actual", "q-err", "work", "executed:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("ExplainAnalyze missing %q:\n%s", want, out)
+		if !strings.Contains(ex.Text, want) {
+			t.Errorf("ExplainAnalyze missing %q:\n%s", want, ex.Text)
 		}
 	}
 }
@@ -282,7 +282,7 @@ func TestExplainAnalyzeActualsMatchTruth(t *testing.T) {
 	}
 	for _, idx := range []jobench.IndexConfig{jobench.NoIndexes, jobench.PKOnly, jobench.PKFK} {
 		for _, qid := range qids {
-			res, err := s.ExplainAnalyzeContext(context.Background(), qid, jobench.RunOptions{
+			res, err := s.ExplainAnalyze(context.Background(), qid, jobench.RunOptions{
 				PlanOptions: jobench.PlanOptions{Indexes: idx, DisableNestedLoops: true},
 				Rehash:      true,
 			})

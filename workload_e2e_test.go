@@ -6,6 +6,7 @@ package jobench_test
 // acceptance bar for threading workloads through the reopt layer.
 
 import (
+	"context"
 	"testing"
 
 	"jobench"
@@ -66,7 +67,7 @@ func TestTPCHAdaptiveParityWithStatic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s static: %v", qid, err)
 		}
-		ares, err := sys.ExecuteAdaptive(qid, jobench.AdaptiveOptions{
+		ares, err := sys.ExecuteAdaptive(context.Background(), qid, jobench.AdaptiveOptions{
 			RunOptions:    run,
 			QErrThreshold: 1e12, // nothing misestimates this badly
 		})

@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper, one bench
-// per artifact (see DESIGN.md's experiment index), plus micro-benchmarks of
-// the optimizer substrate. The shared lab (data generation, statistics,
-// true cardinalities) is built once outside the timed sections.
+// per artifact (internal/experiments/registry.go lists them), plus
+// micro-benchmarks of the optimizer substrate. The shared lab (data
+// generation, statistics, true cardinalities) is built once outside the
+// timed sections.
 //
 // Run with: go test -bench=. -benchmem
 package jobench_test
@@ -180,7 +181,7 @@ func BenchmarkAnalyze(b *testing.B) {
 	db := imdb.Generate(imdb.Config{Scale: 0.1, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.AnalyzeDatabase(db, stats.DefaultOptions())
+		stats.AnalyzeDatabase(db, stats.DefaultOptions(1))
 	}
 }
 

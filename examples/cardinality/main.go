@@ -18,7 +18,7 @@ import (
 
 func main() {
 	db := imdb.Generate(imdb.Config{Scale: 0.3, Seed: 42})
-	sdb := stats.AnalyzeDatabase(db, stats.DefaultOptions())
+	sdb := stats.AnalyzeDatabase(db, stats.DefaultOptions(1))
 
 	estimators := []cardest.Estimator{
 		cardest.NewPostgres(db, sdb),

@@ -108,72 +108,90 @@ type Figure3System struct {
 
 // Figure3 computes the join estimation error distributions of Fig. 3.
 func (l *Lab) Figure3(ctx context.Context) (*Figure3Result, error) {
-	// One cell per query: the signed errors of every connected
-	// subexpression, per system and join count.
-	perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) ([][][]float64, error) {
+	errs, err := l.errorSweep(ctx, l.Systems()...)
+	if err != nil {
+		return nil, err
+	}
+	res := &Figure3Result{}
+	for i, est := range l.Systems() {
+		sys := Figure3System{System: est.Name()}
+		for _, xs := range errs[i] {
+			sys.ByJoins = append(sys.ByJoins, metrics.NewBoxplot(xs))
+			sys.FracOffBy10 = append(sys.FracOffBy10, fracOffBy10(xs))
+		}
+		res.Systems = append(res.Systems, sys)
+	}
+	return res, nil
+}
+
+// joinErrors is the §3 measurement on one query: for each provider, the
+// signed error (est/true) of every connected subexpression of g with at
+// most maxFigure3Joins joins, bucketed by join count — errs[i][nj].
+func joinErrors(g *query.Graph, st *truecard.Store, provs ...cardest.Provider) [][][]float64 {
+	errs := make([][][]float64, len(provs))
+	for i := range errs {
+		errs[i] = make([][]float64, maxFigure3Joins+1)
+	}
+	g.ConnectedSubsets(func(s query.BitSet) {
+		nj := g.EdgesWithin(s).Count()
+		if nj > maxFigure3Joins {
+			return
+		}
+		truth, ok := st.Card(s)
+		if !ok {
+			return
+		}
+		for i, p := range provs {
+			errs[i][nj] = append(errs[i][nj], metrics.SignedError(p.Card(s), truth))
+		}
+	})
+	return errs
+}
+
+// errorSweep runs joinErrors for every estimator over every query of the
+// workload and merges the buckets in query order: errs[i][nj] holds
+// estimator i's signed errors at nj joins.
+func (l *Lab) errorSweep(ctx context.Context, ests ...cardest.Estimator) ([][][]float64, error) {
+	perQuery, err := runQueries(ctx, l, func(ctx context.Context, _ int, q *query.Query) ([][][]float64, error) {
 		g := l.Graphs[q.ID]
 		st, err := l.Truth(ctx, q.ID)
 		if err != nil {
 			return nil, err
 		}
-		provs := make([]cardest.Provider, len(l.Systems()))
-		for i, est := range l.Systems() {
+		provs := make([]cardest.Provider, len(ests))
+		for i, est := range ests {
 			provs[i] = est.ForQuery(g)
 		}
-		errs := make([][][]float64, len(provs))
-		for i := range errs {
-			errs[i] = make([][]float64, maxFigure3Joins+1)
-		}
-		g.ConnectedSubsets(func(s query.BitSet) {
-			nj := g.EdgesWithin(s).Count()
-			if nj > maxFigure3Joins {
-				return
-			}
-			truth, ok := st.Card(s)
-			if !ok {
-				return
-			}
-			for i, p := range provs {
-				errs[i][nj] = append(errs[i][nj], metrics.SignedError(p.Card(s), truth))
-			}
-		})
-		return errs, nil
+		return joinErrors(g, st, provs...), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	errsBySystem := make([][][]float64, len(l.Systems()))
-	for i := range errsBySystem {
-		errsBySystem[i] = make([][]float64, maxFigure3Joins+1)
-	}
-	for _, errs := range perQuery {
-		for i := range errs {
-			for nj := range errs[i] {
-				errsBySystem[i][nj] = append(errsBySystem[i][nj], errs[i][nj]...)
+	errs := make([][][]float64, len(ests))
+	for i := range errs {
+		errs[i] = make([][]float64, maxFigure3Joins+1)
+		for _, q := range perQuery {
+			for nj, xs := range q[i] {
+				errs[i][nj] = append(errs[i][nj], xs...)
 			}
 		}
 	}
-	res := &Figure3Result{}
-	for i, est := range l.Systems() {
-		sys := Figure3System{System: est.Name()}
-		for nj := 0; nj <= maxFigure3Joins; nj++ {
-			xs := errsBySystem[i][nj]
-			sys.ByJoins = append(sys.ByJoins, metrics.NewBoxplot(xs))
-			off := 0
-			for _, x := range xs {
-				if x >= 10 || x <= 0.1 {
-					off++
-				}
-			}
-			frac := 0.0
-			if len(xs) > 0 {
-				frac = float64(off) / float64(len(xs))
-			}
-			sys.FracOffBy10 = append(sys.FracOffBy10, frac)
-		}
-		res.Systems = append(res.Systems, sys)
+	return errs, nil
+}
+
+// fracOffBy10 is the share of signed errors off by a factor of at least 10
+// in either direction (0 when there are none).
+func fracOffBy10(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
 	}
-	return res, nil
+	off := 0
+	for _, x := range xs {
+		if x >= 10 || x <= 0.1 {
+			off++
+		}
+	}
+	return float64(off) / float64(len(xs))
 }
 
 // Render formats the Fig. 3 panels as text boxplots.
@@ -234,14 +252,15 @@ func (l *Lab) Figure4(ctx context.Context) (*Figure4Result, error) {
 		return nil, err
 	}
 	// The TPC-H side is the registry's tpch world at the lab's seed, scale
-	// and cache dir, analyzed with PostgreSQL's default sample size.
+	// and cache dir, analyzed with PostgreSQL's defaults — the statistics a
+	// System over that world reads, so both share one ANALYZE.
 	topts := l.W.Options
 	topts.Workload = "tpch"
 	tw, err := world.Open(topts)
 	if err != nil {
 		return nil, err
 	}
-	tpg := cardest.NewPostgres(tw.DB, tw.Stats(stats.Options{SampleSize: 30000, Seed: topts.Seed}))
+	tpg := cardest.NewPostgres(tw.DB, tw.Stats(stats.DefaultOptions(tw.Key.Seed)))
 	tpchPanels, err := panels(tw, tpg, "TPC-H ", []string{"tpch5", "tpch8", "tpch10"})
 	if err != nil {
 		return nil, err
@@ -250,20 +269,8 @@ func (l *Lab) Figure4(ctx context.Context) (*Figure4Result, error) {
 }
 
 func figure4Panel(label string, g *query.Graph, prov cardest.Provider, st *truecard.Store) Figure4Panel {
-	byJoins := make([][]float64, maxFigure3Joins+1)
-	g.ConnectedSubsets(func(s query.BitSet) {
-		nj := g.EdgesWithin(s).Count()
-		if nj > maxFigure3Joins {
-			return
-		}
-		truth, ok := st.Card(s)
-		if !ok {
-			return
-		}
-		byJoins[nj] = append(byJoins[nj], metrics.SignedError(prov.Card(s), truth))
-	})
 	p := Figure4Panel{Query: label}
-	for _, xs := range byJoins {
+	for _, xs := range joinErrors(g, st, prov)[0] {
 		p.ByJoins = append(p.ByJoins, metrics.NewBoxplot(xs))
 	}
 	return p
@@ -316,50 +323,14 @@ type Figure5Result struct {
 // distinct counts with exact ones changes the estimates — and makes the
 // underestimation trend *worse*, the "two wrongs make a right" effect.
 func (l *Lab) Figure5(ctx context.Context) (*Figure5Result, error) {
-	type cellResult struct {
-		def, td [][]float64
-	}
-	perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (cellResult, error) {
-		g := l.Graphs[q.ID]
-		st, err := l.Truth(ctx, q.ID)
-		if err != nil {
-			return cellResult{}, err
-		}
-		pDef := l.Postgres.ForQuery(g)
-		pTD := l.PostgresTD.ForQuery(g)
-		out := cellResult{
-			def: make([][]float64, maxFigure3Joins+1),
-			td:  make([][]float64, maxFigure3Joins+1),
-		}
-		g.ConnectedSubsets(func(s query.BitSet) {
-			nj := g.EdgesWithin(s).Count()
-			if nj > maxFigure3Joins {
-				return
-			}
-			truth, ok := st.Card(s)
-			if !ok {
-				return
-			}
-			out.def[nj] = append(out.def[nj], metrics.SignedError(pDef.Card(s), truth))
-			out.td[nj] = append(out.td[nj], metrics.SignedError(pTD.Card(s), truth))
-		})
-		return out, nil
-	})
+	errs, err := l.errorSweep(ctx, l.Postgres, l.PostgresTD)
 	if err != nil {
 		return nil, err
 	}
-	def := make([][]float64, maxFigure3Joins+1)
-	td := make([][]float64, maxFigure3Joins+1)
-	for _, c := range perQuery {
-		for nj := 0; nj <= maxFigure3Joins; nj++ {
-			def[nj] = append(def[nj], c.def[nj]...)
-			td[nj] = append(td[nj], c.td[nj]...)
-		}
-	}
 	res := &Figure5Result{}
-	for nj := 0; nj <= maxFigure3Joins; nj++ {
-		res.Default = append(res.Default, metrics.NewBoxplot(def[nj]))
-		res.TrueDistinct = append(res.TrueDistinct, metrics.NewBoxplot(td[nj]))
+	for nj := range errs[0] {
+		res.Default = append(res.Default, metrics.NewBoxplot(errs[0][nj]))
+		res.TrueDistinct = append(res.TrueDistinct, metrics.NewBoxplot(errs[1][nj]))
 	}
 	return res, nil
 }

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"jobench/internal/cardest"
 	"jobench/internal/plan"
+	"jobench/internal/query"
 )
 
 var (
@@ -122,6 +124,43 @@ func TestFigure3UnderestimationGrows(t *testing.T) {
 		t.Fatal("render broken")
 	}
 	pinReport(t, "fig3", res.Render())
+}
+
+// truthEstimator estimates every subexpression with its true cardinality,
+// read from the Lab's truth stores (which errorSweep resolves first).
+type truthEstimator struct{ l *Lab }
+
+func (e truthEstimator) Name() string { return "true" }
+
+func (e truthEstimator) ForQuery(g *query.Graph) cardest.Provider {
+	st, err := e.l.W.Truth(context.Background(), g)
+	if err != nil {
+		panic(err)
+	}
+	return cardest.True{Store: st}
+}
+
+// TestErrorSweepIsExactUnderTruth: the §3 sweep measures the true
+// cardinalities against themselves as exactly 1 everywhere, at every join
+// count it buckets.
+func TestErrorSweepIsExactUnderTruth(t *testing.T) {
+	l := sharedLab(t)
+	errs, err := l.errorSweep(context.Background(), truthEstimator{l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for nj, xs := range errs[0] {
+		for _, x := range xs {
+			if x != 1 {
+				t.Fatalf("signed error %v at %d joins under true cardinalities, want exactly 1", x, nj)
+			}
+		}
+		n += len(xs)
+	}
+	if n == 0 || len(errs[0][maxFigure3Joins]) == 0 {
+		t.Fatalf("sweep measured %d subexpressions (%d at %d joins)", n, len(errs[0][maxFigure3Joins]), maxFigure3Joins)
+	}
 }
 
 func TestFigure4TPCHIsEasy(t *testing.T) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"jobench/internal/cardest"
@@ -14,11 +15,12 @@ import (
 	"jobench/internal/query"
 )
 
-// This file holds the extension studies beyond the paper's figures (see
-// DESIGN.md §5): a damping-exponent ablation for the DBMS A profile, a
-// hash-table rehashing ablation across underestimation factors, and an
-// evaluation of the risk-hedging ("pessimistic") plan selection the paper
-// proposes as future work in §8.
+// This file holds the extension studies beyond the paper's figures (the
+// registry's "ablation-damping", "ablation-rehash" and "hedging"): a
+// damping-exponent ablation for the DBMS A profile, a hash-table rehashing
+// ablation across underestimation factors, and an evaluation of the
+// risk-hedging ("pessimistic") plan selection the paper proposes as future
+// work in §8.
 
 // DampingAblationResult sweeps the damping exponent of the DBMS A profile.
 type DampingAblationResult struct {
@@ -40,58 +42,23 @@ func (l *Lab) DampingAblation(ctx context.Context, exponents []float64) (*Dampin
 	if len(exponents) == 0 {
 		exponents = []float64{1.0, 0.9, 0.82, 0.7, 0.5}
 	}
+	ests := make([]cardest.Estimator, len(exponents))
+	for i, exp := range exponents {
+		ests[i] = cardest.NewDamped(l.DB, l.Stats, exp)
+	}
+	errs, err := l.errorSweep(ctx, ests...)
+	if err != nil {
+		return nil, err
+	}
 	res := &DampingAblationResult{}
-	for _, exp := range exponents {
-		est := cardest.NewDamped(l.DB, l.Stats, exp)
-		type cellResult struct {
-			byJoins    map[int][]float64
-			off, total int
-		}
-		perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (cellResult, error) {
-			g := l.Graphs[q.ID]
-			st, err := l.Truth(ctx, q.ID)
-			if err != nil {
-				return cellResult{}, err
-			}
-			prov := est.ForQuery(g)
-			out := cellResult{byJoins: make(map[int][]float64)}
-			g.ConnectedSubsets(func(s query.BitSet) {
-				nj := g.EdgesWithin(s).Count()
-				if nj == 0 || nj > maxFigure3Joins {
-					return
-				}
-				truth, ok := st.Card(s)
-				if !ok {
-					return
-				}
-				e := metrics.SignedError(prov.Card(s), truth)
-				out.byJoins[nj] = append(out.byJoins[nj], e)
-				out.total++
-				if e >= 10 || e <= 0.1 {
-					out.off++
-				}
-			})
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		byJoins := make(map[int][]float64)
-		off, total := 0, 0
-		for _, c := range perQuery {
-			for nj, es := range c.byJoins {
-				byJoins[nj] = append(byJoins[nj], es...)
-			}
-			off += c.off
-			total += c.total
-		}
+	for i, exp := range exponents {
 		row := DampingAblationRow{Exponent: exp, MedianAt: make(map[int]float64)}
 		for _, nj := range []int{2, 4, 6} {
-			row.MedianAt[nj] = metrics.Median(byJoins[nj])
+			row.MedianAt[nj] = metrics.Median(errs[i][nj])
 		}
-		if total > 0 {
-			row.FracOffBy10 = float64(off) / float64(total)
-		}
+		// The share counts join subexpressions only (>= 1 join); base-table
+		// selections are Table 1's subject.
+		row.FracOffBy10 = fracOffBy10(slices.Concat(errs[i][1:]...))
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

@@ -239,28 +239,44 @@ type Table2Row struct {
 // Table2 measures how much performance the tree-shape restrictions cost
 // (true cardinalities, both index configurations), like the paper's Table 2.
 func (l *Lab) Table2(ctx context.Context) (*Table2Result, error) {
-	res := &Table2Result{}
-	for _, shape := range []plan.Shape{plan.ZigZag, plan.LeftDeep, plan.RightDeep} {
-		for _, cfg := range index.Designs()[1:] { // PK, PK+FK
-			idx := l.design(cfg)
-			slowdowns, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (float64, error) {
-				st, err := l.Truth(ctx, q.ID)
-				if err != nil {
-					return 0, err
-				}
-				truth := cardest.True{Store: st}
-				bushy, err := enum.DP(l.spaceFor(q.ID, idx, truth, plan.Bushy))
-				if err != nil {
-					return 0, err
-				}
-				restricted, err := enum.DP(l.spaceFor(q.ID, idx, truth, shape))
-				if err != nil {
-					return 0, err
-				}
-				return restricted.ECost / bushy.ECost, nil
-			})
+	shapes := []plan.Shape{plan.ZigZag, plan.LeftDeep, plan.RightDeep}
+	designs := index.Designs()[1:] // PK, PK+FK
+	// ratios[d][qi][s] is query qi's restricted/bushy cost under designs[d]
+	// and shapes[s]; the bushy optimum is planned once per (query, design).
+	ratios := make([][][]float64, len(designs))
+	for d, cfg := range designs {
+		idx := l.design(cfg)
+		var err error
+		ratios[d], err = runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) ([]float64, error) {
+			st, err := l.Truth(ctx, q.ID)
 			if err != nil {
 				return nil, err
+			}
+			truth := cardest.True{Store: st}
+			bushy, err := enum.DP(l.spaceFor(q.ID, idx, truth, plan.Bushy))
+			if err != nil {
+				return nil, err
+			}
+			out := make([]float64, len(shapes))
+			for s, shape := range shapes {
+				restricted, err := enum.DP(l.spaceFor(q.ID, idx, truth, shape))
+				if err != nil {
+					return nil, err
+				}
+				out[s] = restricted.ECost / bushy.ECost
+			}
+			return out, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	res := &Table2Result{}
+	for s, shape := range shapes {
+		for d, cfg := range designs {
+			slowdowns := make([]float64, len(ratios[d]))
+			for qi, r := range ratios[d] {
+				slowdowns[qi] = r[s]
 			}
 			res.Rows = append(res.Rows, Table2Row{
 				Shape:  shape,

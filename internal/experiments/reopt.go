@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"jobench/internal/costmodel"
+	"jobench/internal/job"
 	"jobench/internal/metrics"
 	"jobench/internal/query"
 	"jobench/internal/reopt"
@@ -34,10 +35,10 @@ type ReoptResult struct {
 	Improved int
 }
 
-// ReoptFamily is one JOB query family's aggregate.
+// ReoptFamily is one query family's aggregate.
 type ReoptFamily struct {
-	// Family is the numeric family prefix of the query ids ("13" for
-	// 13a-13d).
+	// Family is the query ids' family, job.FamilyOf: "13" for 13a-13d;
+	// a TPC-H id such as "tpch5" is its own family.
 	Family string
 	// Queries is the family size.
 	Queries int
@@ -63,7 +64,7 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 	rules := engineRules{DisableNLJ: true, Rehash: true}
 	perQuery, err := runQueries(ctx, l, func(ctx context.Context, qi int, q *query.Query) (reoptCell, error) {
 		sp := l.space(q.ID, l.Postgres.ForQuery(l.Graphs[q.ID]), model, l.IdxPK, rules.DisableNLJ)
-		cell := reoptCell{family: familyOf(q.ID)}
+		cell := reoptCell{family: job.FamilyOf(q.ID)}
 
 		// Static: the paper's baseline — plan once on estimates, run to the
 		// timeout.
@@ -153,16 +154,6 @@ func (l *Lab) Reopt(ctx context.Context) (*ReoptResult, error) {
 // cannot produce zero slowdowns (GeoMean needs positive inputs).
 func slowdownOf(work, base int64) float64 {
 	return math.Max(1, float64(work)) / float64(base)
-}
-
-// familyOf extracts the numeric family prefix of a JOB query id ("13d" ->
-// "13").
-func familyOf(id string) string {
-	i := 0
-	for i < len(id) && id[i] >= '0' && id[i] <= '9' {
-		i++
-	}
-	return id[:i]
 }
 
 // Render formats the reopt report.

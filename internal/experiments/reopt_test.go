@@ -47,6 +47,27 @@ func TestReoptExperiment(t *testing.T) {
 		res.GeoStatic, res.GeoAdaptive, res.Replans, res.Probes, res.Improved, len(res.Families))
 }
 
+// TestReoptFamiliesOnTPCH: a TPC-H id has no letter suffix, so every
+// query of the tpch workload is its own family in the reopt report.
+func TestReoptFamiliesOnTPCH(t *testing.T) {
+	l, err := NewLab(Config{Workload: "tpch", Scale: 0.05, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := l.Reopt(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Families) != len(l.Queries) {
+		t.Fatalf("%d families for %d TPC-H queries", len(res.Families), len(l.Queries))
+	}
+	for i, f := range res.Families {
+		if f.Family != l.Queries[i].ID || f.Queries != 1 {
+			t.Errorf("family %d = %q with %d queries, want %q with 1", i, f.Family, f.Queries, l.Queries[i].ID)
+		}
+	}
+}
+
 // TestReoptNoReplanMatchesStatic is the adaptive accounting's metamorphic
 // check: with a q-error threshold no probe can exceed, reopt.Run never
 // replans, every probed intermediate survives into the final plan and is

@@ -10,7 +10,7 @@ import (
 // Unlike KeyedOnce, results are NOT cached — once the winning call returns,
 // the key is forgotten, so a later Do runs fn again. That makes Flight the
 // right shape for expensive fallible work guarded by an external cache (the
-// service's system pool, the facade's truth stores): a thundering herd of
+// service's system pool, the world's truth stores): a thundering herd of
 // cold requests performs the work exactly once, while a failure (or a
 // context cancellation surfaced as an error) never poisons future attempts.
 //
@@ -26,80 +26,74 @@ type flightCall[V any] struct {
 	err  error
 }
 
-// Do returns the result of fn for key, executing fn itself only if no other
-// call for key is in flight; otherwise it blocks until the in-flight call
-// finishes and returns its result. shared reports whether the result came
-// from another caller's execution. fn runs outside the group's lock, so
+// Do returns the result of fn for key, executing fn itself — inline, on
+// the caller's goroutine — only if no other call for key is in flight;
+// otherwise it waits for the in-flight call and returns its result.
+// shared reports whether the result came from another caller's execution.
+// ctx bounds only a joiner's wait: a joiner whose ctx ends first returns
+// ctx.Err() at once, while the initiator's fn runs on (under whatever
+// context fn itself closes over). fn runs outside the group's lock, so
 // flights of distinct keys proceed in parallel.
 //
 // fn must not panic: a panicking fn would leave every waiter for the key
 // blocked forever.
-func (f *Flight[K, V]) Do(key K, fn func() (V, error)) (v V, err error, shared bool) {
+func (f *Flight[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (v V, err error, shared bool) {
+	c, joined := f.join(key)
+	if joined {
+		return c.wait(ctx, true)
+	}
+	f.run(key, c, fn)
+	return c.v, c.err, false
+}
+
+// DoContext is Do with fn detached: it runs on its own goroutine even for
+// the initiating caller, so the initiator's wait is bounded by ctx too —
+// but the flight itself keeps running to completion. That asymmetry is
+// deliberate: the winning fn typically populates an external cache
+// (system pool, report cache), and abandoning it halfway because one
+// requester's deadline fired would waste the work every other waiter —
+// and the next request — could have reused. fn must therefore not close
+// over the caller's context for cancellation.
+func (f *Flight[K, V]) DoContext(ctx context.Context, key K, fn func() (V, error)) (v V, err error, shared bool) {
+	c, joined := f.join(key)
+	if !joined {
+		go f.run(key, c, fn)
+	}
+	return c.wait(ctx, joined)
+}
+
+// join returns key's in-flight call, registering a new one (joined false)
+// when there is none.
+func (f *Flight[K, V]) join(key K) (c *flightCall[V], joined bool) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.m == nil {
 		f.m = make(map[K]*flightCall[V])
 	}
 	if c, ok := f.m[key]; ok {
-		f.mu.Unlock()
-		<-c.done
-		return c.v, c.err, true
+		return c, true
 	}
-	c := &flightCall[V]{done: make(chan struct{})}
+	c = &flightCall[V]{done: make(chan struct{})}
 	f.m[key] = c
-	f.mu.Unlock()
+	return c, false
+}
 
+// run executes fn as key's flight and releases its waiters.
+func (f *Flight[K, V]) run(key K, c *flightCall[V], fn func() (V, error)) {
 	c.v, c.err = fn()
-
 	f.mu.Lock()
 	delete(f.m, key)
 	f.mu.Unlock()
 	close(c.done)
-	return c.v, c.err, false
 }
 
-// DoContext is Do with a bounded wait: if ctx ends before the flight for
-// key finishes, DoContext returns ctx.Err() immediately — but the flight
-// itself keeps running to completion. That asymmetry is deliberate: the
-// winning fn typically populates an external cache (system pool, report
-// cache), and abandoning it halfway because one requester's deadline
-// fired would waste the work every other waiter — and the next request —
-// could have reused. fn receives a context that is NOT the caller's: it
-// stays live until fn returns, so a deadline-bounded requester leaving
-// early never cancels construction out from under later joiners.
-//
-// Unlike Do, fn runs on its own goroutine even for the initiating caller.
-func (f *Flight[K, V]) DoContext(ctx context.Context, key K, fn func() (V, error)) (v V, err error, shared bool) {
-	f.mu.Lock()
-	if f.m == nil {
-		f.m = make(map[K]*flightCall[V])
-	}
-	if c, ok := f.m[key]; ok {
-		f.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.v, c.err, true
-		case <-ctx.Done():
-			var zero V
-			return zero, ctx.Err(), true
-		}
-	}
-	c := &flightCall[V]{done: make(chan struct{})}
-	f.m[key] = c
-	f.mu.Unlock()
-
-	go func() {
-		c.v, c.err = fn()
-		f.mu.Lock()
-		delete(f.m, key)
-		f.mu.Unlock()
-		close(c.done)
-	}()
-
+// wait returns the call's result, or ctx.Err() if ctx ends first.
+func (c *flightCall[V]) wait(ctx context.Context, shared bool) (V, error, bool) {
 	select {
 	case <-c.done:
-		return c.v, c.err, false
+		return c.v, c.err, shared
 	case <-ctx.Done():
 		var zero V
-		return zero, ctx.Err(), false
+		return zero, ctx.Err(), shared
 	}
 }

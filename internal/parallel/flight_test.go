@@ -25,7 +25,7 @@ func TestFlightCollapsesConcurrentCalls(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err, _ := f.Do("k", func() (int, error) {
+		v, err, _ := f.Do(context.Background(), "k", func() (int, error) {
 			calls.Add(1)
 			close(started)
 			<-release
@@ -40,7 +40,7 @@ func TestFlightCollapsesConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err, shared := f.Do("k", func() (int, error) {
+			v, err, shared := f.Do(context.Background(), "k", func() (int, error) {
 				calls.Add(1)
 				return 42, nil
 			})
@@ -76,17 +76,17 @@ func TestFlightCollapsesConcurrentCalls(t *testing.T) {
 func TestFlightDoesNotCacheResultsOrErrors(t *testing.T) {
 	var f Flight[string, int]
 	boom := errors.New("boom")
-	if _, err, _ := f.Do("k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, err, _ := f.Do(context.Background(), "k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("first call: %v", err)
 	}
 	// The failed flight must not latch: the next call runs fn again and can
 	// succeed.
-	v, err, shared := f.Do("k", func() (int, error) { return 7, nil })
+	v, err, shared := f.Do(context.Background(), "k", func() (int, error) { return 7, nil })
 	if err != nil || v != 7 || shared {
 		t.Fatalf("second call: (%d, %v, shared=%v)", v, err, shared)
 	}
 	// And a successful result is not cached either.
-	v, _, _ = f.Do("k", func() (int, error) { return 8, nil })
+	v, _, _ = f.Do(context.Background(), "k", func() (int, error) { return 8, nil })
 	if v != 8 {
 		t.Fatalf("third call returned stale value %d", v)
 	}
@@ -146,6 +146,36 @@ func TestFlightDoContextReturnsOnDeadline(t *testing.T) {
 	}
 }
 
+func TestFlightDoBoundsOnlyTheJoinersWait(t *testing.T) {
+	var f Flight[string, int]
+	release := make(chan struct{})
+	started := make(chan struct{})
+	leader := make(chan int, 1)
+	go func() {
+		// The initiator runs fn inline; its own ctx is already done but
+		// bounds nothing — it still gets fn's result.
+		expired, cancel := context.WithCancel(context.Background())
+		cancel()
+		v, _, _ := f.Do(expired, "k", func() (int, error) {
+			close(started)
+			<-release
+			return 42, nil
+		})
+		leader <- v
+	}()
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	_, err, shared := f.Do(ctx, "k", func() (int, error) { return 0, nil })
+	if !errors.Is(err, context.DeadlineExceeded) || !shared {
+		t.Fatalf("joiner = (%v, shared=%v), want deadline exceeded + shared", err, shared)
+	}
+	close(release)
+	if v := <-leader; v != 42 {
+		t.Fatalf("initiator got %d, want 42", v)
+	}
+}
+
 func TestFlightDoContextCompletesWithoutDeadline(t *testing.T) {
 	var f Flight[string, int]
 	v, err, shared := f.DoContext(context.Background(), "k", func() (int, error) { return 9, nil })
@@ -158,10 +188,10 @@ func TestFlightDistinctKeysDoNotBlock(t *testing.T) {
 	var f Flight[int, int]
 	blockA := make(chan struct{})
 	startedA := make(chan struct{})
-	go f.Do(1, func() (int, error) { close(startedA); <-blockA; return 1, nil })
+	go f.Do(context.Background(), 1, func() (int, error) { close(startedA); <-blockA; return 1, nil })
 	<-startedA
 	// Key 2 must proceed while key 1 is in flight.
-	v, err, _ := f.Do(2, func() (int, error) { return 2, nil })
+	v, err, _ := f.Do(context.Background(), 2, func() (int, error) { return 2, nil })
 	if err != nil || v != 2 {
 		t.Fatalf("key 2 blocked or failed: (%d, %v)", v, err)
 	}

@@ -1,57 +1,62 @@
 package service
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// lruMap is the pool's resident-instance store: a mutex-guarded map plus a
-// recency list, evicting the least-recently-used entry once the map grows
-// past its capacity. An evicted world is simply dropped — worlds and their
-// views are immutable and requests that already hold a reference keep it
-// alive until they finish.
-type lruMap struct {
-	mu      sync.Mutex
-	cap     int
-	m       map[Key]*entry
-	order   []Key // least-recently-used first
-	metrics *Metrics
+// lru is the service's one bounded cache — the pool's resident worlds and
+// the memoized reports: a mutex-guarded map plus a recency list, evicting
+// the least-recently-used entry once the map grows past its capacity.
+// Values are immutable once stored, so a value returned by get is safe to
+// use without the lock; an evicted value is simply dropped, and callers
+// that already hold it keep it alive until they finish.
+type lru[K comparable, V any] struct {
+	mu    sync.Mutex
+	cap   int
+	m     map[K]V
+	order []K // least-recently-used first
+
+	// evictions, when non-nil, counts every eviction.
+	evictions *atomic.Int64
 }
 
-func newLRUMap(capacity int, metrics *Metrics) *lruMap {
-	return &lruMap{cap: capacity, m: make(map[Key]*entry), metrics: metrics}
+func newLRU[K comparable, V any](capacity int, evictions *atomic.Int64) *lru[K, V] {
+	return &lru[K, V]{cap: capacity, m: make(map[K]V), evictions: evictions}
 }
 
-// get returns the entry for key (nil if absent) and marks it
-// most-recently-used. Stored entries are never mutated, so the pointer is
-// safe to read without the lock.
-func (l *lruMap) get(key Key) *entry {
+// get returns key's value and marks it most-recently-used.
+func (l *lru[K, V]) get(key K) (V, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.m[key]
-	if !ok {
-		return nil
+	v, ok := l.m[key]
+	if ok {
+		l.touch(key)
 	}
-	l.touch(key)
-	return e
+	return v, ok
 }
 
-// set stores key's entry, marks it most-recently-used, and evicts the LRU
+// put stores key's value, marks it most-recently-used, and evicts the LRU
 // entry if the map outgrew its capacity.
-func (l *lruMap) set(key Key, e *entry) {
+func (l *lru[K, V]) put(key K, v V) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.m[key] = e
+	l.m[key] = v
 	l.touch(key)
-	// The order-list bound keeps a map/order mismatch (impossible while
-	// keys stay comparable-sane) from turning into an index panic.
+	// The order-list bound keeps a key that never equals itself (a NaN
+	// scale, which the request parsers reject) from turning into an index
+	// panic.
 	for len(l.m) > l.cap && len(l.order) > 0 {
-		victim := l.order[0]
+		delete(l.m, l.order[0])
 		l.order = l.order[1:]
-		delete(l.m, victim)
-		l.metrics.PoolEvictions.Add(1)
+		if l.evictions != nil {
+			l.evictions.Add(1)
+		}
 	}
 }
 
 // touch moves key to the most-recently-used end of the order list.
-func (l *lruMap) touch(key Key) {
+func (l *lru[K, V]) touch(key K) {
 	for i, k := range l.order {
 		if k == key {
 			l.order = append(append(l.order[:i:i], l.order[i+1:]...), key)
@@ -61,7 +66,7 @@ func (l *lruMap) touch(key Key) {
 	l.order = append(l.order, key)
 }
 
-func (l *lruMap) len() int {
+func (l *lru[K, V]) len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.m)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"jobench"
+	"jobench/internal/trace"
 	"jobench/internal/workload"
 	"jobench/internal/world"
 )
@@ -42,7 +43,7 @@ func countingPool(t *testing.T, capacity int, delay time.Duration) (*Pool, *atom
 	m := NewMetrics()
 	p := NewPool(Config{PoolSize: capacity}, m)
 	opens := new(atomic.Int64)
-	p.openWorld = func(Key) (*world.World, error) {
+	p.openWorld = func(workload.Key) (*world.World, error) {
 		opens.Add(1)
 		time.Sleep(delay)
 		return w, nil
@@ -54,7 +55,7 @@ func countingPool(t *testing.T, capacity int, delay time.Duration) (*Pool, *atom
 // concurrent cold requests for one key perform exactly one Open.
 func TestPoolSingleFlight(t *testing.T) {
 	p, opens := countingPool(t, 2, 100*time.Millisecond)
-	key := Key{World: workload.Key{Workload: "imdb", Seed: 7, Scale: 0.02}}
+	key := workload.Key{Workload: "imdb", Seed: 7, Scale: 0.02}
 
 	const callers = 8
 	var wg sync.WaitGroup
@@ -95,11 +96,11 @@ func TestPoolSingleFlight(t *testing.T) {
 // the least recently *used* key is the victim.
 func TestPoolLRUEviction(t *testing.T) {
 	p, opens := countingPool(t, 2, 0)
-	a := Key{World: workload.Key{Workload: "imdb", Seed: 1, Scale: 0.02}}
-	b := Key{World: workload.Key{Workload: "imdb", Seed: 2, Scale: 0.02}}
-	c := Key{World: workload.Key{Workload: "imdb", Seed: 3, Scale: 0.02}}
+	a := workload.Key{Workload: "imdb", Seed: 1, Scale: 0.02}
+	b := workload.Key{Workload: "imdb", Seed: 2, Scale: 0.02}
+	c := workload.Key{Workload: "imdb", Seed: 3, Scale: 0.02}
 
-	for _, k := range []Key{a, b} {
+	for _, k := range []workload.Key{a, b} {
 		if _, err := p.System(context.Background(), k); err != nil {
 			t.Fatal(err)
 		}
@@ -137,10 +138,10 @@ func TestPoolLRUEviction(t *testing.T) {
 // key.
 func TestPoolErrorNotCached(t *testing.T) {
 	p, opens := countingPool(t, 2, 0)
-	key := Key{World: workload.Key{Workload: "imdb", Seed: 9, Scale: 0.02}}
+	key := workload.Key{Workload: "imdb", Seed: 9, Scale: 0.02}
 	failures := 0
 	realOpen := p.openWorld
-	p.openWorld = func(k Key) (*world.World, error) {
+	p.openWorld = func(k workload.Key) (*world.World, error) {
 		if failures == 0 {
 			failures++
 			return nil, errBoom
@@ -156,6 +157,47 @@ func TestPoolErrorNotCached(t *testing.T) {
 	}
 	if got := opens.Load(); got != 1 {
 		t.Fatalf("retry performed %d real Opens, want 1", got)
+	}
+}
+
+// TestPoolBuildsEachViewOnce: a System request and two concurrent
+// different reports on one cold key open the world once and build the Lab
+// once, and never replace the stored entry.
+func TestPoolBuildsEachViewOnce(t *testing.T) {
+	p, opens := countingPool(t, 2, 0)
+	srv := New(Config{Logger: discardLogger()})
+	srv.pool = p
+	key := workload.Key{Workload: "imdb", Seed: 7, Scale: 0.02}
+	tr := trace.New(trace.NewID(), "test")
+	ctx := trace.NewContext(context.Background(), tr)
+
+	if _, err := p.System(ctx, key); err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := p.entries.get(key)
+	var wg sync.WaitGroup
+	for _, name := range []string{"table1", "fig3"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := srv.report(ctx, reportKey{key: key, name: name}); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := opens.Load(); got != 1 {
+		t.Fatalf("%d world opens, want 1", got)
+	}
+	spans := make(map[string]int)
+	for _, sp := range tr.Spans() {
+		spans[sp.Name]++
+	}
+	if spans["system.open"] != 1 || spans["lab.open"] != 1 {
+		t.Fatalf("spans %v, want one system.open and one lab.open", spans)
+	}
+	if now, _ := p.entries.get(key); now != stored {
+		t.Fatal("building the Lab replaced the stored entry")
 	}
 }
 

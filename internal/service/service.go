@@ -1,10 +1,10 @@
 // Package service is the benchmark-as-a-service layer: an HTTP/JSON server
-// that keeps warm jobench.System instances resident in an LRU pool and
-// serves the facade surface (optimize, execute, estimate, workload
-// listing) plus every paper experiment concurrently. Cold instances are
-// built under single-flight — a thundering herd of requests for one
-// (seed, scale) performs exactly one Open — and deterministic experiment
-// reports are memoized in a report cache. The ops surface is /healthz,
+// that keeps warm worlds resident in an LRU pool and serves the facade
+// surface (optimize, execute, estimate, workload listing) plus every paper
+// experiment concurrently. Cold worlds are opened under single-flight — a
+// thundering herd of requests for one (workload, seed, scale) performs
+// exactly one Open — and deterministic experiment reports are memoized in
+// a second LRU of the same type. The ops surface is /healthz,
 // /metrics (Prometheus text format), and graceful shutdown: cancelling the
 // serve context stops the listener, lets in-flight requests finish within
 // ShutdownGrace, and then cancels what is still running, true-cardinality
@@ -23,7 +23,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"jobench"
@@ -48,8 +47,8 @@ type Config struct {
 	// Parallel sizes the worker pools of every resident instance
 	// (0 = GOMAXPROCS).
 	Parallel int
-	// CacheDir is the shared snapshot store; it becomes part of every pool
-	// key. Empty disables snapshot caching (cold opens regenerate).
+	// CacheDir is the snapshot store every pool miss loads from. Empty
+	// disables snapshot caching (cold opens regenerate).
 	CacheDir string
 	// PoolSize bounds the resident instances; the least recently used is
 	// evicted beyond it (default 2).
@@ -93,7 +92,7 @@ type Server struct {
 	metrics *Metrics
 	mux     *serving.Mux
 
-	reports      *reportCache
+	reports      *lru[reportKey, string]
 	reportFlight parallel.Flight[reportKey, string]
 	admit        *admission
 }
@@ -128,7 +127,7 @@ func New(cfg Config) *Server {
 			Slow:   cfg.SlowQuery, Logger: cfg.Logger,
 			Panics: &m.Panics, Observe: m.Observe,
 		},
-		reports: newReportCache(),
+		reports: newLRU[reportKey, string](reportCacheCap, nil),
 		admit:   newAdmission(int64(cfg.ReportCapacity), cfg.MaxQueue),
 	}
 	m.admission = s.admit
@@ -177,7 +176,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 // --- request plumbing -------------------------------------------------------
 
-func (s *Server) key(wl string, seed int64, scale float64) Key {
+func (s *Server) key(wl string, seed int64, scale float64) workload.Key {
 	if wl == "" {
 		wl = s.cfg.DefaultWorkload
 	}
@@ -190,7 +189,7 @@ func (s *Server) key(wl string, seed int64, scale float64) Key {
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		scale = s.cfg.DefaultScale
 	}
-	return Key{World: workload.NewKey(wl, seed, scale), CacheDir: s.cfg.CacheDir}
+	return workload.NewKey(wl, seed, scale)
 }
 
 // system resolves the resident System for a request's world under a
@@ -456,9 +455,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) (int, 
 	if r.URL.Query().Get("format") == "json" {
 		return serving.WriteJSON(w, http.StatusOK, ExperimentResponse{
 			Experiment: name,
-			Workload:   key.World.Workload,
-			Seed:       key.World.Seed,
-			Scale:      key.World.Scale,
+			Workload:   key.Workload,
+			Seed:       key.Seed,
+			Scale:      key.Scale,
 			Report:     text,
 		})
 	}
@@ -516,47 +515,16 @@ func queryWorld(r *http.Request) (wl string, seed int64, scale float64, err erro
 // exactly these inputs (reports are byte-identical at any worker count by
 // the runner's order-preserving contract).
 type reportKey struct {
-	key     Key
+	key     workload.Key
 	name    string
 	samples int
 }
 
 // reportCacheCap bounds the memoized reports. Keys embed client-supplied
 // (seed, scale), so without a cap a client iterating seeds would grow the
-// cache without limit; beyond the cap the oldest insertion is dropped
-// (recomputable at the cost of one sweep).
+// cache without limit; beyond the cap the least recently used report is
+// dropped (recomputable at the cost of one sweep).
 const reportCacheCap = 128
-
-type reportCache struct {
-	mu    sync.Mutex
-	m     map[reportKey]string
-	order []reportKey // insertion order, oldest first
-}
-
-func newReportCache() *reportCache {
-	return &reportCache{m: make(map[reportKey]string)}
-}
-
-func (c *reportCache) get(k reportKey) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	text, ok := c.m[k]
-	return text, ok
-}
-
-func (c *reportCache) put(k reportKey, text string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[k]; !ok {
-		c.order = append(c.order, k)
-	}
-	c.m[k] = text
-	for len(c.m) > reportCacheCap && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, victim)
-	}
-}
 
 // report returns the memoized rendering of one experiment, computing it
 // under single-flight on a miss. The computation runs detached under the
@@ -573,10 +541,10 @@ func (c *reportCache) put(k reportKey, text string) {
 // poisons the cache.
 func (s *Server) report(ctx context.Context, k reportKey) (string, error) {
 	if text, ok := s.reports.get(k); ok {
-		s.metrics.ReportObserve(k.key.World.Workload, true)
+		s.metrics.ReportObserve(k.key.Workload, true)
 		return text, nil
 	}
-	s.metrics.ReportObserve(k.key.World.Workload, false)
+	s.metrics.ReportObserve(k.key.Workload, false)
 	// The computation context: the request root for cancellation, the
 	// requester's trace for observability.
 	root := serving.Root(ctx)

@@ -90,9 +90,11 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions mirror PostgreSQL's default statistics target.
-func DefaultOptions() Options {
-	return Options{SampleSize: 30000, MCVTarget: 100, HistBuckets: 100, Seed: 1}
+// DefaultOptions mirror PostgreSQL's default statistics target, sampling
+// under seed. The facade's statistics and Fig. 4's TPC-H side are both
+// this value, so they share one ANALYZE and one snapshot file.
+func DefaultOptions(seed int64) Options {
+	return Options{SampleSize: 30000, MCVTarget: 100, HistBuckets: 100, Seed: seed}
 }
 
 // Analyze computes statistics for every column of t.

@@ -208,7 +208,7 @@ func TestReservoirDeterministicAndUniform(t *testing.T) {
 func TestAnalyzeDatabase(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Add(uniformTable(100, 10, 1))
-	sdb := AnalyzeDatabase(db, DefaultOptions())
+	sdb := AnalyzeDatabase(db, DefaultOptions(1))
 	if sdb.Table("u") == nil || sdb.Table("missing") != nil {
 		t.Fatal("DB stats lookup broken")
 	}
@@ -240,7 +240,7 @@ func TestAnalyzeStringColumn(t *testing.T) {
 
 func TestEmptyTableAnalyze(t *testing.T) {
 	tbl := storage.NewTable("e", storage.NewIntColumn("x"))
-	cs := Analyze(tbl, DefaultOptions()).Cols["x"]
+	cs := Analyze(tbl, DefaultOptions(1)).Cols["x"]
 	if cs.NDistinct != 1 {
 		t.Fatalf("empty NDistinct = %g", cs.NDistinct)
 	}

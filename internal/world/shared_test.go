@@ -96,6 +96,51 @@ func TestTruthSingleFlightAcrossViews(t *testing.T) {
 	}
 }
 
+// TestTruthJoinerHonoursItsDeadline: a caller that joins another's truth
+// DP stops waiting at its own deadline, while the DP runs on under the
+// initiator and the next caller finds the store in memory.
+func TestTruthJoinerHonoursItsDeadline(t *testing.T) {
+	hooks := world.CountHooks(t)
+	w, err := world.Open(world.Options{Scale: 0.02, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := w.Graphs["13d"]
+	started := make(chan struct{})
+	hooks.BeforeCompute = func(context.Context, *query.Graph) error {
+		close(started)
+		time.Sleep(2 * time.Second)
+		return nil
+	}
+	initiator := make(chan error, 1)
+	go func() {
+		_, err := w.Truth(context.Background(), g)
+		initiator <- err
+	}()
+	<-started
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	begin := time.Now()
+	if _, err := w.Truth(ctx, g); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("joiner err = %v, want context.DeadlineExceeded", err)
+	}
+	if waited := time.Since(begin); waited > time.Second {
+		t.Fatalf("joiner with a 100ms deadline waited %v", waited)
+	}
+
+	if err := <-initiator; err != nil {
+		t.Fatalf("initiator: %v", err)
+	}
+	hooks.BeforeCompute = nil
+	if _, err := w.Truth(context.Background(), g); err != nil {
+		t.Fatal(err)
+	}
+	if got := hooks.Computes.Load(); got != 1 {
+		t.Fatalf("%d truth computations, want 1 (the next caller must hit memory)", got)
+	}
+}
+
 // TestServiceSharesOneWorld drives a replica through both route families
 // on one key — the facade with the "true" estimator, then an experiment —
 // and requires one database generation, one DP per query, and every DP

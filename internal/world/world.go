@@ -182,8 +182,8 @@ func (w *World) IndexConfigs() []index.Config { return w.wl.IndexConfigs() }
 
 // Stats returns the ANALYZE statistics of the database under opts,
 // resolving them on first use. Each distinct opts value is its own
-// artifact (and snapshot file): the facade, the Lab and Figure 4 analyze
-// the same database with different sample sizes.
+// artifact (and snapshot file): the facade and the Lab analyze the same
+// database with different sample sizes.
 func (w *World) Stats(opts stats.Options) *stats.DB {
 	return w.stats.Get(opts, func() *stats.DB {
 		sdb, _ := resolve(w, "stats",
@@ -230,17 +230,19 @@ func (w *World) Prepare(sopts []stats.Options, configs []index.Config) error {
 // under one id never share a store.
 //
 // A burst of concurrent requests for one unresolved store runs the DP
-// exactly once and shares the result. Errors are not latched: a cancelled
-// or failed computation leaves the next caller free to retry. The
-// "truecard" span covers the flight wait, so joiners record how long they
-// blocked on the shared computation too.
+// exactly once, inline under the first caller's ctx, and shares the
+// result; each joiner's ctx bounds only its own wait, so a joiner whose
+// deadline passes returns ctx.Err() while the DP runs on. Errors are not
+// latched: a cancelled or failed computation leaves the next caller free
+// to retry. The "truecard" span covers the flight wait, so joiners record
+// how long they blocked on the shared computation too.
 func (w *World) Truth(ctx context.Context, g *query.Graph) (*truecard.Store, error) {
 	if st, ok := w.truth.Load(g); ok {
 		return st.(*truecard.Store), nil
 	}
 	sp := trace.StartSpan(ctx, "truecard")
 	defer func() { sp.End(trace.String("query", g.Q.ID)) }()
-	st, err, _ := w.truthFlight.Do(g, func() (*truecard.Store, error) {
+	st, err, _ := w.truthFlight.Do(ctx, g, func() (*truecard.Store, error) {
 		if st, ok := w.truth.Load(g); ok {
 			return st.(*truecard.Store), nil
 		}

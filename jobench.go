@@ -187,7 +187,7 @@ func Open(opts Options) (*System, error) {
 // NewSystem builds the facade view over an already-open world (the
 // service pool shares one world between a System and an experiments Lab).
 func NewSystem(w *world.World) (*System, error) {
-	sopts := stats.Options{SampleSize: 30000, MCVTarget: 100, HistBuckets: 100, Seed: w.Key.Seed}
+	sopts := stats.DefaultOptions(w.Key.Seed)
 	configs := w.IndexConfigs()
 	if err := w.Prepare([]stats.Options{sopts}, configs); err != nil {
 		return nil, err

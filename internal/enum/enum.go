@@ -10,7 +10,10 @@ package enum
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
@@ -65,12 +68,10 @@ func (sp *Space) prepared() *Space {
 	return &c
 }
 
-// leafFor builds an annotated scan node.
-func (sp *Space) leafFor(r int) *plan.Node {
-	n := plan.Leaf(r)
-	n.ECard = sp.Cards.Card(n.S)
-	n.ECost = sp.pricer.Scan(r)
-	return n
+// leaf returns the annotated scan node of relation r.
+func (sp *Space) leaf(r int) plan.Node {
+	s := query.Bit(r)
+	return plan.Node{S: s, Rel: r, ECard: sp.Cards.Card(s), ECost: sp.pricer.Scan(r)}
 }
 
 // joinOf builds the cheapest join of (left, right) in this orientation, or
@@ -86,8 +87,10 @@ func (sp *Space) joinOf(left, right *plan.Node) *plan.Node {
 	if !ok {
 		return nil
 	}
-	n := join(left, right, edges, nil, out, cost, algo)
-	return &n
+	return &plan.Node{
+		S: left.S.Union(right.S), Rel: -1, Algo: algo, Left: left, Right: right,
+		EdgeIdxs: edges.Elems(), ECard: out, ECost: cost,
+	}
 }
 
 // price returns the cheapest algorithm, and its total cost, for joining
@@ -122,37 +125,121 @@ func (sp *Space) price(left, right *plan.Node, edges query.EdgeSet, out float64)
 	return cost, algo, ok
 }
 
-// join returns the join node price chose, its edge indexes appended to
-// idxs.
-func join(left, right *plan.Node, edges query.EdgeSet, idxs []int, out, cost float64, algo plan.JoinAlgo) plan.Node {
-	return plan.Node{
-		S: left.S.Union(right.S), Rel: -1, Algo: algo, Left: left, Right: right,
-		EdgeIdxs: edges.AppendTo(idxs), ECard: out, ECost: cost,
+// pair is one csg-cmp pair: two disjoint connected sets linked by an edge.
+type pair struct{ s1, s2 query.BitSet }
+
+// entry is the DP table's slot for one connected relation set: the set's
+// best plan so far, held by value, and touch, the edges with at least one
+// endpoint in the set. Two disjoint sets are joined over exactly the edges
+// both touch, so a pair's edges are the AND of its halves' masks and a
+// union's mask is their OR; no pair scans the graph's edges.
+type entry struct {
+	node  plan.Node
+	touch query.EdgeSet
+}
+
+// work is the memory one DP call plans in: the csg-cmp pairs in enumeration
+// order and sorted by union size, an open-addressed table from relation set
+// to entry index, and the entries. A call takes one from workPool and puts
+// it back when done; no plan DP returns points into it, because DP copies
+// the chosen tree out. The pairs are rebuilt per call rather than cached
+// per graph: the 113 JOB graphs hold 240 143 csg-cmp pairs, about 5.5 MiB
+// at 24 B per pair with its edge mask, more than the whole live heap of a
+// process that plans all of them.
+type work struct {
+	pairs, sorted []pair
+	keys          []query.BitSet // 0 marks an empty slot; sets are non-empty
+	idx           []int32        // entry index of the set in keys[i]
+	shift         uint           // 64 - log2(len(keys))
+	entries       []entry
+}
+
+var workPool = sync.Pool{New: func() any { return new(work) }}
+
+// sortBySize fills w.sorted with w.pairs in ascending order of union size,
+// by a stable counting sort, so pairs of one size keep their enumeration
+// order.
+func (w *work) sortBySize() {
+	var next [64]int // a union has at most 63 relations
+	for _, p := range w.pairs {
+		next[p.s1.Union(p.s2).Count()]++
+	}
+	at := 0
+	for c, k := range next {
+		next[c], at = at, at+k
+	}
+	w.sorted = slices.Grow(w.sorted[:0], len(w.pairs))[:len(w.pairs)]
+	for _, p := range w.pairs {
+		c := p.s1.Union(p.s2).Count()
+		w.sorted[next[c]] = p
+		next[c]++
 	}
 }
 
-// emit offers the csg-cmp pair (s1, s2) to the DP table in both
-// orientations. The union's cardinality is asked of the provider once per
-// set: once the set has a plan, its ECard is that answer. Each set gets one
-// node: a later pair or orientation that beats it overwrites it in place,
-// reusing its EdgeIdxs array. That is safe because DP emits the pairs in
-// ascending order of union size, so every pair whose union is s is emitted
-// before any larger set is joined, and no node holds a pointer to s's node
-// while it may still change.
-func (sp *Space) emit(table map[query.BitSet]*plan.Node, s1, s2 query.BitSet) {
-	l, r := table[s1], table[s2]
-	edges := sp.G.EdgesBetween(s1, s2)
-	if l == nil || r == nil || edges == 0 {
+// reset empties the table and sizes it for sets relation sets: a power of
+// two at least twice that many slots, so linear probes stay short, and room
+// for sets entries, so adding one never moves those working nodes point to.
+func (w *work) reset(sets int) {
+	logSize := bits.Len(uint(2*sets - 1))
+	w.keys = slices.Grow(w.keys[:0], 1<<logSize)[:1<<logSize]
+	clear(w.keys)
+	w.idx = slices.Grow(w.idx[:0], 1<<logSize)[:1<<logSize]
+	w.shift = 64 - uint(logSize)
+	w.entries = slices.Grow(w.entries[:0], sets)
+}
+
+// slot returns the index in w.keys that holds s, or else the empty slot
+// where s belongs: a multiplicative hash, then a linear probe.
+func (w *work) slot(s query.BitSet) int {
+	mask := len(w.keys) - 1
+	i := int(uint64(s) * 0x9E3779B97F4A7C15 >> w.shift)
+	for w.keys[i] != s && w.keys[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// at returns the entry of the set in slot i, or nil if the slot is empty.
+func (w *work) at(i int) *entry {
+	if w.keys[i] == 0 {
+		return nil
+	}
+	return &w.entries[w.idx[i]]
+}
+
+// add puts s into the empty slot i with a zero entry and returns the entry.
+func (w *work) add(i int, s query.BitSet) *entry {
+	if len(w.entries) == cap(w.entries) {
+		panic("enum: more relation sets than the enumeration counted")
+	}
+	w.keys[i], w.idx[i] = s, int32(len(w.entries))
+	w.entries = append(w.entries, entry{})
+	return &w.entries[len(w.entries)-1]
+}
+
+// emit offers the csg-cmp pair p to the DP table in both orientations. The
+// union's cardinality is asked of the provider once per set: once the set
+// has a plan, its ECard is that answer. Each set gets one entry: a later
+// pair or orientation that beats its plan overwrites the node in place.
+// That is safe because DP emits the pairs in ascending order of union size,
+// so every pair whose union is s is emitted before any larger set is
+// joined, and no node points to s's node while it may still change.
+func (sp *Space) emit(w *work, p pair) {
+	l, r := w.at(w.slot(p.s1)), w.at(w.slot(p.s2))
+	if l == nil || r == nil {
 		return
 	}
-	s := s1.Union(s2)
-	cur := table[s]
+	edges := l.touch & r.touch // non-empty: the halves of a pair are linked
+	s := p.s1.Union(p.s2)
+	i := w.slot(s)
+	cur := w.at(i)
+	var best *plan.Node
 	var out float64
-	known := cur != nil
-	if known {
-		out = cur.ECard
+	if cur != nil {
+		best, out = &cur.node, cur.node.ECard
 	}
-	for _, lr := range [2][2]*plan.Node{{l, r}, {r, l}} {
+	known := cur != nil
+	for _, lr := range [2][2]*plan.Node{{&l.node, &r.node}, {&r.node, &l.node}} {
 		left, right := lr[0], lr[1]
 		if !sp.Shape.Allows(left, right) {
 			continue
@@ -161,14 +248,15 @@ func (sp *Space) emit(table map[query.BitSet]*plan.Node, s1, s2 query.BitSet) {
 			out, known = sp.Cards.Card(s), true
 		}
 		cost, algo, ok := sp.price(left, right, edges, out)
-		if !ok || !beats(cost, left.S, right.S, cur) {
+		if !ok || !beats(cost, left.S, right.S, best) {
 			continue
 		}
 		if cur == nil {
-			cur = new(plan.Node)
-			table[s] = cur
+			cur = w.add(i, s)
+			cur.touch = l.touch | r.touch
+			best = &cur.node
 		}
-		*cur = join(left, right, edges, cur.EdgeIdxs[:0], out, cost, algo)
+		cur.node = plan.Node{S: s, Rel: -1, Algo: algo, Left: left, Right: right, ECard: out, ECost: cost}
 	}
 }
 
@@ -201,46 +289,88 @@ func beats(cost float64, left, right query.BitSet, cur *plan.Node) bool {
 // size so both halves are final when they are joined, and returns the
 // optimal plan for the full query under the space's provider, model and
 // shape restriction.
+//
+// All of a call's working memory is one work value from a pool, sized from
+// the enumeration's count of connected sets, and the working nodes carry no
+// edge lists. Only the chosen tree is copied out, so the returned plan owns
+// its memory and keeps none of the other sets' plans alive.
 func DP(sp *Space) (*plan.Node, error) {
 	sp = sp.prepared()
 	g := sp.G
-	table := make(map[query.BitSet]*plan.Node, 4*g.N)
-	for r := 0; r < g.N; r++ {
-		table[query.Bit(r)] = sp.leafFor(r)
-	}
+	w := workPool.Get().(*work)
+	defer workPool.Put(w)
 
-	// Bucket the pairs by union size: the enumeration order can join a set
-	// before all of its subsets have their final plans. Within a bucket the
+	// Sort the pairs by union size: the enumeration order can join a set
+	// before all of its subsets have their final plans. Within a size the
 	// order does not matter, since beats picks the same winner in any order.
-	type pair struct{ s1, s2 query.BitSet }
-	bySize := make([][]pair, g.N+1)
-	enumerateCsgCmpPairs(g, func(s1, s2 query.BitSet) {
-		c := s1.Union(s2).Count()
-		bySize[c] = append(bySize[c], pair{s1, s2})
-	})
-	for _, list := range bySize {
-		for _, p := range list {
-			sp.emit(table, p.s1, p.s2)
-		}
+	var sets int
+	w.pairs, sets = enumerateCsgCmpPairs(g, w.pairs[:0])
+	w.sortBySize()
+	w.reset(sets)
+	for r := 0; r < g.N; r++ {
+		s := query.Bit(r)
+		w.add(w.slot(s), s).node = sp.leaf(r)
+	}
+	for ei, e := range g.Edges { // entries[r] is relation r's leaf
+		w.entries[e.U].touch = w.entries[e.U].touch.Add(ei)
+		w.entries[e.V].touch = w.entries[e.V].touch.Add(ei)
+	}
+	for _, p := range w.sorted {
+		sp.emit(w, p)
 	}
 
-	n := table[query.FullSet(g.N)]
-	if n == nil {
+	root := w.at(w.slot(query.FullSet(g.N)))
+	if root == nil {
 		return nil, fmt.Errorf("enum: no plan for %s (shape %v too restrictive?)", g.Q.ID, sp.Shape)
 	}
-	return n, nil
+	c := treeCopy{g: g, nodes: make([]plan.Node, 0, 2*g.N-1), idxs: make([]int, 0, len(g.Edges))}
+	return c.node(&root.node), nil
+}
+
+// treeCopy copies a plan out of DP's working set: its 2N−1 nodes into one
+// slice and their edge lists into one slice of len(g.Edges), which is
+// enough because each edge links its endpoints at exactly one join.
+type treeCopy struct {
+	g     *query.Graph
+	nodes []plan.Node
+	idxs  []int
+}
+
+// node copies n and its subtree and returns the copy.
+func (c *treeCopy) node(n *plan.Node) *plan.Node {
+	c.nodes = append(c.nodes, *n)
+	out := &c.nodes[len(c.nodes)-1]
+	if !n.IsLeaf() {
+		from := len(c.idxs)
+		c.idxs = c.g.EdgesBetween(n.Left.S, n.Right.S).AppendTo(c.idxs)
+		out.EdgeIdxs = c.idxs[from:len(c.idxs):len(c.idxs)]
+		out.Left, out.Right = c.node(n.Left), c.node(n.Right)
+	}
+	return out
 }
 
 // enumerateCsgCmpPairs implements the canonical Moerkotte/Neumann csg-cmp
 // enumeration: every connected subgraph S1 is paired with every connected
 // subgraph S2 of its complement that is reachable through at least one edge;
-// each unordered pair is emitted exactly once.
-func enumerateCsgCmpPairs(g *query.Graph, emit func(s1, s2 query.BitSet)) {
+// each unordered pair is appended to pairs exactly once. It also returns
+// how many connected subgraphs it visited: each is visited once as an S1,
+// so that is g.CountConnectedSubsets(), the number of sets DP can plan.
+func enumerateCsgCmpPairs(g *query.Graph, pairs []pair) ([]pair, int) {
+	e := csgCmp{g: g, pairs: pairs}
 	for i := g.N - 1; i >= 0; i-- {
 		v := query.Bit(i)
-		emitCsg(g, v, emit)
-		enumerateCsgRec(g, v, lowSet(i+1), emit)
+		e.emitCsg(v)
+		e.enumerateCsgRec(v, lowSet(i+1))
 	}
+	return e.pairs, e.sets
+}
+
+// csgCmp is the enumeration's state: the graph, the pairs so far and the
+// number of connected subgraphs visited.
+type csgCmp struct {
+	g     *query.Graph
+	pairs []pair
+	sets  int
 }
 
 // lowSet returns {0, .., i-1}.
@@ -248,48 +378,49 @@ func lowSet(i int) query.BitSet { return query.BitSet(1)<<uint(i) - 1 }
 
 // enumerateCsgRec grows the connected subgraph S by non-empty subsets of its
 // neighbourhood excluding X, emitting each grown csg's complements first.
-func enumerateCsgRec(g *query.Graph, s, x query.BitSet, emit func(s1, s2 query.BitSet)) {
-	n := g.Neighborhood(s).Minus(x)
+func (e *csgCmp) enumerateCsgRec(s, x query.BitSet) {
+	n := e.g.Neighborhood(s).Minus(x)
 	if n.Empty() {
 		return
 	}
 	for sub := n; sub != 0; sub = nextSubset(sub, n) {
-		emitCsg(g, s.Union(sub), emit)
+		e.emitCsg(s.Union(sub))
 	}
 	for sub := n; sub != 0; sub = nextSubset(sub, n) {
-		enumerateCsgRec(g, s.Union(sub), x.Union(n), emit)
+		e.enumerateCsgRec(s.Union(sub), x.Union(n))
 	}
 }
 
-// emitCsg enumerates all connected complements of the csg S1.
-func emitCsg(g *query.Graph, s1 query.BitSet, emit func(a, b query.BitSet)) {
+// emitCsg counts the csg S1 and enumerates all its connected complements.
+func (e *csgCmp) emitCsg(s1 query.BitSet) {
+	e.sets++
 	x := s1.Union(lowSet(s1.First() + 1)) // B_min(S1) ∪ S1
-	n := g.Neighborhood(s1).Minus(x)
+	n := e.g.Neighborhood(s1).Minus(x)
 	if n.Empty() {
 		return
 	}
-	for v := g.N - 1; v >= 0; v-- {
+	for v := e.g.N - 1; v >= 0; v-- {
 		if !n.Has(v) {
 			continue
 		}
 		s2 := query.Bit(v)
-		emit(s1, s2)
+		e.pairs = append(e.pairs, pair{s1, s2})
 		// Grow S2 within the complement, excluding smaller neighbours of
 		// S1 (B_v ∩ N) which later iterations of this loop handle.
-		enumerateCmpRec(g, s1, s2, x.Union(n.Intersect(lowSet(v+1))), emit)
+		e.enumerateCmpRec(s1, s2, x.Union(n.Intersect(lowSet(v+1))))
 	}
 }
 
-func enumerateCmpRec(g *query.Graph, s1, s2, x query.BitSet, emit func(a, b query.BitSet)) {
-	n := g.Neighborhood(s2).Minus(x)
+func (e *csgCmp) enumerateCmpRec(s1, s2, x query.BitSet) {
+	n := e.g.Neighborhood(s2).Minus(x)
 	if n.Empty() {
 		return
 	}
 	for sub := n; sub != 0; sub = nextSubset(sub, n) {
-		emit(s1, s2.Union(sub))
+		e.pairs = append(e.pairs, pair{s1, s2.Union(sub)})
 	}
 	for sub := n; sub != 0; sub = nextSubset(sub, n) {
-		enumerateCmpRec(g, s1, s2.Union(sub), x.Union(n), emit)
+		e.enumerateCmpRec(s1, s2.Union(sub), x.Union(n))
 	}
 }
 
@@ -310,9 +441,11 @@ func QuickPick(sp *Space, rng *rand.Rand) (*plan.Node, error) {
 // are immutable (joins allocate fresh nodes), so repeated QuickPick runs
 // share them instead of re-deriving cardinalities and scan costs per run.
 func (sp *Space) leaves() []*plan.Node {
+	nodes := make([]plan.Node, sp.G.N)
 	ls := make([]*plan.Node, sp.G.N)
 	for r := range ls {
-		ls[r] = sp.leafFor(r)
+		nodes[r] = sp.leaf(r)
+		ls[r] = &nodes[r]
 	}
 	return ls
 }
@@ -394,10 +527,7 @@ func QuickPickBest(sp *Space, k int, seed int64) (*plan.Node, error) {
 func GOO(sp *Space) (*plan.Node, error) {
 	sp = sp.prepared()
 	g := sp.G
-	var trees []*plan.Node
-	for r := 0; r < g.N; r++ {
-		trees = append(trees, sp.leafFor(r))
-	}
+	trees := sp.leaves()
 	for len(trees) > 1 {
 		bestI, bestJ := -1, -1
 		bestCard := math.Inf(1)

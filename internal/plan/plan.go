@@ -67,9 +67,6 @@ type Node struct {
 	ECost float64
 }
 
-// Leaf returns a scan node for relation r.
-func Leaf(r int) *Node { return &Node{S: query.Bit(r), Rel: r} }
-
 // IsLeaf reports whether n is a base-relation scan.
 func (n *Node) IsLeaf() bool { return n.Rel >= 0 }
 

@@ -9,6 +9,9 @@ import (
 	"jobench/internal/storage"
 )
 
+// leafNode returns a scan node for relation r.
+func leafNode(r int) *Node { return &Node{S: query.Bit(r), Rel: r} }
+
 // fakeCards is a stub provider with explicit cardinalities.
 type fakeCards struct {
 	cards map[query.BitSet]float64
@@ -59,9 +62,9 @@ func chainSetup() (*query.Graph, *storage.Database) {
 
 func linearPlan(algo JoinAlgo) *Node {
 	j1 := &Node{S: query.NewBitSet(0, 1), Rel: -1, Algo: algo,
-		Left: Leaf(0), Right: Leaf(1), EdgeIdxs: []int{0}}
+		Left: leafNode(0), Right: leafNode(1), EdgeIdxs: []int{0}}
 	return &Node{S: query.NewBitSet(0, 1, 2), Rel: -1, Algo: algo,
-		Left: j1, Right: Leaf(2), EdgeIdxs: []int{1}}
+		Left: j1, Right: leafNode(2), EdgeIdxs: []int{1}}
 }
 
 func TestShapeClassification(t *testing.T) {
@@ -73,9 +76,9 @@ func TestShapeClassification(t *testing.T) {
 		t.Fatal("left-deep plan accepted as right-deep")
 	}
 	rightDeep := &Node{S: query.NewBitSet(0, 1, 2), Rel: -1, Algo: HashJoin,
-		Left: Leaf(2), EdgeIdxs: []int{1},
+		Left: leafNode(2), EdgeIdxs: []int{1},
 		Right: &Node{S: query.NewBitSet(0, 1), Rel: -1, Algo: HashJoin,
-			Left: Leaf(0), Right: Leaf(1), EdgeIdxs: []int{0}}}
+			Left: leafNode(0), Right: leafNode(1), EdgeIdxs: []int{0}}}
 	if !Conforms(rightDeep, RightDeep) || Conforms(rightDeep, LeftDeep) {
 		t.Fatal("right-deep plan misclassified")
 	}
@@ -83,14 +86,14 @@ func TestShapeClassification(t *testing.T) {
 		t.Fatal("right-deep is a zig-zag")
 	}
 	// A one-leaf tree conforms to everything.
-	if !Conforms(Leaf(0), LeftDeep) || !Conforms(Leaf(0), RightDeep) {
+	if !Conforms(leafNode(0), LeftDeep) || !Conforms(leafNode(0), RightDeep) {
 		t.Fatal("leaf misclassified")
 	}
 }
 
 func TestShapeAllows(t *testing.T) {
 	joined := &Node{S: query.NewBitSet(0, 1), Rel: -1}
-	leaf := Leaf(2)
+	leaf := leafNode(2)
 	if !LeftDeep.Allows(joined, leaf) || LeftDeep.Allows(leaf, joined) {
 		t.Fatal("LeftDeep.Allows wrong")
 	}
@@ -117,20 +120,20 @@ func TestValidate(t *testing.T) {
 	}
 	// Cross product: join of a and c has no edge.
 	cross := &Node{S: query.NewBitSet(0, 2), Rel: -1, Algo: HashJoin,
-		Left: Leaf(0), Right: Leaf(2)}
+		Left: leafNode(0), Right: leafNode(2)}
 	if err := Validate(cross, g, query.NewBitSet(0, 2)); err == nil {
 		t.Fatal("cross product accepted")
 	}
 	// INL with non-leaf right child.
 	bad := linearPlan(HashJoin)
 	badRoot := &Node{S: query.FullSet(3), Rel: -1, Algo: IndexNLJoin,
-		Left: Leaf(2), Right: bad.Left, EdgeIdxs: []int{1}}
+		Left: leafNode(2), Right: bad.Left, EdgeIdxs: []int{1}}
 	if err := Validate(badRoot, g, query.FullSet(3)); err == nil {
 		t.Fatal("INL with join right child accepted")
 	}
 	// Overlapping children.
 	overlap := &Node{S: query.NewBitSet(0, 1), Rel: -1, Algo: HashJoin,
-		Left: Leaf(0), Right: &Node{S: query.NewBitSet(0, 1), Rel: -1, Algo: HashJoin, Left: Leaf(0), Right: Leaf(1), EdgeIdxs: []int{0}},
+		Left: leafNode(0), Right: &Node{S: query.NewBitSet(0, 1), Rel: -1, Algo: HashJoin, Left: leafNode(0), Right: leafNode(1), EdgeIdxs: []int{0}},
 		EdgeIdxs: []int{0}}
 	if err := Validate(overlap, g, query.NewBitSet(0, 1)); err == nil {
 		t.Fatal("overlapping children accepted")
@@ -205,14 +208,14 @@ func TestExplain(t *testing.T) {
 func TestRightKeyColumn(t *testing.T) {
 	g, _ := chainSetup()
 	j1 := &Node{S: query.NewBitSet(0, 1), Rel: -1, Algo: IndexNLJoin,
-		Left: Leaf(0), Right: Leaf(1), EdgeIdxs: []int{0}}
+		Left: leafNode(0), Right: leafNode(1), EdgeIdxs: []int{0}}
 	table, col := j1.RightKeyColumn(g)
 	if table != "B" || col != "fk" {
 		t.Fatalf("RightKeyColumn = %s.%s, want B.fk", table, col)
 	}
 	// Mirror orientation.
 	j2 := &Node{S: query.NewBitSet(0, 1), Rel: -1, Algo: IndexNLJoin,
-		Left: Leaf(1), Right: Leaf(0), EdgeIdxs: []int{0}}
+		Left: leafNode(1), Right: leafNode(0), EdgeIdxs: []int{0}}
 	table, col = j2.RightKeyColumn(g)
 	if table != "A" || col != "id" {
 		t.Fatalf("RightKeyColumn = %s.%s, want A.id", table, col)

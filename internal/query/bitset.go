@@ -13,8 +13,9 @@ import (
 	"strings"
 )
 
-// BitSet is a set of relation indexes (up to 64 relations per query; JOB
-// queries have at most 17).
+// BitSet is a set of relation indexes. BuildGraph accepts at most 63
+// relations per query, so FullSet of any graph's N fits; JOB queries have
+// at most 17.
 type BitSet uint64
 
 // NewBitSet returns the set containing the given relation indexes.
@@ -89,7 +90,7 @@ func (s BitSet) SubsetsProper(f func(sub BitSet)) {
 	}
 }
 
-// FullSet returns the set {0, .., n-1}.
+// FullSet returns the set {0, .., n-1}, for n at most 63.
 func FullSet(n int) BitSet {
 	if n >= 64 {
 		panic("query: bitset overflow")

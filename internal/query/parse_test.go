@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"jobench/internal/storage"
@@ -220,7 +221,8 @@ func TestParsedQueryExecutesLikeOriginal(t *testing.T) {
 // corpus.
 func FuzzParseSQL(f *testing.F) {
 	for _, sql := range append([]string{simpleSQL, formsSQL, noWhereSQL, defaultAliasSQL, escapeSQL,
-		"SELECT * FROM t a, t b, u c WHERE a.id = b.id AND b.x = c.y AND c.y = a.id AND a.z = c.z"},
+		"SELECT * FROM t a, t b, u c WHERE a.id = b.id AND b.x = c.y AND c.y = a.id AND a.z = c.z",
+		chainSQL(64)},
 		badSQL...) {
 		f.Add(sql)
 	}
@@ -241,7 +243,21 @@ func FuzzParseSQL(f *testing.F) {
 		if err := checkGraph(g); err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
+		// Query.Validate asks this of every graph BuildGraph accepts.
+		g.Connected(FullSet(g.N))
 	})
+}
+
+// chainSQL returns a chain query over n aliases of one table.
+func chainSQL(n int) string {
+	from, where := make([]string, n), make([]string, n-1)
+	for i := range from {
+		from[i] = fmt.Sprintf("t a%d", i)
+		if i > 0 {
+			where[i-1] = fmt.Sprintf("a%d.id = a%d.id", i-1, i)
+		}
+	}
+	return "SELECT * FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")
 }
 
 // checkGraph verifies a join graph's structural invariants: one node per

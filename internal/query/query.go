@@ -214,8 +214,8 @@ func BuildGraph(q *Query) (*Graph, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("empty query")
 	}
-	if n > 64 {
-		return nil, fmt.Errorf("too many relations (%d > 64)", n)
+	if n > 63 {
+		return nil, fmt.Errorf("too many relations (%d > 63)", n)
 	}
 	g := &Graph{
 		Q:         q,
@@ -317,8 +317,7 @@ func (g *Graph) EdgesBetween(s1, s2 BitSet) EdgeSet {
 
 // EdgesWithin returns the edges with both endpoints in s.
 func (g *Graph) EdgesWithin(s BitSet) EdgeSet {
-	all := BitSet(1)<<uint(g.N) - 1 // every relation, also at N = 64
-	return g.touching(s) &^ g.touching(all.Minus(s))
+	return g.touching(s) &^ g.touching(FullSet(g.N).Minus(s))
 }
 
 // ConnectedSubsets enumerates every connected subset of the graph's

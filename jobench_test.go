@@ -2,6 +2,7 @@ package jobench_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -206,6 +207,34 @@ func TestCostModelsProduceDifferentPlansOrCosts(t *testing.T) {
 	}
 	if c1 == c2 {
 		t.Fatal("simple and postgres cost models returned identical costs")
+	}
+}
+
+// TestAddQueryRelationLimit: a query of up to 63 relations is registered
+// and one of more is rejected with an error, never a panic; every relation
+// set of an accepted query fits a query.BitSet. It opens its own small
+// world, so the shared System's query list stays the workload's.
+func TestAddQueryRelationLimit(t *testing.T) {
+	s, err := jobench.Open(jobench.Options{Workload: "tpch", Scale: 0.05, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{{63, true}, {64, false}, {65, false}} {
+		from, where := make([]string, tc.n), make([]string, tc.n-1)
+		for i := range from {
+			from[i] = fmt.Sprintf("nation n%d", i)
+			if i > 0 {
+				where[i-1] = fmt.Sprintf("n%d.id = n%d.id", i-1, i)
+			}
+		}
+		id := fmt.Sprintf("chain%d", tc.n)
+		err := s.AddQuery(id, "SELECT * FROM "+strings.Join(from, ", ")+" WHERE "+strings.Join(where, " AND "))
+		if (err == nil) != tc.ok {
+			t.Errorf("AddQuery of a %d-relation chain: error %v, want accepted %v", tc.n, err, tc.ok)
+		}
 	}
 }
 

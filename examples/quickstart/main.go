@@ -11,7 +11,7 @@ import (
 )
 
 func main() {
-	// A small instance: ~0.2 scale generates ~90k rows over 21 tables.
+	// A small instance: scale 0.2 generates about 47k rows over 21 tables.
 	sys, err := jobench.Open(jobench.Options{Scale: 0.2, Seed: 42})
 	if err != nil {
 		log.Fatal(err)

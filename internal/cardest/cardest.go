@@ -92,14 +92,19 @@ func (f *formula) SansSelection(s query.BitSet, r int) float64 {
 }
 
 func (f *formula) card(s query.BitSet, skipSel int) float64 {
+	// One pass over s multiplies in its relations and finds the edges
+	// within s the way Graph.EdgesWithin does.
 	rows := 1.0
+	var touch, leave query.EdgeSet
 	s.ForEach(func(i int) {
 		rows *= f.baseRows[i]
 		if i != skipSel {
 			rows *= f.sel[i]
 		}
+		touch |= f.g.IncidentTo(i)
+		leave ^= f.g.IncidentTo(i)
 	})
-	edges := f.g.EdgesWithin(s)
+	edges := touch &^ leave
 	n := edges.Count()
 	if f.damping && n > 1 {
 		// Damping: the most selective join predicate applies fully, every

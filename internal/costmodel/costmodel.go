@@ -44,6 +44,15 @@ type Model interface {
 	// the number of fetched inner tuples *before* the inner selection
 	// (|T1 ⋈ R|, the paper's §2.4 index intermediate), innerRows/innerWidth
 	// describe the full inner base table.
+	//
+	// It never decreases as lookups grows (all other arguments fixed,
+	// lookups >= 0), in floating point too: each model combines lookups
+	// only by max, min, subtraction of min(lookups, c) and sums and
+	// products with non-negative constants, and rounding keeps each of
+	// those monotone. The enumerators rely on it: plan.Pricer's
+	// IndexJoinFloor prices the join at zero lookups to skip asking the
+	// provider for the real count when even that floor cannot win.
+	// TestIndexJoinCostMonotoneInLookups checks it.
 	IndexJoinCost(outer, lookups, out, innerRows, innerWidth float64) float64
 }
 

@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +127,41 @@ func TestSortMergeAboveHashJoin(t *testing.T) {
 					sm, hj := m.SortMergeJoinCost(l, r, out), m.HashJoinCost(l, r, out)
 					if !(sm > hj) {
 						t.Errorf("%s: sort-merge(%g, %g, %g) = %v, not above hash join %v", m.Name(), l, r, out, sm, hj)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIndexJoinCostMonotoneInLookups: IndexJoinCost never decreases as
+// lookups grows, which is what lets the enumerators skip an index-nested-loop
+// join whose cost at zero lookups already loses (Model.IndexJoinCost). The
+// lookups grid straddles PostgreSQL's min(lookups, pages) kink for each
+// inner size: a page count, its neighbours and the next float above it.
+func TestIndexJoinCostMonotoneInLookups(t *testing.T) {
+	for _, m := range models() {
+		for _, outer := range []float64{0, 1, 37, 1e6} {
+			for _, out := range []float64{0, 1, 1e9} {
+				for _, innerRows := range []float64{0, 1, 81, 82, 1e5, 2.5e6} {
+					for _, innerWidth := range []float64{1, 100, 8192} {
+						pages := math.Ceil(innerRows * innerWidth / 8192)
+						lookups := []float64{0, 0.5, 1, 2, 1e3, 1e9}
+						for _, p := range []float64{pages - 1, pages, math.Nextafter(pages, math.Inf(1)), pages + 1} {
+							if p >= 0 {
+								lookups = append(lookups, p)
+							}
+						}
+						slices.Sort(lookups)
+						prev := math.Inf(-1)
+						for _, l := range lookups {
+							c := m.IndexJoinCost(outer, l, out, innerRows, innerWidth)
+							if c < prev {
+								t.Errorf("%s: IndexJoinCost(%g, %g, %g, %g, %g) = %v, below %v at fewer lookups",
+									m.Name(), outer, l, out, innerRows, innerWidth, c, prev)
+							}
+							prev = c
+						}
 					}
 				}
 			}

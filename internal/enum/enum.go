@@ -83,7 +83,7 @@ func (sp *Space) joinOf(left, right *plan.Node) *plan.Node {
 		return nil
 	}
 	out := sp.Cards.Card(left.S.Union(right.S))
-	cost, algo, ok := sp.price(left, right, edges, out)
+	cost, algo, ok := sp.price(left, right, edges, out, math.Inf(1))
 	if !ok {
 		return nil
 	}
@@ -100,12 +100,22 @@ func (sp *Space) joinOf(left, right *plan.Node) *plan.Node {
 // inner with an index on the inner's column of the lowest edge, the key
 // plan.Node.RightKeyColumn reads back from the built node.
 //
+// Pricing an index-nested-loop join asks the provider for its lookups
+// (SansSelection), the dearest call of the DP, so it is priced only if its
+// floor (plan.Pricer.IndexJoinFloor) is below the cheapest algorithm so far
+// and not above bound, the cost the caller's best plan for the same set
+// already has (+Inf if none). A join at or above the cheapest could not
+// replace it, and one strictly above bound could not beat the set's best
+// whichever algorithm price returned; at exactly bound it still may, by
+// beats' tie-break, so it is priced. The returned plan's fate is the same
+// as if the join had been priced.
+//
 // There is no sort-merge join to try: under every model its cost is strictly
 // above the hash join's for the same inputs (costmodel.Model's
 // SortMergeJoinCost says why, and the costmodel tests check it), and
 // adding the same children's costs to both keeps that order, so it could
 // never beat the hash join tried first.
-func (sp *Space) price(left, right *plan.Node, edges query.EdgeSet, out float64) (cost float64, algo plan.JoinAlgo, ok bool) {
+func (sp *Space) price(left, right *plan.Node, edges query.EdgeSet, out, bound float64) (cost float64, algo plan.JoinAlgo, ok bool) {
 	l := plan.Priced{S: left.S, Card: left.ECard, Cost: left.ECost}
 	r := plan.Priced{S: right.S, Card: right.ECard, Cost: right.ECost}
 	cost = math.Inf(1)
@@ -120,7 +130,9 @@ func (sp *Space) price(left, right *plan.Node, edges query.EdgeSet, out float64)
 		try(plan.NestedLoopJoin)
 	}
 	if right.IsLeaf() && sp.inl[right.Rel].Has(edges.First()) {
-		try(plan.IndexNLJoin)
+		if floor := sp.pricer.IndexJoinFloor(l, right.Rel, out); floor < cost && floor <= bound {
+			try(plan.IndexNLJoin)
+		}
 	}
 	return cost, algo, ok
 }
@@ -235,28 +247,34 @@ func (sp *Space) emit(w *work, p pair) {
 	cur := w.at(i)
 	var best *plan.Node
 	var out float64
+	bound := math.Inf(1)
 	if cur != nil {
-		best, out = &cur.node, cur.node.ECard
+		best, out, bound = &cur.node, cur.node.ECard, cur.node.ECost
 	}
 	known := cur != nil
-	for _, lr := range [2][2]*plan.Node{{&l.node, &r.node}, {&r.node, &l.node}} {
-		left, right := lr[0], lr[1]
+	left, right := &r.node, &l.node
+	for range 2 {
+		left, right = right, left // l ⋈ r first, then r ⋈ l
 		if !sp.Shape.Allows(left, right) {
 			continue
 		}
 		if !known {
 			out, known = sp.Cards.Card(s), true
 		}
-		cost, algo, ok := sp.price(left, right, edges, out)
+		cost, algo, ok := sp.price(left, right, edges, out, bound)
 		if !ok || !beats(cost, left.S, right.S, best) {
 			continue
 		}
 		if cur == nil {
 			cur = w.add(i, s)
 			cur.touch = l.touch | r.touch
+			cur.node.S, cur.node.Rel, cur.node.ECard = s, -1, out
 			best = &cur.node
 		}
-		cur.node = plan.Node{S: s, Rel: -1, Algo: algo, Left: left, Right: right, ECard: out, ECost: cost}
+		// Set only what the winner changes: copying a whole plan.Node
+		// here was a measurable share of the DP.
+		best.Algo, best.Left, best.Right, best.ECost = algo, left, right, cost
+		bound = cost
 	}
 }
 

@@ -91,27 +91,14 @@ func analyze(out *[]AnalyzedNode, n *Node, g *query.Graph, stats []NodeStats, id
 	if !probed {
 		an.QError = metrics.QError(n.ECard, float64(an.ActualRows))
 	}
+	an.Cond = string(appendCond(nil, n, g))
 	if n.IsLeaf() {
 		rel := g.Q.Rels[n.Rel]
-		an.Op = fmt.Sprintf("Scan %s %s", rel.Table, rel.Alias)
-		if len(rel.Preds) > 0 {
-			preds := make([]string, len(rel.Preds))
-			for i, p := range rel.Preds {
-				preds[i] = p.String()
-			}
-			an.Cond = strings.Join(preds, " AND ")
-		}
+		an.Op = "Scan " + rel.Table + " " + rel.Alias
 		*out = append(*out, an)
 		return
 	}
 	an.Op = n.Algo.String()
-	conds := make([]string, 0, len(n.EdgeIdxs))
-	for _, ei := range n.EdgeIdxs {
-		for _, j := range g.Edges[ei].Preds {
-			conds = append(conds, fmt.Sprintf("%s.%s=%s.%s", j.LeftAlias, j.LeftCol, j.RightAlias, j.RightCol))
-		}
-	}
-	an.Cond = strings.Join(conds, " AND ")
 	*out = append(*out, an)
 	analyze(out, n.Left, g, stats, LeftChildID(id), depth+1, false)
 	analyze(out, n.Right, g, stats, n.RightChildID(id), depth+1, n.Algo == IndexNLJoin)

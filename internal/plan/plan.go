@@ -9,7 +9,7 @@ package plan
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"jobench/internal/cardest"
 	"jobench/internal/costmodel"
@@ -194,6 +194,15 @@ func (p *Pricer) Join(algo JoinAlgo, left, right Priced, out float64) float64 {
 	return left.Cost + local + right.Cost
 }
 
+// IndexJoinFloor returns a lower bound on Join(IndexNLJoin, left, right, out)
+// for the leaf right child r, without asking the provider anything: the
+// join's cost with zero lookups. Provider answers are never negative, and
+// costmodel.Model.IndexJoinCost never decreases as lookups grows, so no
+// answer can price the join below it.
+func (p *Pricer) IndexJoinFloor(left Priced, r int, out float64) float64 {
+	return left.Cost + p.model.IndexJoinCost(left.Card, 0, out, p.rows[r], p.width[r])
+}
+
 // Cost prices the plan under the given cardinality provider and cost model,
 // whatever provider built it: the §6 methodology of re-costing a plan with
 // true cardinalities.
@@ -217,36 +226,57 @@ func (p *Pricer) price(n *Node) Priced {
 
 // Explain renders the plan as an indented EXPLAIN-style tree.
 func Explain(n *Node, g *query.Graph) string {
-	var b strings.Builder
-	explain(&b, n, g, 0)
-	return b.String()
+	return string(appendExplain(make([]byte, 0, 96*NumNodes(n)), n, g, 0))
 }
 
-func explain(b *strings.Builder, n *Node, g *query.Graph, depth int) {
-	indent := strings.Repeat("  ", depth)
+// appendExplain appends the EXPLAIN lines of the subtree at n, indented by
+// depth, to b: one line per operator with its condition (appendCond), its
+// estimated rows and, on joins, its cost.
+func appendExplain(b []byte, n *Node, g *query.Graph, depth int) []byte {
+	for range depth {
+		b = append(b, "  "...)
+	}
 	if n.IsLeaf() {
 		rel := g.Q.Rels[n.Rel]
-		fmt.Fprintf(b, "%sScan %s %s", indent, rel.Table, rel.Alias)
+		b = append(append(append(append(b, "Scan "...), rel.Table...), ' '), rel.Alias...)
 		if len(rel.Preds) > 0 {
-			preds := make([]string, len(rel.Preds))
-			for i, p := range rel.Preds {
-				preds[i] = p.String()
-			}
-			fmt.Fprintf(b, " [%s]", strings.Join(preds, " AND "))
+			b = append(appendCond(append(b, " ["...), n, g), ']')
 		}
-		fmt.Fprintf(b, "  (est %.0f rows)\n", n.ECard)
-		return
+		b = strconv.AppendFloat(append(b, "  (est "...), n.ECard, 'f', 0, 64)
+		return append(b, " rows)\n"...)
 	}
-	conds := make([]string, 0, len(n.EdgeIdxs))
+	b = appendCond(append(append(b, n.Algo.String()...), " on "...), n, g)
+	b = strconv.AppendFloat(append(b, "  (est "...), n.ECard, 'f', 0, 64)
+	b = strconv.AppendFloat(append(b, " rows, cost "...), n.ECost, 'f', 1, 64)
+	b = append(b, ")\n"...)
+	b = appendExplain(b, n.Left, g, depth+1)
+	return appendExplain(b, n.Right, g, depth+1)
+}
+
+// appendCond appends n's condition to b: a scan's selection predicates or a
+// join's predicates (alias.col=alias.col), joined by " AND ".
+func appendCond(b []byte, n *Node, g *query.Graph) []byte {
+	if n.IsLeaf() {
+		for i, p := range g.Q.Rels[n.Rel].Preds {
+			if i > 0 {
+				b = append(b, " AND "...)
+			}
+			b = p.AppendTo(b)
+		}
+		return b
+	}
+	first := true
 	for _, ei := range n.EdgeIdxs {
 		for _, j := range g.Edges[ei].Preds {
-			conds = append(conds, fmt.Sprintf("%s.%s=%s.%s", j.LeftAlias, j.LeftCol, j.RightAlias, j.RightCol))
+			if !first {
+				b = append(b, " AND "...)
+			}
+			first = false
+			b = append(append(append(append(b, j.LeftAlias...), '.'), j.LeftCol...), '=')
+			b = append(append(append(b, j.RightAlias...), '.'), j.RightCol...)
 		}
 	}
-	fmt.Fprintf(b, "%s%s on %s  (est %.0f rows, cost %.1f)\n",
-		indent, n.Algo, strings.Join(conds, " AND "), n.ECard, n.ECost)
-	explain(b, n.Left, g, depth+1)
-	explain(b, n.Right, g, depth+1)
+	return b
 }
 
 // Validate checks structural invariants of a plan for the given graph: the

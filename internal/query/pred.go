@@ -1,7 +1,7 @@
 package query
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -113,50 +113,73 @@ func NotNull(col string) *Pred { return &Pred{Kind: PredNotNull, Col: col} }
 func Or(ps ...*Pred) *Pred { return &Pred{Kind: PredOr, Disj: ps} }
 
 // String renders the predicate as SQL-ish text.
-func (p *Pred) String() string {
+func (p *Pred) String() string { return string(p.AppendTo(nil)) }
+
+// AppendTo appends the predicate's String form to b and returns the
+// extended slice.
+func (p *Pred) AppendTo(b []byte) []byte {
+	if p.Kind == PredOr {
+		b = append(b, '(')
+		for i, d := range p.Disj {
+			if i > 0 {
+				b = append(b, " OR "...)
+			}
+			b = d.AppendTo(b)
+		}
+		return append(b, ')')
+	}
+	if p.Kind > PredOr { // not a kind this package defines
+		b = append(b, "pred("...)
+		b = strconv.AppendUint(b, uint64(p.Kind), 10)
+		return append(b, ')')
+	}
+	b = append(b, p.Col...) // every other kind starts with its column
 	switch p.Kind {
 	case PredEqInt:
-		return fmt.Sprintf("%s = %d", p.Col, p.Val)
+		return strconv.AppendInt(append(b, " = "...), p.Val, 10)
 	case PredNeInt:
-		return fmt.Sprintf("%s <> %d", p.Col, p.Val)
+		return strconv.AppendInt(append(b, " <> "...), p.Val, 10)
 	case PredLtInt:
-		return fmt.Sprintf("%s < %d", p.Col, p.Val)
+		return strconv.AppendInt(append(b, " < "...), p.Val, 10)
 	case PredLeInt:
-		return fmt.Sprintf("%s <= %d", p.Col, p.Val)
+		return strconv.AppendInt(append(b, " <= "...), p.Val, 10)
 	case PredGtInt:
-		return fmt.Sprintf("%s > %d", p.Col, p.Val)
+		return strconv.AppendInt(append(b, " > "...), p.Val, 10)
 	case PredGeInt:
-		return fmt.Sprintf("%s >= %d", p.Col, p.Val)
+		return strconv.AppendInt(append(b, " >= "...), p.Val, 10)
 	case PredBetween:
-		return fmt.Sprintf("%s BETWEEN %d AND %d", p.Col, p.Val, p.Val2)
+		b = strconv.AppendInt(append(b, " BETWEEN "...), p.Val, 10)
+		return strconv.AppendInt(append(b, " AND "...), p.Val2, 10)
 	case PredInInt:
-		parts := make([]string, len(p.Vals))
+		b = append(b, " IN ("...)
 		for i, v := range p.Vals {
-			parts[i] = fmt.Sprintf("%d", v)
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = strconv.AppendInt(b, v, 10)
 		}
-		return fmt.Sprintf("%s IN (%s)", p.Col, strings.Join(parts, ", "))
+		return append(b, ')')
 	case PredEqStr:
-		return fmt.Sprintf("%s = '%s'", p.Col, p.Str)
+		return append(append(append(b, " = '"...), p.Str...), '\'')
 	case PredNeStr:
-		return fmt.Sprintf("%s <> '%s'", p.Col, p.Str)
+		return append(append(append(b, " <> '"...), p.Str...), '\'')
 	case PredInStr:
-		return fmt.Sprintf("%s IN ('%s')", p.Col, strings.Join(p.Strs, "','"))
-	case PredLike:
-		return fmt.Sprintf("%s LIKE '%s'", p.Col, p.Str)
-	case PredNotLike:
-		return fmt.Sprintf("%s NOT LIKE '%s'", p.Col, p.Str)
-	case PredIsNull:
-		return fmt.Sprintf("%s IS NULL", p.Col)
-	case PredNotNull:
-		return fmt.Sprintf("%s IS NOT NULL", p.Col)
-	case PredOr:
-		parts := make([]string, len(p.Disj))
-		for i, d := range p.Disj {
-			parts[i] = d.String()
+		b = append(b, " IN ('"...)
+		for i, v := range p.Strs {
+			if i > 0 {
+				b = append(b, "','"...)
+			}
+			b = append(b, v...)
 		}
-		return "(" + strings.Join(parts, " OR ") + ")"
-	default:
-		return fmt.Sprintf("pred(%d)", p.Kind)
+		return append(b, "')"...)
+	case PredLike:
+		return append(append(append(b, " LIKE '"...), p.Str...), '\'')
+	case PredNotLike:
+		return append(append(append(b, " NOT LIKE '"...), p.Str...), '\'')
+	case PredIsNull:
+		return append(b, " IS NULL"...)
+	default: // PredNotNull
+		return append(b, " IS NOT NULL"...)
 	}
 }
 

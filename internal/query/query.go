@@ -269,6 +269,9 @@ func MustBuildGraph(q *Query) *Graph {
 // NeighborsOf returns the neighbour set of one relation.
 func (g *Graph) NeighborsOf(r int) BitSet { return g.neighbors[r] }
 
+// IncidentTo returns the edges with relation r as an endpoint.
+func (g *Graph) IncidentTo(r int) EdgeSet { return g.incident[r] }
+
 // Neighborhood returns all relations outside s adjacent to some relation
 // in s.
 func (g *Graph) Neighborhood(s BitSet) BitSet {
@@ -315,9 +318,17 @@ func (g *Graph) EdgesBetween(s1, s2 BitSet) EdgeSet {
 	return g.touching(s1) & g.touching(s2)
 }
 
-// EdgesWithin returns the edges with both endpoints in s.
+// EdgesWithin returns the edges with both endpoints in s: those touching s
+// less those that leave it. An edge inside s is incident to two of its
+// relations, so the XOR of their incident sets drops it and keeps exactly
+// the edges with one endpoint in s.
 func (g *Graph) EdgesWithin(s BitSet) EdgeSet {
-	return g.touching(s) &^ g.touching(FullSet(g.N).Minus(s))
+	var touch, leave EdgeSet
+	s.ForEach(func(r int) {
+		touch |= g.incident[r]
+		leave ^= g.incident[r]
+	})
+	return touch &^ leave
 }
 
 // ConnectedSubsets enumerates every connected subset of the graph's

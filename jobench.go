@@ -16,6 +16,7 @@ package jobench
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"jobench/internal/cardest"
@@ -154,22 +155,43 @@ type Result struct {
 // pieces that make that true:
 //
 //   - The world, the index-set map, and the estimators are immutable after
-//     construction. Optimize/Execute/Estimate* build all per-call state
-//     fresh (providers, optimizer, executor) and only read the shared
-//     structures.
-//   - The query registry (order, graphs) is guarded by an RWMutex
+//     construction. Optimize/Execute/Estimate* build their per-call state
+//     (plan space, DP working set, executor) fresh and only read the
+//     shared structures.
+//   - The query registry (order, queries) is guarded by an RWMutex
 //     so AddQuery can run concurrently with the read paths.
+//   - Each registered query keeps one provider per estimator profile,
+//     built by the first call that needs it (sync.Once: concurrent callers
+//     share that one build) and read-only afterwards.
 //   - True-cardinality stores are resolved by the world, which runs one DP
 //     per query however many goroutines (or views) ask at once.
 type System struct {
 	w   *world.World
 	idx map[IndexConfig]*index.Set
 
-	qmu    sync.RWMutex
-	order  []string
-	graphs map[string]*query.Graph // each graph carries its query (Graph.Q)
+	qmu     sync.RWMutex
+	order   []string
+	queries map[string]*registered
 
-	estimators map[string]cardest.Estimator
+	estimators [len(estimatorNames)]cardest.Estimator
+}
+
+// estimatorNames are the estimator profiles a System builds providers
+// from, in the order of System.estimators and registered.provs. EstTrue is
+// not one of them: its provider reads the world's truth store.
+var estimatorNames = [...]string{EstPostgres, EstDBMSA, EstDBMSB, EstDBMSC, EstHyPer}
+
+// registered is one query of the registry: its join graph (which carries
+// the query, Graph.Q) and its provider under each estimator profile. A
+// provider is a pure function of the graph and the world's statistics, so
+// it is built once, on first use, and kept for the System's life: the
+// 113 JOB queries hold about 40 KiB of providers per profile.
+type registered struct {
+	g     *query.Graph
+	provs [len(estimatorNames)]struct {
+		once sync.Once
+		p    cardest.Provider
+	}
 }
 
 // Open generates the data set, computes statistics and indexes, and loads
@@ -195,15 +217,15 @@ func NewSystem(w *world.World) (*System, error) {
 	sdb := w.Stats(sopts)
 
 	s := &System{
-		w:      w,
-		idx:    make(map[IndexConfig]*index.Set, len(configs)),
-		graphs: make(map[string]*query.Graph, len(w.Queries)),
-		estimators: map[string]cardest.Estimator{
-			EstPostgres: cardest.NewPostgres(w.DB, sdb),
-			EstDBMSA:    cardest.NewDBMSA(w.DB, sdb),
-			EstDBMSB:    cardest.NewDBMSB(w.DB, sdb),
-			EstDBMSC:    cardest.NewDBMSC(w.DB, sdb),
-			EstHyPer:    cardest.NewSample(w.DB, sdb),
+		w:       w,
+		idx:     make(map[IndexConfig]*index.Set, len(configs)),
+		queries: make(map[string]*registered, len(w.Queries)),
+		estimators: [...]cardest.Estimator{ // in estimatorNames order
+			cardest.NewPostgres(w.DB, sdb),
+			cardest.NewDBMSA(w.DB, sdb),
+			cardest.NewDBMSB(w.DB, sdb),
+			cardest.NewDBMSC(w.DB, sdb),
+			cardest.NewSample(w.DB, sdb),
 		},
 	}
 	for _, cfg := range configs {
@@ -211,7 +233,7 @@ func NewSystem(w *world.World) (*System, error) {
 	}
 	for _, q := range w.Queries {
 		s.order = append(s.order, q.ID)
-		s.graphs[q.ID] = w.Graphs[q.ID]
+		s.queries[q.ID] = &registered{g: w.Graphs[q.ID]}
 	}
 	return s, nil
 }
@@ -241,11 +263,11 @@ func (s *System) AddQuery(id, sql string) error {
 	}
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	if _, exists := s.graphs[id]; exists {
+	if _, exists := s.queries[id]; exists {
 		return fmt.Errorf("jobench: query %q already exists", id)
 	}
 	s.order = append(s.order, id)
-	s.graphs[id] = g
+	s.queries[id] = &registered{g: g}
 	return nil
 }
 
@@ -309,21 +331,21 @@ func (s *System) QueryIDs() []string {
 
 // SQL renders a workload query as SQL text.
 func (s *System) SQL(queryID string) (string, error) {
-	g, err := s.graph(queryID)
+	q, err := s.query(queryID)
 	if err != nil {
 		return "", err
 	}
-	return g.Q.SQL(), nil
+	return q.g.Q.SQL(), nil
 }
 
 // JoinGraphDot renders a query's join graph in Graphviz dot syntax (the
 // paper's Fig. 2 for query 13d).
 func (s *System) JoinGraphDot(queryID string) (string, error) {
-	g, err := s.graph(queryID)
+	q, err := s.query(queryID)
 	if err != nil {
 		return "", err
 	}
-	return g.Dot(), nil
+	return q.g.Dot(), nil
 }
 
 // TableRows reports the generated table sizes.
@@ -335,14 +357,14 @@ func (s *System) TableRows() map[string]int {
 	return out
 }
 
-func (s *System) graph(id string) (*query.Graph, error) {
+func (s *System) query(id string) (*registered, error) {
 	s.qmu.RLock()
 	defer s.qmu.RUnlock()
-	g, ok := s.graphs[id]
+	q, ok := s.queries[id]
 	if !ok {
 		return nil, fmt.Errorf("jobench: unknown query %q (ids run 1a..33c)", id)
 	}
-	return g, nil
+	return q, nil
 }
 
 func (s *System) model(name string) (costmodel.Model, error) {
@@ -358,13 +380,12 @@ func (s *System) model(name string) (costmodel.Model, error) {
 	}
 }
 
-func (s *System) provider(ctx context.Context, queryID, estimator string) (cardest.Provider, error) {
-	g, err := s.graph(queryID)
-	if err != nil {
-		return nil, err
-	}
+// provider returns the query's provider under the named estimator: the
+// world's truth store for EstTrue, else the query's memoized provider,
+// which the first caller builds.
+func (s *System) provider(ctx context.Context, q *registered, estimator string) (cardest.Provider, error) {
 	if estimator == EstTrue {
-		st, err := s.truthStore(ctx, queryID)
+		st, err := s.w.Truth(ctx, q.g)
 		if err != nil {
 			return nil, err
 		}
@@ -373,11 +394,13 @@ func (s *System) provider(ctx context.Context, queryID, estimator string) (carde
 	if estimator == "" {
 		estimator = EstPostgres
 	}
-	est, ok := s.estimators[estimator]
-	if !ok {
+	i := slices.Index(estimatorNames[:], estimator)
+	if i < 0 {
 		return nil, fmt.Errorf("jobench: unknown estimator %q", estimator)
 	}
-	return est.ForQuery(g), nil
+	lp := &q.provs[i]
+	lp.once.Do(func() { lp.p = s.estimators[i].ForQuery(q.g) })
+	return lp.p, nil
 }
 
 // TruthStore computes (and caches) the true cardinality of every
@@ -385,15 +408,11 @@ func (s *System) provider(ctx context.Context, queryID, estimator string) (carde
 // previously persisted truth store loads from disk instead of being
 // recomputed, and fresh computations are persisted for the next Open.
 func (s *System) TruthStore(queryID string) (*truecard.Store, error) {
-	return s.truthStore(context.Background(), queryID)
-}
-
-func (s *System) truthStore(ctx context.Context, queryID string) (*truecard.Store, error) {
-	g, err := s.graph(queryID)
+	q, err := s.query(queryID)
 	if err != nil {
 		return nil, err
 	}
-	return s.w.Truth(ctx, g)
+	return s.w.Truth(context.Background(), q.g)
 }
 
 // Warmup precomputes the true-cardinality store of every registered query
@@ -404,7 +423,7 @@ func (s *System) Warmup() error {
 	s.qmu.RLock()
 	graphs := make([]*query.Graph, len(s.order))
 	for i, id := range s.order {
-		graphs[i] = s.graphs[id]
+		graphs[i] = s.queries[id].g
 	}
 	s.qmu.RUnlock()
 	return s.w.Warm(context.Background(), graphs)
@@ -416,11 +435,11 @@ func (s *System) TrueCardinality(queryID string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	g, err := s.graph(queryID)
+	q, err := s.query(queryID)
 	if err != nil {
 		return 0, err
 	}
-	v, _ := st.Card(query.FullSet(g.N))
+	v, _ := st.Card(query.FullSet(q.g.N))
 	return v, nil
 }
 
@@ -433,15 +452,15 @@ func (s *System) EstimateCardinality(queryID, estimator string) (float64, error)
 // EstimateCardinalityContext is EstimateCardinality with cancellation: ctx
 // bounds the on-demand true-cardinality DP when estimator is EstTrue.
 func (s *System) EstimateCardinalityContext(ctx context.Context, queryID, estimator string) (float64, error) {
-	g, err := s.graph(queryID)
+	q, err := s.query(queryID)
 	if err != nil {
 		return 0, err
 	}
-	prov, err := s.provider(ctx, queryID, estimator)
+	prov, err := s.provider(ctx, q, estimator)
 	if err != nil {
 		return 0, err
 	}
-	return prov.Card(query.FullSet(g.N)), nil
+	return prov.Card(query.FullSet(q.g.N)), nil
 }
 
 // Optimize plans a query and returns its EXPLAIN rendering plus estimated
@@ -465,7 +484,7 @@ func (s *System) OptimizeContext(ctx context.Context, queryID string, opts PlanO
 // estimator's provider, the cost model and the physical design — into the
 // plan space every planning path starts from.
 func (s *System) space(ctx context.Context, queryID string, opts PlanOptions) (*enum.Space, error) {
-	g, err := s.graph(queryID)
+	q, err := s.query(queryID)
 	if err != nil {
 		return nil, err
 	}
@@ -473,7 +492,7 @@ func (s *System) space(ctx context.Context, queryID string, opts PlanOptions) (*
 	if !ok {
 		return nil, fmt.Errorf("jobench: unknown index config %v", opts.Indexes)
 	}
-	prov, err := s.provider(ctx, queryID, opts.Estimator)
+	prov, err := s.provider(ctx, q, opts.Estimator)
 	if err != nil {
 		return nil, err
 	}
@@ -482,7 +501,7 @@ func (s *System) space(ctx context.Context, queryID string, opts PlanOptions) (*
 		return nil, err
 	}
 	return &enum.Space{
-		G: g, DB: s.w.DB, Cards: prov, Model: model, Indexes: idx,
+		G: q.g, DB: s.w.DB, Cards: prov, Model: model, Indexes: idx,
 		DisableNLJ: opts.DisableNestedLoops, Shape: opts.Shape,
 	}, nil
 }

@@ -49,7 +49,8 @@ bench:
 # One iteration per benchmark, no tests: catches bit-rot in bench_test.go
 # and establishes a perf baseline without benchmarking-grade runtimes.
 # Includes BenchmarkTruecardCompute (serial vs parallel truecard DP) and
-# the engine micro-benches (BenchmarkEngineExecuteJOB/EngineHashJoin).
+# the engine micro-benches (BenchmarkEngineExecuteJOB/EngineExecuteSkew/
+# EngineHashJoin).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 

@@ -111,6 +111,24 @@ func BenchmarkEngineExecuteJOB(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineExecuteSkew executes the DP plan of every JOB query on the
+// benchmark's exec.job world (imdb-skew at scale 0.3, seed 42, PK+FK
+// indexes, PostgreSQL estimates, rehash on) per iteration: engine only, no
+// planning, so the index-nested-loop join kernel is most of what it times.
+func BenchmarkEngineExecuteSkew(b *testing.B) {
+	w := skewWorld(b, 0.3)
+	runner := NewRunner()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range w.plans {
+			if _, err := runner.Run(w.db, w.pkfk, p.g, p.root, Config{Rehash: true}); err != nil {
+				b.Fatalf("%s: %v", p.id, err)
+			}
+		}
+	}
+}
+
 // BenchmarkEngineHashJoin isolates the hash-join path: one multi-join query
 // with every operator forced to HashJoin, executed per iteration. The
 // serial-baseline pattern from the truecard benches: block=1 degenerates

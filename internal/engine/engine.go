@@ -27,11 +27,16 @@
 // vectors into emitters preallocated from the optimizer's output estimate;
 // match and index buffers are owned by the executor and reused across plan
 // nodes (and, through Runner, across executions). Hash joins build on the
-// flat open-layout table of internal/hashtab.
+// flat open-layout table of internal/hashtab. Index-nested-loop joins probe
+// the way internal/truecard does: residuals on the index key column are
+// checked once per outer tuple, dense keys resolve inline, and each fetched
+// row is tested against the inner relation's selection as a bitmap cached
+// with its compiled filter; nothing is buffered between fetch and filter.
 //
 // None of this changes what is measured. The work-unit invariance contract
 // — enforced by TestGoldenWorkUnits against a table generated by the
-// scalar row-at-a-time engine — is that work units, row counts, timeout
+// scalar row-at-a-time engine, and by its TPC-H and skewed-world
+// siblings — is that work units, row counts, timeout
 // decisions and therefore every experiment report are identical to the
 // tuple-at-a-time engine; only wall-clock time drops. Blocks change where
 // the work limit is *checked* (deterministically, at block boundaries),
@@ -141,10 +146,7 @@ func (r *Runner) Run(db *storage.Database, idx *index.Set, g *query.Graph, root 
 	out, err := ex.exec(root, query.BitSet(0), 0)
 	res := Result{Work: ex.work, Duration: time.Since(start)}
 	if err != nil {
-		if errors.Is(err, ErrWorkLimit) {
-			res.TimedOut = true
-			return res, err
-		}
+		res.TimedOut = errors.Is(err, ErrWorkLimit)
 		return res, err
 	}
 	res.Rows = int64(out.rows())
@@ -191,12 +193,11 @@ func (b *batch) colOf(rel int) []int32 {
 // via Runner, across executions. Every buffer is length-reset (never
 // reallocated) when a node claims it.
 type scratch struct {
-	matches []int32    // hash-probe match buffer
-	lIdx    []int32    // left ordinals of the current block's emitted pairs
-	rIdx    []int32    // right ordinals (or base rows, for index joins)
-	innerV  []int64    // nested-loop: gathered inner key values
-	innerN  []bool     // nested-loop: gathered inner NULL flags
-	fetch   fetchBatch // index join: fetched tuples awaiting the selection
+	matches []int32 // hash-probe match buffer
+	lIdx    []int32 // left ordinals of the current block's emitted pairs
+	rIdx    []int32 // right ordinals (or base rows, for index joins)
+	innerV  []int64 // nested-loop: gathered inner key values
+	innerN  []bool  // nested-loop: gathered inner NULL flags
 
 	// free is the row-id buffer pool. Batches are strictly tree-shaped:
 	// a join's input batches are dead the moment its output is emitted, so
@@ -205,10 +206,34 @@ type scratch struct {
 	free [][]int32
 
 	// filters caches compiled selections: compiling a LIKE predicate scans
-	// the column dictionary, which would otherwise recur on every scan and
-	// every index-join fetch filter of a sweep. Keyed by table identity as
-	// well as (graph, relation) because a Runner may serve many databases.
-	filters map[filterKey]*query.Filter
+	// the column dictionary, and an index join's bitmap the whole table,
+	// which would otherwise recur on every scan and index join of a sweep.
+	// Keyed by table identity as well as (graph, relation) because a Runner
+	// may serve many databases.
+	filters map[filterKey]*selection
+}
+
+// selection is a relation's compiled filter and, once an index join has
+// fetched from the relation, the same selection as a bitmap over its
+// table: bit r is set iff row r passes, so a fetched row costs one bit
+// test however many predicates the relation carries.
+type selection struct {
+	f    *query.Filter
+	bits []uint64 // nil until bitmap builds it
+}
+
+// bitmap returns the selection over the table's nr rows as a bitmap,
+// building it on first use.
+func (s *selection) bitmap(sc *scratch, nr int) []uint64 {
+	if s.bits == nil {
+		rows := s.f.SelectRange(sc.getBuf(nr), 0, nr)
+		s.bits = make([]uint64, (nr+63)/64)
+		for _, r := range rows {
+			s.bits[r>>6] |= 1 << (r & 63)
+		}
+		sc.putBuf(rows)
+	}
+	return s.bits
 }
 
 type filterKey struct {
@@ -222,21 +247,22 @@ type filterKey struct {
 // steady-state event.
 const filterCacheMax = 4096
 
-// compileFilter returns the (cached) compiled selection of relation rel.
-func (ex *executor) compileFilter(rel int, t *storage.Table) (*query.Filter, error) {
+// selection returns the (cached) compiled selection of relation rel.
+func (ex *executor) selection(rel int, t *storage.Table) (*selection, error) {
 	k := filterKey{g: ex.g, rel: rel, t: t}
-	if f, ok := ex.sc.filters[k]; ok {
-		return f, nil
+	if s, ok := ex.sc.filters[k]; ok {
+		return s, nil
 	}
 	f, err := query.NewFilter(ex.g.Q.Rels[rel].Preds, t)
 	if err != nil {
 		return nil, err
 	}
 	if ex.sc.filters == nil || len(ex.sc.filters) >= filterCacheMax {
-		ex.sc.filters = make(map[filterKey]*query.Filter)
+		ex.sc.filters = make(map[filterKey]*selection)
 	}
-	ex.sc.filters[k] = f
-	return f, nil
+	s := &selection{f: f}
+	ex.sc.filters[k] = s
+	return s, nil
 }
 
 // poolMax bounds the free list so a Runner's steady-state retention is the
@@ -383,12 +409,12 @@ func (ex *executor) execNode(n *plan.Node, live query.BitSet, id int) (*batch, e
 func (ex *executor) scan(n *plan.Node, id int) (*batch, error) {
 	rel := n.Rel
 	t := ex.table(rel)
-	f, err := ex.compileFilter(rel, t)
+	sel, err := ex.selection(rel, t)
 	if err != nil {
 		return nil, err
 	}
 	nr := t.NumRows()
-	rows := f.SelectRange(ex.sc.getBuf(nr), 0, nr)
+	rows := sel.f.SelectRange(ex.sc.getBuf(nr), 0, nr)
 	// One unit per tuple scanned plus one per emitted tuple.
 	if err := ex.charge(id, int64(nr)+int64(len(rows))); err != nil {
 		return nil, err
@@ -583,12 +609,6 @@ func newEmitter(sc *scratch, l, r *batch, live query.BitSet, ecard float64) *emi
 		}
 	}
 	return e
-}
-
-// newIndexEmitter builds an emitter whose right side is the base relation
-// rRel itself: emitted right values are base row ids, not batch ordinals.
-func newIndexEmitter(sc *scratch, l *batch, rRel int, live query.BitSet, ecard float64) *emitter {
-	return newEmitter(sc, l, &batch{rels: []int{rRel}}, live, ecard)
 }
 
 // emitBlock appends one block of matches, given as parallel ordinal

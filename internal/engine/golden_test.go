@@ -51,13 +51,25 @@ func TestGoldenWorkUnits(t *testing.T) {
 	checkGolden(t, "testdata/golden_work.tsv", l.db, l.pkfk, plans)
 }
 
-// TestGoldenWorkUnitsFetchFlush: filtering an index join's fetched tuples
-// after every outer tuple, instead of once per block, changes neither rows
-// nor work units.
-func TestGoldenWorkUnitsFetchFlush(t *testing.T) {
-	defer func(old int) { fetchBatchMax = old }(fetchBatchMax)
-	fetchBatchMax = 1
-	TestGoldenWorkUnits(t)
+// TestGoldenWorkUnitsRowAtATime runs the JOB and skewed-world goldens with
+// one-row blocks: block boundaries change only where the work limit is
+// checked, never what is counted, so both tables must still match.
+func TestGoldenWorkUnitsRowAtATime(t *testing.T) {
+	defer func(old int) { blockSize = old }(blockSize)
+	blockSize = 1
+	t.Run("imdb", TestGoldenWorkUnits)
+	t.Run("skew", TestGoldenWorkUnitsSkew)
+}
+
+// TestGoldenWorkUnitsSkew pins the contract on the skewed world the
+// benchmark's exec.job workload executes (at scale 0.1), where posting
+// lists are long and index-nested-loop joins dominate: the DP plan of every
+// JOB query under PostgreSQL estimates and PK+FK indexes. The table was
+// generated by the engine that batched index-join fetches before filtering
+// them; the bitmap-selection kernel must reproduce it exactly.
+func TestGoldenWorkUnitsSkew(t *testing.T) {
+	w := skewWorld(t, skewTestScale)
+	checkGolden(t, "testdata/golden_work_skew.tsv", w.db, w.pkfk, w.plans)
 }
 
 // TestGoldenWorkUnitsTPCH pins the same contract for the ten TPC-H families
@@ -88,6 +100,54 @@ func TestGoldenWorkUnitsTPCH(t *testing.T) {
 		plans = append(plans, goldenPlan{q.ID, g, root})
 	}
 	checkGolden(t, "testdata/golden_work_tpch.tsv", db, none, plans)
+}
+
+// skewTestScale keeps the skewed world's tests fast; exec.job itself runs
+// at 0.3 (BenchmarkEngineExecuteSkew).
+const skewTestScale = 0.1
+
+// skewEnv is an imdb-skew world planned the way the facade plans exec.job's
+// ops: seed 42, default ANALYZE, PostgreSQL estimates, the simple cost
+// model, PK+FK indexes, DP with nested-loop joins disabled, bushy shape.
+type skewEnv struct {
+	db    *storage.Database
+	pkfk  *index.Set
+	plans []goldenPlan
+}
+
+var skewWorlds = map[float64]*skewEnv{}
+
+func skewWorld(tb testing.TB, scale float64) *skewEnv {
+	tb.Helper()
+	if w := skewWorlds[scale]; w != nil {
+		return w
+	}
+	wl, err := workload.Get("imdb-skew")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const seed = 42
+	db := wl.Generate(workload.Config{Scale: scale, Seed: seed})
+	sdb := stats.AnalyzeDatabase(db, stats.DefaultOptions(seed))
+	pkfk, err := wl.BuildIndexes(db, index.PKFK)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pg := cardest.NewPostgres(db, sdb)
+	w := &skewEnv{db: db, pkfk: pkfk}
+	for _, q := range wl.Queries() {
+		g := query.MustBuildGraph(q)
+		root, err := enum.DP(&enum.Space{
+			G: g, DB: db, Cards: pg.ForQuery(g),
+			Model: costmodel.NewSimple(), Indexes: pkfk, DisableNLJ: true, Shape: plan.Bushy,
+		})
+		if err != nil {
+			tb.Fatalf("%s: %v", q.ID, err)
+		}
+		w.plans = append(w.plans, goldenPlan{q.ID, g, root})
+	}
+	skewWorlds[scale] = w
+	return w
 }
 
 // checkGolden runs every plan with rehashing off and on and compares

@@ -95,7 +95,10 @@ func (ex *executor) hashJoin(n *plan.Node, live query.BitSet, id int) (*batch, e
 
 // indexJoin looks up each left tuple in the index on the right base
 // relation; the right relation's selection applies only *after* the fetch
-// (§2.4), which is also why its cost uses the unfiltered intermediate.
+// (§2.4), which is also why its cost uses the unfiltered intermediate. The
+// probe is truecard's: key residuals are checked once per outer tuple, a
+// dense index resolves inline, and the selection is a cached bitmap over
+// the inner table, so a fetched row costs one bit test.
 func (ex *executor) indexJoin(n *plan.Node, live query.BitSet, id int) (*batch, error) {
 	if !n.Right.IsLeaf() {
 		return nil, fmt.Errorf("engine: IndexNLJoin with non-leaf inner")
@@ -107,7 +110,7 @@ func (ex *executor) indexJoin(n *plan.Node, live query.BitSet, id int) (*batch, 
 		return nil, fmt.Errorf("engine: no index on %s.%s", table, col)
 	}
 	t := ex.table(rRel)
-	filter, err := ex.compileFilter(rRel, t)
+	sel, err := ex.selection(rRel, t)
 	if err != nil {
 		return nil, err
 	}
@@ -126,15 +129,27 @@ func (ex *executor) indexJoin(n *plan.Node, live query.BitSet, id int) (*batch, 
 		return nil, err
 	}
 
-	em := newIndexEmitter(ex.sc, left, rRel, live, n.ECard)
+	// The emitter's right side is the base relation itself: emitted right
+	// values are base row ids, not batch ordinals.
+	em := newEmitter(ex.sc, left, &batch{rels: []int{rRel}}, live, n.ECard)
+	pass := sel.bitmap(ex.sc, t.NumRows())
+	// Every posting carries the lookup key in the index column, and never
+	// NULL, so a residual on that column holds for all of a lookup's
+	// postings or for none: keyRes is checked once per outer tuple, res per
+	// fetched row.
 	res := bindResiduals(jc, left, nil)
+	nKey := 0
+	for i := range res {
+		if res[i].rCol == jc.probeCol {
+			res[nKey], res[i] = res[i], res[nKey]
+			nKey++
+		}
+	}
+	keyRes, res := res[:nKey], res[nKey:]
+	dv, dense := idx.DenseView()
 	outerRows := left.colOf(jc.buildRel)
 	oCol := jc.buildCol
 	lIdx, rRows := ex.sc.lIdx[:0], ex.sc.rIdx[:0]
-	fb := &ex.sc.fetch
-	// Without predicates there is nothing to select, and the fetched tuples
-	// go straight to the residual check.
-	unfiltered := len(ex.g.Q.Rels[rRel].Preds) == 0
 	for base := 0; base < len(outerRows); base += ex.block {
 		end := min(base+ex.block, len(outerRows))
 		var w int64
@@ -145,25 +160,27 @@ func (ex *executor) indexJoin(n *plan.Node, live query.BitSet, id int) (*batch, 
 				w++
 				continue
 			}
-			// Random access into the index plus one unit per fetched tuple;
-			// the selection applies after the fetch.
-			postings := idx.Lookup(oCol.Ints[row])
+			key := oCol.Ints[row]
+			var postings []int32
+			if dense {
+				postings = dv.Lookup(key)
+			} else {
+				postings = idx.Lookup(key)
+			}
+			// Random access into the index plus one unit per fetched tuple,
+			// whether or not the tuple then survives a residual or the
+			// selection.
 			w += RandomAccessFactor + int64(len(postings))
-			if unfiltered {
-				for _, r := range postings {
-					if checkResiduals(res, li, int(r)) {
-						lIdx = append(lIdx, int32(li))
-						rRows = append(rRows, r)
-					}
-				}
+			if !keyResidualsHold(keyRes, li, key) {
 				continue
 			}
-			fb.add(int32(li), postings)
-			if len(fb.fetched) >= fetchBatchMax {
-				lIdx, rRows = fb.filter(filter, res, lIdx, rRows)
+			for _, r := range postings {
+				if pass[r>>6]&(1<<(r&63)) != 0 && (len(res) == 0 || checkResiduals(res, li, int(r))) {
+					lIdx = append(lIdx, int32(li))
+					rRows = append(rRows, r)
+				}
 			}
 		}
-		lIdx, rRows = fb.filter(filter, res, lIdx, rRows)
 		w += int64(len(lIdx)) // one unit per emitted pair
 		em.emitIndexBlock(left, lIdx, rRows)
 		if err := ex.charge(id, w); err != nil {
@@ -175,51 +192,16 @@ func (ex *executor) indexJoin(n *plan.Node, live query.BitSet, id int) (*batch, 
 	return em.batch(), nil
 }
 
-// fetchBatchMax bounds how many fetched tuples an index join buffers
-// before filtering them: a skewed key must not make one block's buffer
-// unbounded. A var so tests can force a flush after every outer tuple.
-var fetchBatchMax = 1 << 14
-
-// fetchBatch collects the tuples an index join fetches for a run of outer
-// tuples, so the inner relation's selection runs as one Select over all of
-// them rather than one call per outer tuple. Postings are copied, never
-// written: they belong to the index.
-type fetchBatch struct {
-	fetched []int32 // fetched inner rows, in outer-tuple order
-	outer   []int32 // outer ordinal of each fetched row
-	passed  []int32 // the fetched rows that pass the selection
-}
-
-func (fb *fetchBatch) add(li int32, postings []int32) {
-	fb.fetched = append(fb.fetched, postings...)
-	for range postings {
-		fb.outer = append(fb.outer, li)
-	}
-}
-
-// filter applies the selection to the batch, appends every fetched pair
-// that passes it and the residual predicates to (lIdx, rRows) in fetch
-// order, and empties the batch. passed is the subsequence of fetched whose
-// rows pass; since equal row ids pass or fail alike, matching it greedily
-// against fetched recovers each survivor's outer tuple exactly.
-func (fb *fetchBatch) filter(f *query.Filter, res []boundResidual, lIdx, rRows []int32) ([]int32, []int32) {
-	fb.passed = f.Select(fb.passed[:0], fb.fetched)
-	k := 0
-	for p, r := range fb.fetched {
-		if k == len(fb.passed) {
-			break
-		}
-		if fb.passed[k] != r {
-			continue
-		}
-		k++
-		if li := fb.outer[p]; checkResiduals(res, int(li), int(r)) {
-			lIdx = append(lIdx, li)
-			rRows = append(rRows, r)
+// keyResidualsHold reports whether outer tuple li carries a non-NULL value
+// equal to the lookup key in every residual on the index column.
+func keyResidualsHold(res []boundResidual, li int, key int64) bool {
+	for k := range res {
+		rp := &res[k]
+		if lRow := int(rp.lRows[li]); rp.lCol.IsNull(lRow) || rp.lCol.Ints[lRow] != key {
+			return false
 		}
 	}
-	fb.fetched, fb.outer = fb.fetched[:0], fb.outer[:0]
-	return lIdx, rRows
+	return true
 }
 
 // nestedLoop is the classic O(n*m) join the optimizer can disable. The

@@ -124,26 +124,12 @@ func BuildPostings(keys []int64, vals []int32) *Postings {
 }
 
 // Lookup returns the values stored under key, in input order. The returned
-// slice aliases the arena and must not be modified. The dense path stays
-// within the inlining budget (the probe loops of truecard and the engine's
-// index joins call this once per tuple); the sparse walk is a separate
-// function so it does not weigh the common case down.
+// slice aliases the arena and must not be modified. Probe loops resolve
+// dense keys through DenseView instead, which inlines.
 func (p *Postings) Lookup(key int64) []int32 {
-	if p.dense != nil {
-		slot := uint64(key) - uint64(p.min)
-		if slot >= uint64(len(p.dense)) {
-			return nil
-		}
-		g := p.dense[slot]
-		if g == 0 {
-			return nil
-		}
-		return p.vals[p.offs[g-1]:p.offs[g]]
+	if v, ok := p.DenseView(); ok {
+		return v.Lookup(key)
 	}
-	return p.lookupSparse(key)
-}
-
-func (p *Postings) lookupSparse(key int64) []int32 {
 	if p.heads == nil {
 		return nil
 	}
@@ -156,16 +142,11 @@ func (p *Postings) lookupSparse(key int64) []int32 {
 }
 
 // DenseView exposes the dense resolution arrays so that probe loops hot
-// enough to care can perform the three-instruction lookup inline (the
-// combined Lookup exceeds the compiler's inlining budget). ok reports
-// whether this Postings resolves densely; when false, use Lookup.
-//
-//	slot := uint64(key) - uint64(v.Min)
-//	if slot < uint64(len(v.Dense)) {
-//		if g := v.Dense[slot]; g != 0 {
-//			matches = v.Vals[v.Offs[g-1]:v.Offs[g]]
-//		}
-//	}
+// enough to care resolve a key inline: the combined Postings.Lookup exceeds
+// the compiler's inlining budget, DenseView.Lookup does not. Its two users
+// are truecard's join probe and the engine's index-nested-loop join, both
+// of which call it once per probe tuple. ok reports whether this Postings
+// resolves densely; when false, use Postings.Lookup.
 type DenseView struct {
 	Dense []int32 // key - Min -> group+1; 0 = no group
 	Min   int64
@@ -180,6 +161,17 @@ func (p *Postings) DenseView() (DenseView, bool) {
 		return DenseView{}, false
 	}
 	return DenseView{Dense: p.dense, Min: p.min, Offs: p.offs, Vals: p.vals}, true
+}
+
+// Lookup returns the values stored under key, exactly as Postings.Lookup
+// does on the Postings the view came from.
+func (v *DenseView) Lookup(key int64) []int32 {
+	if slot := uint64(key) - uint64(v.Min); slot < uint64(len(v.Dense)) {
+		if g := v.Dense[slot]; g != 0 {
+			return v.Vals[v.Offs[g-1]:v.Offs[g]]
+		}
+	}
+	return nil
 }
 
 // Keys returns the number of distinct keys.

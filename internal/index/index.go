@@ -15,8 +15,11 @@ import (
 
 // Hash is a hash-based index, backed by the flat grouped postings of
 // internal/hashtab: all row ids live in one contiguous arena grouped by
-// key, and a lookup is one flat-hash probe instead of a Go map access —
-// the single hottest operation of the engine's index-nested-loop joins.
+// key, and a lookup is one flat-hash probe instead of a Go map access.
+// Surrogate keys almost always resolve densely instead, through a direct
+// offset table; the engine's index-nested-loop join, whose lookups are the
+// single hottest operation of a PK+FK plan, then reads that table inline
+// through DenseView.
 type Hash struct {
 	p      *hashtab.Postings
 	unique bool
@@ -48,6 +51,10 @@ func BuildHash(col *storage.Column, unique bool) (*Hash, error) {
 // Lookup returns the row ids whose key equals v. The returned slice must
 // not be modified.
 func (h *Hash) Lookup(v int64) []int32 { return h.p.Lookup(v) }
+
+// DenseView returns the index's dense resolution arrays (see
+// hashtab.DenseView), or ok=false when its keys resolve by hashing.
+func (h *Hash) DenseView() (hashtab.DenseView, bool) { return h.p.DenseView() }
 
 // Len returns the number of indexed (non-NULL) rows.
 func (h *Hash) Len() int { return h.p.Len() }

@@ -555,12 +555,7 @@ func (p *probe) matches(i int) []int32 {
 	if !p.dense {
 		return p.h.Lookup(key)
 	}
-	if slot := uint64(key) - uint64(p.dv.Min); slot < uint64(len(p.dv.Dense)) {
-		if g := p.dv.Dense[slot]; g != 0 {
-			return p.dv.Vals[p.dv.Offs[g-1]:p.dv.Offs[g]]
-		}
-	}
-	return nil
+	return p.dv.Lookup(key)
 }
 
 // keep returns the rows of m that pass the per-match residuals for base

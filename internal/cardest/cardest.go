@@ -238,6 +238,12 @@ func NewDBMSC(db *storage.Database, sdb *stats.DB) Estimator {
 	return &profile{name: "DBMS C", db: db, sdb: sdb, base: magicBase{}}
 }
 
+// Systems builds the paper's five estimator profiles on one ANALYZE, in its
+// presentation order: PostgreSQL, DBMS A, DBMS B, DBMS C and HyPer.
+func Systems(db *storage.Database, sdb *stats.DB) []Estimator {
+	return []Estimator{NewPostgres(db, sdb), NewDBMSA(db, sdb), NewDBMSB(db, sdb), NewDBMSC(db, sdb), NewSample(db, sdb)}
+}
+
 // NewDamped builds a DBMS A-style estimator with an explicit damping
 // exponent (1.0 disables damping entirely and reduces to plain
 // independence). It exists for the damping ablation study.

@@ -26,16 +26,6 @@ func newLab(t *testing.T) *lab {
 	return &lab{db: db, sdb: sdb}
 }
 
-func (l *lab) estimators() []Estimator {
-	return []Estimator{
-		NewPostgres(l.db, l.sdb),
-		NewDBMSA(l.db, l.sdb),
-		NewDBMSB(l.db, l.sdb),
-		NewDBMSC(l.db, l.sdb),
-		NewSample(l.db, l.sdb),
-	}
-}
-
 func trueSelCount(t *testing.T, db *storage.Database, rel query.Rel) int {
 	t.Helper()
 	tbl := db.MustTable(rel.Table)
@@ -50,7 +40,7 @@ func TestBaseEstimatesReasonable(t *testing.T) {
 	l := newLab(t)
 	// Median base-table q-error should be small for every estimator
 	// (Table 1: medians 1.00-1.06), even though tails can be large.
-	for _, est := range l.estimators() {
+	for _, est := range Systems(l.db, l.sdb) {
 		var qerrs []float64
 		for _, q := range job.Workload()[:40] {
 			g := query.MustBuildGraph(q)
@@ -180,7 +170,7 @@ func TestDampingLiftsDeepEstimates(t *testing.T) {
 
 func TestClampToOneRow(t *testing.T) {
 	l := newLab(t)
-	for _, est := range l.estimators() {
+	for _, est := range Systems(l.db, l.sdb) {
 		for _, qid := range []string{"29a", "28a", "13d"} {
 			g := query.MustBuildGraph(job.ByID(qid))
 			prov := est.ForQuery(g)
@@ -197,7 +187,7 @@ func TestClampToOneRow(t *testing.T) {
 // can only increase the estimate) and both are finite and positive.
 func TestSansSelectionProperty(t *testing.T) {
 	l := newLab(t)
-	ests := l.estimators()
+	ests := Systems(l.db, l.sdb)
 	qs := job.Workload()
 	f := func(qi, ei uint8) bool {
 		q := qs[int(qi)%len(qs)]
@@ -278,10 +268,14 @@ func TestTrueDistinctVariantChangesEstimates(t *testing.T) {
 
 func TestEstimatorNames(t *testing.T) {
 	l := newLab(t)
-	want := map[string]bool{"PostgreSQL": true, "DBMS A": true, "DBMS B": true, "DBMS C": true, "HyPer": true}
-	for _, est := range l.estimators() {
-		if !want[est.Name()] {
-			t.Errorf("unexpected estimator name %q", est.Name())
+	want := []string{"PostgreSQL", "DBMS A", "DBMS B", "DBMS C", "HyPer"} // the paper's order
+	ests := Systems(l.db, l.sdb)
+	if len(ests) != len(want) {
+		t.Fatalf("Systems built %d estimators, want %d", len(ests), len(want))
+	}
+	for i, est := range ests {
+		if est.Name() != want[i] {
+			t.Errorf("Systems()[%d] is %q, want %q", i, est.Name(), want[i])
 		}
 		g := query.MustBuildGraph(job.ByID("1a"))
 		if est.ForQuery(g).Name() != est.Name() {

@@ -42,14 +42,13 @@ type Lab struct {
 	IdxPK   *index.Set
 	IdxPKFK *index.Set
 
-	// Estimators in the paper's presentation order. PostgresTD runs on
-	// ANALYZE with true distinct counts (Fig. 5).
+	// Postgres is the first of the paper's five estimator profiles (see
+	// Systems); PostgresTD is PostgreSQL on ANALYZE with true distinct
+	// counts (Fig. 5).
 	Postgres   cardest.Estimator
 	PostgresTD cardest.Estimator
-	DBMSA      cardest.Estimator
-	DBMSB      cardest.Estimator
-	DBMSC      cardest.Estimator
-	HyPer      cardest.Estimator
+
+	systems []cardest.Estimator
 }
 
 // NewLab builds the shared setup, loading the database, statistics,
@@ -84,19 +83,15 @@ func NewLabOver(w *world.World) (*Lab, error) {
 	l.Stats = w.Stats(sopts)
 	l.IdxPK, _ = w.Indexes(index.PKOnly) // resolved above, like the next one
 	l.IdxPKFK, _ = w.Indexes(index.PKFK)
-	l.Postgres = cardest.NewPostgres(l.DB, l.Stats)
+	l.systems = cardest.Systems(l.DB, l.Stats)
+	l.Postgres = l.systems[0]
 	l.PostgresTD = cardest.NewPostgres(l.DB, w.Stats(topts))
-	l.DBMSA = cardest.NewDBMSA(l.DB, l.Stats)
-	l.DBMSB = cardest.NewDBMSB(l.DB, l.Stats)
-	l.DBMSC = cardest.NewDBMSC(l.DB, l.Stats)
-	l.HyPer = cardest.NewSample(l.DB, l.Stats)
 	return l, nil
 }
 
-// Systems returns the five estimators in the paper's order.
-func (l *Lab) Systems() []cardest.Estimator {
-	return []cardest.Estimator{l.Postgres, l.DBMSA, l.DBMSB, l.DBMSC, l.HyPer}
-}
+// Systems returns the five estimators in the paper's order (see
+// cardest.Systems). Callers must not modify the slice.
+func (l *Lab) Systems() []cardest.Estimator { return l.systems }
 
 // Truth returns (computing and caching on first use) the full true-
 // cardinality store of a query of the Lab's workload; see world.Truth.

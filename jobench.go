@@ -173,7 +173,7 @@ type System struct {
 	order   []string
 	queries map[string]*registered
 
-	estimators [len(estimatorNames)]cardest.Estimator
+	estimators []cardest.Estimator // cardest.Systems, in estimatorNames order
 }
 
 // estimatorNames are the estimator profiles a System builds providers
@@ -217,16 +217,10 @@ func NewSystem(w *world.World) (*System, error) {
 	sdb := w.Stats(sopts)
 
 	s := &System{
-		w:       w,
-		idx:     make(map[IndexConfig]*index.Set, len(configs)),
-		queries: make(map[string]*registered, len(w.Queries)),
-		estimators: [...]cardest.Estimator{ // in estimatorNames order
-			cardest.NewPostgres(w.DB, sdb),
-			cardest.NewDBMSA(w.DB, sdb),
-			cardest.NewDBMSB(w.DB, sdb),
-			cardest.NewDBMSC(w.DB, sdb),
-			cardest.NewSample(w.DB, sdb),
-		},
+		w:          w,
+		idx:        make(map[IndexConfig]*index.Set, len(configs)),
+		queries:    make(map[string]*registered, len(w.Queries)),
+		estimators: cardest.Systems(w.DB, sdb),
 	}
 	for _, cfg := range configs {
 		s.idx[cfg], _ = w.Indexes(cfg) // resolved above

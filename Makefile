@@ -48,9 +48,10 @@ bench:
 
 # One iteration per benchmark, no tests: catches bit-rot in bench_test.go
 # and establishes a perf baseline without benchmarking-grade runtimes.
-# Includes BenchmarkTruecardCompute (serial vs parallel truecard DP) and
-# the engine micro-benches (BenchmarkEngineExecuteJOB/EngineExecuteSkew/
-# EngineHashJoin).
+# Includes BenchmarkTruecardCompute (serial vs parallel truecard DP),
+# BenchmarkTruecardJOB (truth.cold's DP over all 113 JOB queries,
+# in-process) and the engine micro-benches (BenchmarkEngineExecuteJOB/
+# EngineExecuteSkew/EngineHashJoin).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 

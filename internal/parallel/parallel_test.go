@@ -88,6 +88,37 @@ func TestRunCellsStopsAfterError(t *testing.T) {
 	}
 }
 
+// TestRunCellsWaitsForStartedCellsOnError pins what callers that recycle
+// memory across calls rely on (truecard's buffer pool): RunCells returns
+// only after every cell it started has returned, also when one fails
+// early and the others ignore the cancellation.
+func TestRunCellsWaitsForStartedCellsOnError(t *testing.T) {
+	cells := make([]int, 16)
+	for i := range cells {
+		cells[i] = i
+	}
+	var started, finished atomic.Int64
+	_, err := RunCells(context.Background(), 4, cells, func(_ context.Context, c int) (int, error) {
+		started.Add(1)
+		defer finished.Add(1)
+		if c == 0 {
+			// Fail only once every worker holds a cell.
+			for started.Load() < 4 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			return 0, errors.New("early failure")
+		}
+		time.Sleep(20 * time.Millisecond)
+		return c, nil
+	})
+	if err == nil {
+		t.Fatal("no error")
+	}
+	if s, f := started.Load(), finished.Load(); s != f {
+		t.Fatalf("RunCells returned with %d of %d started cells still running", s-f, s)
+	}
+}
+
 func TestRunCellsErrorNotPollutedByCancelEchoes(t *testing.T) {
 	// Workers that poll the context after a sibling's failure return
 	// context.Canceled; those echoes must not drown out the real error or

@@ -52,3 +52,24 @@ func BenchmarkTruecardCompute(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTruecardJOB is truth.cold's DP in-process: one op computes the
+// true cardinalities of all 113 JOB queries, serially, on imdb scale 0.03,
+// seed 42, with the default Options (which fan each level out over
+// GOMAXPROCS workers). Snapshot encoding is left out. Run with -benchmem
+// or -memprofile: B/op is the bytes the DP allocates per pass.
+func BenchmarkTruecardJOB(b *testing.B) {
+	db := imdb.Generate(imdb.Config{Scale: 0.03, Seed: 42})
+	var graphs []*query.Graph
+	for _, q := range job.Workload() {
+		graphs = append(graphs, query.MustBuildGraph(q))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, g := range graphs {
+			if _, err := Compute(db, g, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

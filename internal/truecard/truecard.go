@@ -9,17 +9,21 @@
 //
 // The computation is a level-wise dynamic program: results of size k are
 // materialised as row-id tuples by probing a size-(k-1) result into a hash
-// table of the extending relation; only two levels are kept in memory.
-// Within a level all size-k subgraphs depend only on level k-1, so they fan
-// out across Options.Parallel workers; results are identical to the serial
-// path at any worker count.
+// table of the extending relation; only two levels are kept in memory. A
+// result of S keeps the row-id column of a relation only if that relation
+// has a neighbour outside S, since no other column is ever probed; a
+// result nothing reads (the full set, and every subgraph at the MaxSize
+// level) keeps no column and is only counted. Row-id buffers are pooled
+// and outlive one Compute. Within a level all size-k subgraphs depend only
+// on level k-1, so they fan out across Options.Parallel workers; results
+// are identical to the serial path at any worker count.
 package truecard
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -182,27 +186,37 @@ func FromDump(g *query.Graph, d Dump) (*Store, error) {
 // NumSubgraphs returns the number of connected subgraphs computed.
 func (st *Store) NumSubgraphs() int { return len(st.cards) }
 
-// result is a materialised intermediate: for each tuple, one base-table row
-// id per relation. Column-major: cols[k][i] is the row of rels[k] in tuple i.
+// result is an intermediate of the DP: its row count and, for the relations
+// a superset probes, one base-table row id per tuple. Column-major:
+// cols[k][i] is the row of the k-th relation of rels (ascending) in tuple i.
+// A result no superset reads keeps no column and is only counted.
 type result struct {
-	rels []int
+	n    int
+	rels query.BitSet
 	cols [][]int32
 }
 
-func (r *result) rows() int {
-	if len(r.cols) == 0 {
-		return 0
+func (r *result) colOf(rel int) []int32 {
+	if !r.rels.Has(rel) {
+		panic(fmt.Sprintf("truecard: relation %d not kept in result %v", rel, r.rels))
 	}
-	return len(r.cols[0])
+	return r.cols[bits.OnesCount64(uint64(r.rels)&(1<<uint(rel)-1))]
 }
 
-func (r *result) colOf(rel int) []int32 {
-	for k, x := range r.rels {
-		if x == rel {
-			return r.cols[k]
+// probed returns the relations of subgraph s whose columns a later level
+// reads: those with a neighbour outside s, and none at the last level.
+// The full set never keeps a column.
+func (c *computer) probed(s query.BitSet, maxSize int) query.BitSet {
+	if s.Count() >= maxSize {
+		return 0
+	}
+	var keep query.BitSet
+	for t := s; t != 0; t &= t - 1 {
+		if x := t.First(); c.g.NeighborsOf(x)&^s != 0 {
+			keep = keep.Add(x)
 		}
 	}
-	panic(fmt.Sprintf("truecard: relation %d not in result %v", rel, r.rels))
+	return keep
 }
 
 // computer bundles the per-query state.
@@ -221,48 +235,99 @@ type computer struct {
 	// by the same relation share one build instead of racing.
 	hashes parallel.KeyedOnce[hashKey, *hashtab.Postings]
 
-	// bufs recycles row-id column buffers across DP levels: once level k is
-	// materialised, level k-1's columns are dead and their backing arrays
-	// feed level k+1. Workers pop and push concurrently.
-	bufMu sync.Mutex
-	bufs  [][]int32
+	// bufs recycles buffers within the query and across queries: once
+	// level k is materialised, level k-1's columns are dead and their
+	// backing arrays feed level k+1, and when Compute returns the largest
+	// stay pooled for the next one.
+	bufs *buffers
 }
 
-// getBuf pops a recycled row-id buffer (length zero) or returns nil,
-// which appends treat as an empty slice.
-func (c *computer) getBuf() []int32 {
-	c.bufMu.Lock()
-	defer c.bufMu.Unlock()
-	if n := len(c.bufs); n > 0 {
-		b := c.bufs[n-1]
-		c.bufs[n-1] = nil
-		c.bufs = c.bufs[:n-1]
-		return b
+// buffers is the pooled state a computer borrows for one Compute: row-id
+// columns and the int64 key staging of the hash builds. Workers get and
+// put concurrently.
+type buffers struct {
+	rows freeList[int32]
+	keys freeList[int64]
+}
+
+// bufferPool carries buffers from one Compute to the next, like the
+// engine's runner pool. The GC drains a sync.Pool, so an idle process
+// keeps none of them.
+var bufferPool = sync.Pool{New: func() any { return new(buffers) }}
+
+// Retention bounds what a Compute hands back to bufferPool: the largest
+// retainRows row-id buffers and retainKeys key buffers.
+const (
+	retainRows = 256
+	retainKeys = 8
+)
+
+// freeList holds spare buffers in power-of-two size classes: classes[k]
+// holds buffers whose capacity lies in [2^k, 2^(k+1)).
+type freeList[T int32 | int64] struct {
+	mu      sync.Mutex
+	classes [64][][]T
+}
+
+// get returns an empty buffer with capacity for at least n elements: a
+// spare from the smallest class that is sure to fit (or the next one up),
+// else a new one rounded up to a power of two so that it fits that class
+// when it comes back.
+func (f *freeList[T]) get(n int) []T {
+	if n <= 0 {
+		return nil
 	}
-	return nil
+	k := bits.Len(uint(n - 1)) // smallest k with 2^k >= n
+	f.mu.Lock()
+	for c := k; c <= k+1 && c < len(f.classes); c++ {
+		if m := len(f.classes[c]); m > 0 {
+			b := f.classes[c][m-1]
+			f.classes[c][m-1] = nil
+			f.classes[c] = f.classes[c][:m-1]
+			f.mu.Unlock()
+			return b
+		}
+	}
+	f.mu.Unlock()
+	return make([]T, 0, 1<<k)
 }
 
-// putBuf returns one buffer to the pool.
-func (c *computer) putBuf(b []int32) {
+// put returns a buffer to its size class.
+func (f *freeList[T]) put(b []T) {
 	if cap(b) == 0 {
 		return
 	}
-	c.bufMu.Lock()
-	c.bufs = append(c.bufs, b[:0])
-	c.bufMu.Unlock()
+	k := bits.Len(uint(cap(b))) - 1
+	f.mu.Lock()
+	f.classes[k] = append(f.classes[k], b[:0])
+	f.mu.Unlock()
+}
+
+// trim keeps the keep largest buffers and drops the rest.
+func (f *freeList[T]) trim(keep int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for k := len(f.classes) - 1; k >= 0; k-- {
+		cl := f.classes[k]
+		n := min(keep, len(cl))
+		clear(cl[n:])
+		f.classes[k] = cl[:n]
+		keep -= n
+	}
+}
+
+// grow moves b to a pooled buffer with room for k more elements; callers
+// check first that b has none (a call is not inlined).
+func (c *computer) grow(b []int32, k int) []int32 {
+	nb := append(c.bufs.rows.get(max(2*cap(b), len(b)+k)), b...)
+	c.bufs.rows.put(b)
+	return nb
 }
 
 // recycle returns a dead result's columns to the buffer pool.
 func (c *computer) recycle(r *result) {
-	if r == nil || len(r.cols) == 0 {
-		return
-	}
-	c.bufMu.Lock()
-	defer c.bufMu.Unlock()
 	for _, col := range r.cols {
-		if cap(col) > 0 {
-			c.bufs = append(c.bufs, col[:0])
-		}
+		c.bufs.rows.put(col)
 	}
 	r.cols = nil
 }
@@ -304,10 +369,21 @@ func ComputeContext(ctx context.Context, db *storage.Database, g *query.Graph, o
 	if opts.MaxSize > 0 && opts.MaxSize < maxSize {
 		maxSize = opts.MaxSize
 	}
-	c := &computer{db: db, g: g, opts: opts}
+	c := &computer{db: db, g: g, opts: opts, bufs: bufferPool.Get().(*buffers)}
+	defer c.release()
+	// Group connected subsets by size; those up to maxSize are the store's
+	// cards.
+	bySize := make([][]query.BitSet, g.N+1)
+	subgraphs := 0
+	g.ConnectedSubsets(func(s query.BitSet) {
+		bySize[s.Count()] = append(bySize[s.Count()], s)
+		if s.Count() <= maxSize {
+			subgraphs++
+		}
+	})
 	st := &Store{
 		G:       g,
-		cards:   make(map[query.BitSet]float64),
+		cards:   make(map[query.BitSet]float64, subgraphs),
 		sans:    make(map[sansKey]float64),
 		maxSize: maxSize,
 	}
@@ -338,12 +414,17 @@ func ComputeContext(ctx context.Context, db *storage.Database, g *query.Graph, o
 			// chunks. Each chunk selects into one scratch vector that is
 			// appended to rows, so rows grows with what the selection keeps,
 			// not with the rows scanned.
-			var rows, chunk []int32
+			chunk := c.bufs.rows.get(ctxCheckMask + 1)
+			defer c.bufs.rows.put(chunk)
+			var rows []int32
 			for lo, n := 0, c.tables[i].NumRows(); lo < n; lo += ctxCheckMask + 1 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 				chunk = c.filters[i].SelectRange(chunk[:0], lo, min(lo+ctxCheckMask+1, n))
+				if len(rows)+len(chunk) > cap(rows) {
+					rows = c.grow(rows, len(chunk))
+				}
 				rows = append(rows, chunk...)
 			}
 			return rows, nil
@@ -359,14 +440,15 @@ func ComputeContext(ctx context.Context, db *storage.Database, g *query.Graph, o
 		if len(g.Q.Rels[i].Preds) > 0 {
 			st.sans[sansKey{s, i}] = float64(c.tables[i].NumRows())
 		}
-		prev[s] = &result{rels: []int{i}, cols: [][]int32{rows}}
+		res := &result{n: len(rows), rels: c.probed(s, maxSize)}
+		if res.rels != 0 {
+			res.cols = [][]int32{rows}
+		}
+		if resultHook != nil {
+			resultHook(g, s, res)
+		}
+		prev[s] = res
 	}
-
-	// Group connected subsets by size.
-	bySize := make([][]query.BitSet, g.N+1)
-	g.ConnectedSubsets(func(s query.BitSet) {
-		bySize[s.Count()] = append(bySize[s.Count()], s)
-	})
 
 	for size := 2; size <= maxSize; size++ {
 		// Every size-k subgraph depends only on the completed level k-1
@@ -374,7 +456,11 @@ func ComputeContext(ctx context.Context, db *storage.Database, g *query.Graph, o
 		// coordinator merges the outputs in deterministic input order.
 		outs, err := parallel.RunCells(ctx, opts.Parallel, bySize[size],
 			func(ctx context.Context, s query.BitSet) (subsetOut, error) {
-				return c.computeSubset(ctx, s, prev)
+				out, err := c.computeSubset(ctx, s, c.probed(s, maxSize), prev)
+				if err == nil && resultHook != nil {
+					resultHook(g, s, out.res)
+				}
+				return out, err
 			})
 		if err != nil {
 			return nil, err
@@ -388,8 +474,8 @@ func ComputeContext(ctx context.Context, db *storage.Database, g *query.Graph, o
 			cur[s] = outs[i].res
 		}
 		// Level size-1 is dead now: recycle its row-id buffers into the
-		// pool feeding level size+1. Level 1 is exempt — its columns alias
-		// the shared filtered-row vectors, not pooled buffers.
+		// pool feeding level size+1. Level 1 is exempt: its columns alias
+		// the filtered-row vectors, which release returns.
 		if size > 2 {
 			for _, res := range prev {
 				c.recycle(res)
@@ -400,32 +486,49 @@ func ComputeContext(ctx context.Context, db *storage.Database, g *query.Graph, o
 	return st, nil
 }
 
-// computeSubset materialises one size-k connected subgraph from the
-// level-(k-1) results. Extending from every relation r with connected
-// S\{r}: the first gives the materialised result, all filtered ones give
-// the sans-selection counts.
-func (c *computer) computeSubset(ctx context.Context, s query.BitSet, prev map[query.BitSet]*result) (subsetOut, error) {
+// resultHook, when set, sees every result of every level as it is made,
+// from the worker that made it. Tests use it to inspect what the DP keeps.
+var resultHook func(g *query.Graph, s query.BitSet, res *result)
+
+// release hands the computer's buffers back to bufferPool, keeping only
+// the largest. Every worker has returned by now: RunCells waits for all
+// of its cells, also when one fails.
+func (c *computer) release() {
+	for _, rows := range c.filtered {
+		c.bufs.rows.put(rows)
+	}
+	c.bufs.rows.trim(retainRows)
+	c.bufs.keys.trim(retainKeys)
+	bufferPool.Put(c.bufs)
+	c.bufs = nil
+}
+
+// computeSubset computes one size-k connected subgraph from the
+// level-(k-1) results, keeping the columns of keep. Extending from every
+// relation r with connected S\{r}: the first gives the result, all
+// filtered ones give the sans-selection counts.
+func (c *computer) computeSubset(ctx context.Context, s, keep query.BitSet, prev map[query.BitSet]*result) (subsetOut, error) {
 	out := subsetOut{}
 	found := false
-	for _, r := range s.Elems() {
+	for t := s; t != 0; t &= t - 1 {
+		r := t.First()
 		rest := s.Remove(r)
 		base, ok := prev[rest]
 		if !ok {
 			continue // rest disconnected
 		}
-		between := c.g.EdgesBetween(rest, query.Bit(r))
-		if between == 0 {
+		edges := c.g.EdgesBetween(rest, query.Bit(r))
+		if edges == 0 {
 			continue
 		}
-		edges := between.Elems()
 		found = true
 		if out.res == nil {
-			res, err := c.join(ctx, s, base, r, edges, true)
+			res, err := c.join(ctx, s, keep, base, r, edges)
 			if err != nil {
 				return subsetOut{}, err
 			}
 			out.res = res
-			out.card = float64(res.rows())
+			out.card = float64(res.n)
 		}
 		if len(c.g.Q.Rels[r].Preds) > 0 {
 			n, err := c.countJoin(ctx, s, base, r, edges, false)
@@ -455,11 +558,15 @@ func (c *computer) computeSubset(ctx context.Context, s query.BitSet, prev map[q
 func (c *computer) hashOf(rel int, col string, filtered bool) *hashtab.Postings {
 	return c.hashes.Get(hashKey{rel, col, filtered}, func() *hashtab.Postings {
 		column := c.tables[rel].MustColumn(col)
-		var keys []int64
-		var vals []int32
+		n := column.Len()
 		if filtered {
-			keys = make([]int64, 0, len(c.filtered[rel]))
-			vals = make([]int32, 0, len(c.filtered[rel]))
+			n = len(c.filtered[rel])
+		}
+		// BuildPostings references neither staging slice, so both go back
+		// to the pool.
+		keys, vals := c.bufs.keys.get(n), c.bufs.rows.get(n)
+		defer func() { c.bufs.keys.put(keys); c.bufs.rows.put(vals) }()
+		if filtered {
 			for _, row := range c.filtered[rel] {
 				if !column.IsNull(int(row)) {
 					keys = append(keys, column.Ints[row])
@@ -467,9 +574,7 @@ func (c *computer) hashOf(rel int, col string, filtered bool) *hashtab.Postings 
 				}
 			}
 		} else {
-			keys = make([]int64, 0, column.Len())
-			vals = make([]int32, 0, column.Len())
-			for row := 0; row < column.Len(); row++ {
+			for row := range n {
 				if !column.IsNull(row) {
 					keys = append(keys, column.Ints[row])
 					vals = append(vals, int32(row))
@@ -510,20 +615,20 @@ type residual struct {
 	rCol     *storage.Column
 }
 
-func (c *computer) newProbe(base *result, r int, edges []int, filtered bool) *probe {
-	p := &probe{}
-	for i, ei := range edges {
-		e := c.g.Edges[ei]
+func (c *computer) newProbe(base *result, r int, edges query.EdgeSet, filtered bool) probe {
+	var p probe
+	for t := edges; t != 0; t &= t - 1 {
+		e := c.g.Edges[t.First()]
 		other := e.Other(r)
 		rows := base.colOf(other)
-		for k, j := range e.Preds {
+		for _, j := range e.Preds {
 			baseName, rName := j.LeftCol, j.RightCol
 			if c.g.Q.RelIndex(j.LeftAlias) == r {
 				baseName, rName = rName, baseName
 			}
 			rs := residual{c.tables[other].MustColumn(baseName), rows, c.tables[r].MustColumn(rName)}
 			switch {
-			case i == 0 && k == 0:
+			case p.h == nil:
 				p.key, p.h = rs, c.hashOf(r, rName, filtered)
 			case rs.rCol == p.key.rCol:
 				p.keyRes = append(p.keyRes, rs)
@@ -582,18 +687,26 @@ match:
 // per-tuple atomic load.
 const ctxCheckMask = 1<<14 - 1
 
-// join probes base against relation r on the given edges and materialises
-// the combined result for subgraph s (filtered selects whether r's
-// selection applies). The probe keeps the base ordinal and r row of every
-// match; r's output column is that match buffer itself, and every base
-// column is gathered once, at its final length. The row limit is checked
-// before a probe tuple's matches are kept, so no buffer ever grows past
-// MaxRows.
-func (c *computer) join(ctx context.Context, s query.BitSet, base *result, r int, edges []int, filtered bool) (*result, error) {
-	p := c.newProbe(base, r, edges, filtered)
-	bIdx := c.getBuf()  // base ordinal of each match
-	rRows := c.getBuf() // matched r row of each match
-	for i := range base.rows() {
+// join probes base against relation r on the given edges, with r's
+// selection applied, and returns the result of subgraph s keeping only the
+// columns of keep. The probe collects r's row of every match when r's
+// column is kept (that buffer becomes the column), and the base ordinal of
+// every match when a base column is kept; each kept base column is then
+// gathered once, into a pooled buffer of the final length. With keep
+// empty the matches are only counted. The row limit is checked before a probe tuple's
+// matches are kept, so no buffer ever grows past MaxRows.
+func (c *computer) join(ctx context.Context, s, keep query.BitSet, base *result, r int, edges query.EdgeSet) (*result, error) {
+	p := c.newProbe(base, r, edges, true)
+	keepR, gather := keep.Has(r), keep.Remove(r) != 0
+	var bIdx, rRows []int32 // base ordinal and r row of each match
+	if keepR {
+		rRows = c.bufs.rows.get(base.n)
+	}
+	if gather {
+		bIdx = c.bufs.rows.get(base.n)
+	}
+	n := 0
+	for i := range base.n {
 		if i&ctxCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -603,26 +716,38 @@ func (c *computer) join(ctx context.Context, s query.BitSet, base *result, r int
 		if len(p.res) > 0 {
 			matches = p.keep(i, matches)
 		}
-		if len(rRows)+len(matches) > c.opts.MaxRows {
+		if len(matches) == 0 {
+			continue
+		}
+		if n+len(matches) > c.opts.MaxRows {
 			return nil, fmt.Errorf("truecard: %s: intermediate %v exceeds %d rows", c.g.Q.ID, s, c.opts.MaxRows)
 		}
-		rRows = append(rRows, matches...)
-		for range matches {
-			bIdx = append(bIdx, int32(i))
+		n += len(matches)
+		if keepR {
+			if len(rRows)+len(matches) > cap(rRows) {
+				rRows = c.grow(rRows, len(matches))
+			}
+			rRows = append(rRows, matches...)
+		}
+		if gather {
+			if len(bIdx)+len(matches) > cap(bIdx) {
+				bIdx = c.grow(bIdx, len(matches))
+			}
+			for range matches {
+				bIdx = append(bIdx, int32(i))
+			}
 		}
 	}
 
-	// Output layout: base relations plus r, ascending.
-	pos, _ := slices.BinarySearch(base.rels, r)
-	out := &result{rels: slices.Insert(slices.Clone(base.rels), pos, r), cols: make([][]int32, len(base.rels)+1)}
-	for k, rel := range out.rels {
-		if k == pos {
-			out.cols[k] = rRows
+	out := &result{n: n, rels: keep, cols: make([][]int32, 0, keep.Count())}
+	for t := keep; t != 0; t &= t - 1 {
+		if rel := t.First(); rel == r {
+			out.cols = append(out.cols, rRows)
 		} else {
-			out.cols[k] = hashtab.GatherAppend(c.getBuf(), base.colOf(rel), bIdx)
+			out.cols = append(out.cols, hashtab.GatherAppend(c.bufs.rows.get(n), base.colOf(rel), bIdx))
 		}
 	}
-	c.putBuf(bIdx)
+	c.bufs.rows.put(bIdx)
 	return out, nil
 }
 
@@ -638,7 +763,7 @@ const SansRowsFactor = 8
 // of subgraph s. It is bounded at SansRowsFactor*MaxRows — so an unbounded
 // count cannot run orders of magnitude past the limit — and polls the
 // context so sibling-worker failures cancel it.
-func (c *computer) countJoin(ctx context.Context, s query.BitSet, base *result, r int, edges []int, filtered bool) (int64, error) {
+func (c *computer) countJoin(ctx context.Context, s query.BitSet, base *result, r int, edges query.EdgeSet, filtered bool) (int64, error) {
 	p := c.newProbe(base, r, edges, filtered)
 	limit := int64(c.opts.MaxRows)
 	if limit > math.MaxInt64/SansRowsFactor {
@@ -647,7 +772,7 @@ func (c *computer) countJoin(ctx context.Context, s query.BitSet, base *result, 
 		limit *= SansRowsFactor
 	}
 	var count int64
-	for i := range base.rows() {
+	for i := range base.n {
 		if i&ctxCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return count, err
